@@ -3,113 +3,29 @@
 P1 finite elements on a periodic unit cell, quasimomentum-shifted TE/TM
 operators, and a recursive contour-integral indicator search for the
 (generally nonlinear) eigenvalue problem in the complex frequency plane.
+
+The package exports the library API that README documents; everything else
+is reached through its submodule (``phcbands.sweep.sweep`` for the full
+band-diagram sweep, ``phcbands.assembly`` for the operator family).
 """
 
 __version__ = "0.1.0"
 
-from .assembly import OperatorFamily, PermittivityBoundsError, assemble_family, build_T, direct_assembly_check
-from .config import ConfigError, RunConfig, config_from_dict, config_sha256, load_config
-from .io import emit_svg, write_bands_csv, write_metadata
-from .materials import (
-    Constant,
-    Drude,
-    LossyDrude,
-    PermittivityModel,
-    PermittivityPoleError,
-    check_bounds,
-    eval_eps,
-    normalize_physical_drude,
-)
-from .mesh import (
-    GeometryError,
-    Mesh,
-    PeriodicMap,
-    build_periodic_dof_map,
-    build_unit_cell_mesh,
-    filling_fraction_to_radius,
-    write_mesh_dump,
-)
-from .sim import (
-    EigenCandidate,
-    IndicatorError,
-    RefineResult,
-    SearchRegion,
-    SimConfig,
-    SimResult,
-    dedup,
-    indicator,
-    random_probe,
-    refine_eigenpair,
-    sim_h,
-    subdivide,
-)
-from .sparse import SingularMatrixError, combine, factorize, from_triplets, solve
-# the sweep() entry point itself is not re-exported: that name must keep
-# pointing at the phcbands.sweep submodule
-from .sweep import (
-    BandDiagram,
-    KPath,
-    Window,
-    dense_linear_oracle,
-    drude_polynomial_oracle,
-    make_kpath,
-    solve_at_k,
-    tile_window,
-)
+from .materials import Constant, Drude, LossyDrude
+from .mesh import build_periodic_dof_map, build_unit_cell_mesh
+from .sim import SimConfig
+from .sweep import Window, dense_linear_oracle, drude_polynomial_oracle, solve_at_k
 
 __all__ = [
     "__version__",
-    "OperatorFamily",
-    "PermittivityBoundsError",
-    "assemble_family",
-    "build_T",
-    "direct_assembly_check",
-    "ConfigError",
-    "RunConfig",
-    "config_from_dict",
-    "config_sha256",
-    "load_config",
-    "emit_svg",
-    "write_bands_csv",
-    "write_metadata",
     "Constant",
     "Drude",
     "LossyDrude",
-    "PermittivityModel",
-    "PermittivityPoleError",
-    "check_bounds",
-    "eval_eps",
-    "normalize_physical_drude",
-    "GeometryError",
-    "Mesh",
-    "PeriodicMap",
-    "build_periodic_dof_map",
-    "build_unit_cell_mesh",
-    "filling_fraction_to_radius",
-    "write_mesh_dump",
-    "EigenCandidate",
-    "IndicatorError",
-    "RefineResult",
-    "SearchRegion",
     "SimConfig",
-    "SimResult",
-    "dedup",
-    "indicator",
-    "random_probe",
-    "refine_eigenpair",
-    "sim_h",
-    "subdivide",
-    "SingularMatrixError",
-    "combine",
-    "factorize",
-    "from_triplets",
-    "solve",
-    "BandDiagram",
-    "KPath",
     "Window",
+    "solve_at_k",
+    "build_unit_cell_mesh",
+    "build_periodic_dof_map",
     "dense_linear_oracle",
     "drude_polynomial_oracle",
-    "make_kpath",
-    "solve_at_k",
-    "tile_window",
 ]

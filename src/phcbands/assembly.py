@@ -13,6 +13,15 @@ roundoff.  The k- and nu-independent pieces (stiffness S, mass M and the two
 first-derivative matrices G1, G2 with entries integral(phi_n d phi_m / dx_j))
 are assembled once per region on the periodic DOFs; frequency sweeps then
 reduce to scalar linear combinations.
+
+All matrices of one family share a single CSR sparsity pattern, the union of
+the region patterns, so T(nu) is a linear combination of their ``data``
+arrays and never a sum of sparse matrices.  Per-region entries are
+summed from the element triplets by ``from_triplet_arrays`` and then
+placed on the shared pattern; entries a region does not touch hold zero.
+The combination adds one term at a time in the order ``build_T`` documents,
+and that order is part of the contract: the operator, and with it every
+factorization and every output file, is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import scipy.sparse as sp
 
 from .materials import PermittivityModel, check_bounds, eval_eps
 from .mesh import Mesh, PeriodicMap
-from .sparse import combine, from_triplet_arrays
+from .sparse import from_triplet_arrays
 
 _BZ_TOL = 1e-12
 
@@ -41,9 +50,13 @@ class OperatorFamily:
     ``stiffness``, ``mass``, ``grad1`` and ``grad2`` hold the k-independent
     matrices per region tag.  ``momentum_form`` caches, per region,
 
-        K_rho(k) = S_rho + i (k1 G1 + k2 G2) - i (k1 G1 + k2 G2)^T + |k|^2 M_rho
+        K_rho(k) = S_rho + i k1 G1 + i k2 G2 - i k1 G1^T - i k2 G2^T + |k|^2 M_rho
 
-    so that building the operator at a frequency costs one scalar combination.
+    (G1, G2 of region rho), summed left to right.  ``momentum_form_total``
+    and ``mass_total`` are the sums over regions in ascending tag order.
+    Every matrix is canonical CSR on the family's one shared pattern (the
+    same ``indices`` and ``indptr`` memory), so building the operator at a
+    frequency costs one combination of ``data`` arrays.
     """
 
     polarization: str
@@ -54,9 +67,9 @@ class OperatorFamily:
     grad1: dict[int, sp.csr_matrix]
     grad2: dict[int, sp.csr_matrix]
     models: dict[int, PermittivityModel]
-    momentum_form: dict[int, sp.csr_matrix] = field(default_factory=dict, repr=False)
-    momentum_form_total: sp.csr_matrix = field(default=None, repr=False)
-    mass_total: sp.csr_matrix = field(default=None, repr=False)
+    momentum_form: dict[int, sp.csr_matrix] = field(repr=False)
+    momentum_form_total: sp.csr_matrix = field(repr=False)
+    mass_total: sp.csr_matrix = field(repr=False)
 
     @property
     def regions(self) -> list[int]:
@@ -120,17 +133,44 @@ def assemble_family(
     rows = np.broadcast_to(dof[:, :, None], stiff_el.shape)
     cols = np.broadcast_to(dof[:, None, :], stiff_el.shape)
 
-    stiffness, mass, grad1, grad2 = {}, {}, {}, {}
-    for region in sorted(models):
-        sel = mesh.region_of_triangle == region
-        r = rows[sel]
-        cc = cols[sel]
-        stiffness[region] = from_triplet_arrays(n_dofs, n_dofs, r, cc, stiff_el[sel])
-        mass[region] = from_triplet_arrays(n_dofs, n_dofs, r, cc, mass_el[sel])
-        grad1[region] = from_triplet_arrays(n_dofs, n_dofs, r, cc, grad1_el[sel])
-        grad2[region] = from_triplet_arrays(n_dofs, n_dofs, r, cc, grad2_el[sel])
+    # The union of the region patterns, symmetric because every element
+    # couples all three of its vertices both ways.
+    pattern = from_triplet_arrays(n_dofs, n_dofs, rows, cols, np.ones(rows.shape))
+    row_of_entry = np.repeat(np.arange(n_dofs), np.diff(pattern.indptr))
+    keys = row_of_entry * n_dofs + pattern.indices
+    # entry p of a matrix's transpose is entry transpose[p] of the matrix
+    transpose = np.searchsorted(keys, pattern.indices * n_dofs + row_of_entry)
 
-    fam = OperatorFamily(
+    def on_pattern(mat: sp.csr_matrix) -> sp.csr_matrix:
+        """A canonical CSR matrix re-expressed on the shared pattern."""
+        data = np.zeros(pattern.nnz, dtype=np.complex128)
+        mat_rows = np.repeat(np.arange(n_dofs), np.diff(mat.indptr))
+        data[np.searchsorted(keys, mat_rows * n_dofs + mat.indices)] = mat.data
+        return _with_pattern(pattern, data)
+
+    regions = sorted(models)
+
+    def region_sum(mats: dict[int, sp.csr_matrix]) -> sp.csr_matrix:
+        return _with_pattern(pattern, _linear_combination([1.0] * len(regions), [mats[r].data for r in regions]))
+
+    ksq = k1 * k1 + k2 * k2
+    stiffness, mass, grad1, grad2, momentum_form = {}, {}, {}, {}, {}
+    for region in regions:
+        sel = mesh.region_of_triangle == region
+        r, cc = rows[sel], cols[sel]
+        s, m, g1, g2 = (
+            on_pattern(from_triplet_arrays(n_dofs, n_dofs, r, cc, element[sel]))
+            for element in (stiff_el, mass_el, grad1_el, grad2_el)
+        )
+        stiffness[region], mass[region], grad1[region], grad2[region] = s, m, g1, g2
+        momentum_form[region] = _with_pattern(
+            pattern,
+            _linear_combination(
+                [1.0, 1j * k1, 1j * k2, -1j * k1, -1j * k2, ksq],
+                [s.data, g1.data, g2.data, g1.data[transpose], g2.data[transpose], m.data],
+            ),
+        )
+    return OperatorFamily(
         polarization=polarization,
         k=(k1, k2),
         n_dofs=n_dofs,
@@ -139,19 +179,24 @@ def assemble_family(
         grad1=grad1,
         grad2=grad2,
         models=dict(models),
+        momentum_form=momentum_form,
+        momentum_form_total=region_sum(momentum_form),
+        mass_total=region_sum(mass),
     )
 
-    ksq = k1 * k1 + k2 * k2
-    for region in fam.regions:
-        g1t = grad1[region].transpose().tocsr()
-        g2t = grad2[region].transpose().tocsr()
-        fam.momentum_form[region] = combine(
-            [1.0, 1j * k1, 1j * k2, -1j * k1, -1j * k2, ksq],
-            [stiffness[region], grad1[region], grad2[region], g1t, g2t, mass[region]],
-        )
-    fam.momentum_form_total = combine([1.0] * len(fam.regions), [fam.momentum_form[r] for r in fam.regions])
-    fam.mass_total = combine([1.0] * len(fam.regions), [mass[r] for r in fam.regions])
-    return fam
+
+def _with_pattern(pattern: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix sharing ``pattern``'s indices and indptr, holding ``data``."""
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def _linear_combination(coeffs: list[complex], datas: list[np.ndarray]) -> np.ndarray:
+    """sum_j coeffs[j] * datas[j], formed as ``data * complex(coeff)`` and
+    added to the running sum one term at a time in list order."""
+    acc = datas[0] * complex(coeffs[0])
+    for coeff, data in zip(coeffs[1:], datas[1:]):
+        acc += data * complex(coeff)
+    return acc
 
 
 def build_T(fam: OperatorFamily, nu: complex) -> sp.csr_matrix:
@@ -160,29 +205,31 @@ def build_T(fam: OperatorFamily, nu: complex) -> sp.csr_matrix:
     TE:  K(k) - (2 pi nu)^2 sum_rho eps_rho(nu) M_rho
     TM:  sum_rho eps_rho(nu)^-1 K_rho(k) - (2 pi nu)^2 M
 
-    For TM every region's permittivity must pass its admissibility bounds at
-    ``nu``; a violation raises PermittivityBoundsError.
+    The terms are summed in the order written, regions in ascending tag
+    order, on the family's shared pattern.  For TM every region's
+    permittivity must pass its admissibility bounds at ``nu``; a violation
+    raises PermittivityBoundsError.
     """
     nu = complex(nu)
     scale = (2.0 * math.pi * nu) ** 2
     if fam.polarization == "TE":
         coeffs: list[complex] = [1.0]
-        mats: list[sp.csr_matrix] = [fam.momentum_form_total]
+        datas: list[np.ndarray] = [fam.momentum_form_total.data]
         for region in fam.regions:
             coeffs.append(-scale * eval_eps(fam.models[region], nu))
-            mats.append(fam.mass[region])
-        return combine(coeffs, mats)
-    coeffs = []
-    mats = []
-    for region in fam.regions:
-        model = fam.models[region]
-        if not check_bounds(model, nu):
-            raise PermittivityBoundsError(f"region {region} permittivity out of bounds at nu = {nu!r}")
-        coeffs.append(1.0 / eval_eps(model, nu))
-        mats.append(fam.momentum_form[region])
-    coeffs.append(-scale)
-    mats.append(fam.mass_total)
-    return combine(coeffs, mats)
+            datas.append(fam.mass[region].data)
+    else:
+        coeffs = []
+        datas = []
+        for region in fam.regions:
+            model = fam.models[region]
+            if not check_bounds(model, nu):
+                raise PermittivityBoundsError(f"region {region} permittivity out of bounds at nu = {nu!r}")
+            coeffs.append(1.0 / eval_eps(model, nu))
+            datas.append(fam.momentum_form[region].data)
+        coeffs.append(-scale)
+        datas.append(fam.mass_total.data)
+    return _with_pattern(fam.mass_total, _linear_combination(coeffs, datas))
 
 
 def direct_assembly_check(

@@ -66,12 +66,12 @@ class Mesh:
     n : int
         Grid subdivisions per edge.
     r : float
-        Rod radius, 0 <= r < 0.5.
+        Rod radius: r = 0, or h <= r < 0.5.
 
     For n >= 8 and h <= r <= 0.45 no angle is below 9 degrees (a sweep of
     n = 8..64 in radius steps of 0.001 found 9.2 at worst).  A rod narrower
-    than one grid step can give slivers, or no disc triangles at all when it
-    fits between the grid vertices.
+    than one grid step is rejected: it would give slivers, or no disc
+    triangles at all when it fits between the grid vertices.
     """
 
     vertices: np.ndarray
@@ -172,12 +172,15 @@ def build_unit_cell_mesh(n: int, r: float) -> Mesh:
         Subdivisions per edge, n >= 1.
     r : float
         Rod radius; must satisfy 0 <= r < 0.5 so the rod stays strictly
-        inside the cell.  For r = 0 the mesh is the plain grid.
+        inside the cell, and r = 0 or r >= h = 1/n so the grid resolves the
+        rod.  For r = 0 the mesh is the plain grid.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise GeometryError(f"grid subdivisions must be a positive integer, got {n!r}")
     if not (0.0 <= r < 0.5):
         raise GeometryError(f"rod radius must satisfy 0 <= r < 0.5, got {r!r}")
+    if 0.0 < r < 1.0 / n:
+        raise GeometryError(f"rod radius {r!r} is below the grid step 1/{n}; use r = 0 or a finer grid")
 
     vertices, triangles = _grid(n)
     offset = vertices - 0.5

@@ -202,14 +202,14 @@ def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimRe
 def dedup(candidates: Sequence[EigenCandidate], tol: float) -> list[EigenCandidate]:
     """Merge candidates by single-linkage clustering with link distance tol.
 
-    Every cluster collapses to its centroid.  Output is sorted by real part,
-    then imaginary part.
+    A cluster of refined candidates (every residual set) keeps its member
+    with the smallest residual, the first one on ties; any other cluster
+    collapses to its centroid.  Output is sorted by real part, then
+    imaginary part.
     """
     if tol < 0:
         raise ValueError(f"dedup tolerance must be nonnegative, got {tol!r}")
     items = list(candidates)
-    if not items:
-        return []
     parent = list(range(len(items)))
 
     def find(a: int) -> int:
@@ -229,9 +229,11 @@ def dedup(candidates: Sequence[EigenCandidate], tol: float) -> list[EigenCandida
         clusters.setdefault(find(i), []).append(item)
     merged = []
     for members in clusters.values():
-        centroid = sum(m.nu for m in members) / len(members)
-        side = max(m.region_side for m in members)
-        merged.append(EigenCandidate(nu=centroid, region_side=side))
+        if all(m.residual is not None for m in members):
+            merged.append(min(members, key=lambda m: m.residual))
+        else:
+            centroid = sum(m.nu for m in members) / len(members)
+            merged.append(EigenCandidate(nu=centroid, region_side=max(m.region_side for m in members)))
     merged.sort(key=lambda cand: (cand.nu.real, cand.nu.imag))
     return merged
 

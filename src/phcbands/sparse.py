@@ -3,15 +3,15 @@
 Matrices are scipy CSR with complex128 entries throughout; factorizations go
 through SuperLU.  This module is the only place the solver touches a sparse
 backend, so everything downstream sees a fixed, deterministic contract:
-duplicate triplets are summed, linear combinations follow input order, and a
-factorization whose smallest pivot falls below ``PIVOT_RATIO_FLOOR`` times
-the largest is reported as singular instead of silently producing garbage.
+duplicate triplets are summed into a canonical (sorted, duplicate-free) CSR
+matrix, and a factorization whose smallest pivot falls below
+``PIVOT_RATIO_FLOOR`` times the largest is reported as singular instead of
+silently producing garbage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,26 +24,9 @@ class SingularMatrixError(RuntimeError):
     """Matrix is exactly or numerically singular."""
 
 
-def from_triplets(n_rows: int, n_cols: int, triplets: Iterable[tuple[int, int, complex]]) -> sp.csr_matrix:
-    """Build a CSR matrix from (row, col, value) triplets, summing duplicates."""
-    rows, cols, vals = [], [], []
-    for row, col, val in triplets:
-        if not (0 <= row < n_rows and 0 <= col < n_cols):
-            raise ValueError(f"triplet index ({row}, {col}) outside {n_rows} x {n_cols}")
-        rows.append(row)
-        cols.append(col)
-        vals.append(val)
-    mat = sp.coo_matrix(
-        (np.asarray(vals, dtype=np.complex128), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(n_rows, n_cols),
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
-
-
 def from_triplet_arrays(n_rows: int, n_cols: int, rows, cols, vals) -> sp.csr_matrix:
-    """Array-based variant of :func:`from_triplets` for bulk assembly."""
+    """Build a canonical CSR matrix from (row, col, value) arrays, summing
+    duplicates."""
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
     vals = np.asarray(vals, dtype=np.complex128).ravel()
@@ -53,24 +36,6 @@ def from_triplet_arrays(n_rows: int, n_cols: int, rows, cols, vals) -> sp.csr_ma
     mat.sum_duplicates()
     mat.sort_indices()
     return mat
-
-
-def combine(coeffs: Sequence[complex], mats: Sequence[sp.spmatrix]) -> sp.csr_matrix:
-    """Scalar linear combination sum_j coeffs[j] * mats[j] in input order."""
-    if len(coeffs) != len(mats):
-        raise ValueError(f"got {len(coeffs)} coefficients for {len(mats)} matrices")
-    if not mats:
-        raise ValueError("combine needs at least one matrix")
-    shape = mats[0].shape
-    acc = None
-    for coeff, mat in zip(coeffs, mats):
-        if mat.shape != shape:
-            raise ValueError(f"shape mismatch in combine: {mat.shape} vs {shape}")
-        term = sp.csr_matrix(mat, dtype=np.complex128) * complex(coeff)
-        acc = term if acc is None else (acc + term).tocsr()
-    acc.sum_duplicates()
-    acc.sort_indices()
-    return acc
 
 
 @dataclass

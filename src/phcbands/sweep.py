@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .assembly import OperatorFamily, assemble_family
-from .materials import Constant, Drude, PermittivityModel
+from .assembly import OperatorFamily, PermittivityBoundsError, assemble_family
+from .materials import Constant, Drude, PermittivityModel, PermittivityPoleError
 from .mesh import Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
-from .sim import EigenCandidate, SearchRegion, SimConfig, refine_eigenpair, sim_h
+from .sim import EigenCandidate, SearchRegion, SimConfig, dedup, refine_eigenpair, sim_h
+from .sparse import SingularMatrixError
 
 GAMMA = (0.0, 0.0)
 X = (math.pi, 0.0)
@@ -127,34 +128,7 @@ def solve_at_k(
         if not rr.converged:
             warnings.append(f"refinement stalled at nu = {rr.nu!r} (residual {rr.residual:.3e})")
 
-    merged = _dedup_refined(refined, cfg.dedup_tol)
-    merged.sort(key=lambda c: (c.nu.real, c.nu.imag))
-    return KSolveResult(eigenpairs=merged, warnings=warnings)
-
-
-def _dedup_refined(pairs: list[EigenCandidate], tol: float) -> list[EigenCandidate]:
-    """Single-linkage clustering of refined values; each cluster keeps its
-    smallest-residual member."""
-    if not pairs:
-        return []
-    parent = list(range(len(pairs)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if abs(pairs[i].nu - pairs[j].nu) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    clusters: dict[int, list[EigenCandidate]] = {}
-    for i, pair in enumerate(pairs):
-        clusters.setdefault(find(i), []).append(pair)
-    return [min(members, key=lambda c: c.residual) for members in clusters.values()]
+    return KSolveResult(eigenpairs=dedup(refined, cfg.dedup_tol), warnings=warnings)
 
 
 @dataclass
@@ -187,8 +161,10 @@ def sweep(
 ) -> BandDiagram:
     """Band diagram along Gamma -> X -> M -> Gamma.
 
-    A hard failure at one k-point is recorded as a warning on that point and
-    the sweep continues; k-points are processed in path order.
+    A solver failure at one k-point (a singular operator, or a permittivity
+    out of bounds or at its pole) is recorded as a warning on that point and
+    the sweep continues; any other exception propagates.  k-points are
+    processed in path order.
     """
     mesh = build_unit_cell_mesh(n, r)
     pmap = build_periodic_dof_map(mesh)
@@ -198,7 +174,8 @@ def sweep(
         try:
             res = solve_at_k(mesh, pmap, k, polarization, models, window, cfg)
             points.append(KPointResult(index=index, k=k, arclength=arc, eigenpairs=res.eigenpairs, warnings=res.warnings))
-        except Exception as exc:  # keep sweeping; the point is reported empty
+        except (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError) as exc:
+            # keep sweeping; the point is reported empty
             points.append(
                 KPointResult(index=index, k=k, arclength=arc, eigenpairs=[], warnings=[f"k-point failed: {exc}"])
             )

@@ -14,7 +14,7 @@ from phcbands.assembly import (
     build_T,
     direct_assembly_check,
 )
-from phcbands.materials import Constant, Drude
+from phcbands.materials import Constant, Drude, eval_eps
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
 
 from conftest import GAMMA, X
@@ -174,6 +174,56 @@ def test_build_T_matches_direct_assembly(pol):
     reference = direct_assembly_check(mesh, pmap, (1.0, 0.5), pol, models, nu).toarray()
     rel = np.linalg.norm(production - reference) / np.linalg.norm(production)
     assert rel <= 1e-12
+
+
+def _ordered_sum(terms):
+    """Dense sum of coeff * matrix, one term at a time in list order."""
+    acc = terms[0][1] * complex(terms[0][0])
+    for coeff, mat in terms[1:]:
+        acc = acc + mat * complex(coeff)
+    return acc
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+@pytest.mark.parametrize("k", [GAMMA, (1.1, -0.7)])
+def test_build_T_on_fixed_pattern(family_factory, pol, k):
+    # every matrix of the family and every T(nu) share one CSR pattern, and
+    # T(nu) holds exactly (not just to roundoff) the documented formula
+    # evaluated densely in its documented term order
+    models = {0: Constant(1.0), 1: Drude(1.0, 0.01)}
+    _, _, fam = family_factory(4, 0.3, k, pol, models)
+    pattern = fam.mass_total
+    shared = [fam.momentum_form_total] + [
+        getattr(fam, name)[region]
+        for name in ("stiffness", "mass", "grad1", "grad2", "momentum_form")
+        for region in fam.regions
+    ]
+    k1, k2 = k
+    forms = {}
+    for region in fam.regions:
+        s, m, g1, g2 = (getattr(fam, name)[region].toarray() for name in ("stiffness", "mass", "grad1", "grad2"))
+        forms[region] = _ordered_sum(
+            [(1.0, s), (1j * k1, g1), (1j * k2, g2), (-1j * k1, g1.T), (-1j * k2, g2.T), (k1 * k1 + k2 * k2, m)]
+        )
+        assert np.array_equal(fam.momentum_form[region].toarray(), forms[region])
+    form_total = _ordered_sum([(1.0, forms[region]) for region in fam.regions])
+    mass_total = _ordered_sum([(1.0, fam.mass[region].toarray()) for region in fam.regions])
+    assert np.array_equal(fam.momentum_form_total.toarray(), form_total)
+    assert np.array_equal(fam.mass_total.toarray(), mass_total)
+
+    for nu in (0.37 + 0.01j, 0.05 - 0.02j, 0.61, 0.9 + 0.03j):
+        t = build_T(fam, nu)
+        for mat in shared + [t]:
+            assert np.array_equal(mat.indptr, pattern.indptr)
+            assert np.array_equal(mat.indices, pattern.indices)
+        scale = (2.0 * math.pi * complex(nu)) ** 2
+        if pol == "TE":
+            terms = [(1.0, form_total)]
+            terms += [(-scale * eval_eps(models[region], nu), fam.mass[region].toarray()) for region in fam.regions]
+        else:
+            terms = [(1.0 / eval_eps(models[region], nu), forms[region]) for region in fam.regions]
+            terms += [(-scale, mass_total)]
+        assert np.array_equal(t.toarray(), _ordered_sum(terms))
 
 
 def test_direct_assembly_degenerate_split():

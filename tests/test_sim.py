@@ -200,6 +200,16 @@ def test_dedup_merges_and_preserves():
     assert len(dedup(apart, tol=2e-4)) == 2
     assert dedup([], tol=2e-4) == []
 
+    # refined candidates are not averaged: the smallest residual wins
+    refined = [
+        EigenCandidate(nu=0.5 + 0j, region_side=1e-4, residual=1e-10),
+        EigenCandidate(nu=0.50001 + 0j, region_side=2e-4, residual=1e-13),
+        EigenCandidate(nu=0.50002 + 0j, region_side=1e-4, residual=1e-13),
+    ]
+    merged = dedup(refined, tol=2e-4)
+    assert len(merged) == 1
+    assert merged[0] is refined[1]
+
 
 def test_dedup_single_linkage_chains():
     # pairwise neighbours link transitively even though the endpoints are

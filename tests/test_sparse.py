@@ -1,4 +1,4 @@
-"""Sparse construction, linear combination, and LU solve contracts."""
+"""Sparse construction and LU solve contracts."""
 
 import numpy as np
 import pytest
@@ -7,71 +7,31 @@ import scipy.sparse as sp
 from phcbands.sparse import (
     PIVOT_RATIO_FLOOR,
     SingularMatrixError,
-    combine,
     factorize,
     from_triplet_arrays,
-    from_triplets,
     frobenius_norm,
     solve,
 )
 
 
 def test_from_triplets_sums_duplicates():
-    mat = from_triplets(1, 1, [(0, 0, 2.0), (0, 0, 3.0)])
+    mat = from_triplet_arrays(1, 1, [0, 0], [0, 0], [2.0, 3.0])
     assert mat.toarray() == pytest.approx(np.array([[5.0]]))
 
 
 def test_from_triplets_stores_complex_entry():
-    mat = from_triplets(2, 2, [(0, 1, 1j)])
+    mat = from_triplet_arrays(2, 2, [0], [1], [1j])
     assert mat.nnz == 1
     assert mat[0, 1] == 1j
 
 
 def test_from_triplets_range_check():
     with pytest.raises(ValueError):
-        from_triplets(2, 2, [(2, 0, 1.0)])
+        from_triplet_arrays(2, 2, [2], [0], [1.0])
     with pytest.raises(ValueError):
         from_triplet_arrays(2, 2, [0], [5], [1.0])
     with pytest.raises(ValueError):
         from_triplet_arrays(2, 2, [-1], [0], [1.0])
-
-
-def test_combine_cancellation():
-    mat = from_triplets(2, 2, [(0, 0, 1.5), (1, 0, -2j)])
-    zero = combine([1.0, -1.0], [mat, mat])
-    assert np.abs(zero.toarray()).max() < 1e-15
-
-
-def test_combine_scaled_identity():
-    eye = sp.identity(2, dtype=np.complex128, format="csr")
-    assert combine([2.0], [eye]).toarray() == pytest.approx(np.diag([2.0, 2.0]))
-
-
-def test_combine_hand_case():
-    a = from_triplets(2, 2, [(0, 1, 1.0)])
-    b = from_triplets(2, 2, [(1, 0, 1.0)])
-    out = combine([1j, 1.0], [a, b]).toarray()
-    assert out == pytest.approx(np.array([[0.0, 1j], [1.0, 0.0]]))
-
-
-def test_combine_linearity():
-    rng = np.random.default_rng(11)
-    mat = sp.random(30, 30, density=0.2, random_state=5, dtype=np.float64).astype(np.complex128).tocsr()
-    for a, b in [(2.0, -0.5), (1j, 3.0 - 1j), (0.0, 1e-3)]:
-        lhs = combine([a + b], [mat]).toarray()
-        rhs = combine([a], [mat]).toarray() + combine([b], [mat]).toarray()
-        scale = max(1.0, np.abs(lhs).max())
-        assert np.abs(lhs - rhs).max() <= 1e-14 * scale
-
-
-def test_combine_validation():
-    mat = from_triplets(2, 2, [(0, 0, 1.0)])
-    with pytest.raises(ValueError):
-        combine([1.0, 2.0], [mat])
-    with pytest.raises(ValueError):
-        combine([], [])
-    with pytest.raises(ValueError):
-        combine([1.0, 1.0], [mat, from_triplets(3, 3, [(0, 0, 1.0)])])
 
 
 def test_factorize_identity_and_diagonal():
@@ -124,6 +84,6 @@ def test_solve_rejects_wrong_length():
 
 
 def test_frobenius_norm_matches_dense():
-    mat = from_triplets(2, 2, [(0, 0, 3.0), (1, 1, 4.0j)])
+    mat = sp.diags([3.0, 4.0j]).tocsr()
     assert frobenius_norm(mat) == pytest.approx(5.0)
     assert frobenius_norm(sp.csr_matrix((3, 3), dtype=np.complex128)) == 0.0

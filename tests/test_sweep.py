@@ -12,6 +12,7 @@ from phcbands.assembly import assemble_family
 from phcbands.materials import Constant, Drude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
 from phcbands.sim import SimConfig
+from phcbands.sparse import SingularMatrixError
 from phcbands.sweep import (
     Window,
     dense_linear_oracle,
@@ -134,7 +135,7 @@ def test_sweep_structure():
 
 def test_sweep_survives_kpoint_failure(monkeypatch):
     def explode(*args, **kwargs):
-        raise RuntimeError("boom")
+        raise SingularMatrixError("boom")
 
     monkeypatch.setattr(phcbands.sweep, "solve_at_k", explode)
     diagram = sweep(2, 0.0, "TE", {0: Constant(1.0)}, Window(0.4, 0.6, -0.05, 0.05), SimConfig(), nk=1)
@@ -142,6 +143,14 @@ def test_sweep_survives_kpoint_failure(monkeypatch):
     for point in diagram.points:
         assert point.eigenpairs == []
         assert point.warnings == ["k-point failed: boom"]
+
+    # only solver failures are recorded; a defect anywhere else propagates
+    def crash(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(phcbands.sweep, "solve_at_k", crash)
+    with pytest.raises(RuntimeError, match="bug"):
+        sweep(2, 0.0, "TE", {0: Constant(1.0)}, Window(0.4, 0.6, -0.05, 0.05), SimConfig(), nk=1)
 
 
 def test_sweep_attaches_provenance():
