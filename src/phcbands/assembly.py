@@ -14,14 +14,16 @@ first-derivative matrices G1, G2 with entries integral(phi_n d phi_m / dx_j))
 are assembled once per region on the periodic DOFs; frequency sweeps then
 reduce to scalar linear combinations.
 
-All matrices of one family share a single CSR sparsity pattern, the union of
+All matrices of one family share a single CSC sparsity pattern, the union of
 the region patterns, so T(nu) is a linear combination of their ``data``
-arrays and never a sum of sparse matrices.  Per-region entries are
-summed from the element triplets by ``from_triplet_arrays`` and then
-placed on the shared pattern; entries a region does not touch hold zero.
-The combination adds one term at a time in the order ``build_T`` documents,
-and that order is part of the contract: the operator, and with it every
-factorization and every output file, is reproducible bit for bit.
+arrays and never a sum of sparse matrices.  The pattern is CSC because that
+is what SuperLU factors, so T(nu) reaches the factorization without a
+format conversion.  Per-region entries are still summed from the element
+triplets in CSR by ``from_triplet_arrays`` and then placed on the shared
+pattern; entries a region does not touch hold zero.  The combination adds
+one term at a time in the order ``build_T`` documents, and that order is
+part of the contract: the operator, and with it every factorization and
+every output file, is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -54,28 +56,29 @@ class OperatorFamily:
 
     (G1, G2 of region rho), summed left to right.  ``momentum_form_total``
     and ``mass_total`` are the sums over regions in ascending tag order.
-    Every matrix is canonical CSR on the family's one shared pattern (the
+    Every matrix is canonical CSC on the family's one shared pattern (the
     same ``indices`` and ``indptr`` memory), so building the operator at a
-    frequency costs one combination of ``data`` arrays.
+    frequency costs one combination of ``data`` arrays, and the result is
+    in the format SuperLU factors.
     """
 
     polarization: str
     k: tuple[float, float]
     n_dofs: int
-    stiffness: dict[int, sp.csr_matrix]
-    mass: dict[int, sp.csr_matrix]
-    grad1: dict[int, sp.csr_matrix]
-    grad2: dict[int, sp.csr_matrix]
+    stiffness: dict[int, sp.csc_matrix]
+    mass: dict[int, sp.csc_matrix]
+    grad1: dict[int, sp.csc_matrix]
+    grad2: dict[int, sp.csc_matrix]
     models: dict[int, PermittivityModel]
-    momentum_form: dict[int, sp.csr_matrix] = field(repr=False)
-    momentum_form_total: sp.csr_matrix = field(repr=False)
-    mass_total: sp.csr_matrix = field(repr=False)
+    momentum_form: dict[int, sp.csc_matrix] = field(repr=False)
+    momentum_form_total: sp.csc_matrix = field(repr=False)
+    mass_total: sp.csc_matrix = field(repr=False)
 
     @property
     def regions(self) -> list[int]:
         return sorted(self.models)
 
-    def t_matrix(self, nu: complex) -> sp.csr_matrix:
+    def t_matrix(self, nu: complex) -> sp.csc_matrix:
         return build_T(self, nu)
 
 
@@ -134,23 +137,24 @@ def assemble_family(
     cols = np.broadcast_to(dof[:, None, :], stiff_el.shape)
 
     # The union of the region patterns, symmetric because every element
-    # couples all three of its vertices both ways.
+    # couples all three of its vertices both ways, so its CSR indptr and
+    # indices serve unchanged as the CSC structure.
     pattern = from_triplet_arrays(n_dofs, n_dofs, rows, cols, np.ones(rows.shape))
-    row_of_entry = np.repeat(np.arange(n_dofs), np.diff(pattern.indptr))
-    keys = row_of_entry * n_dofs + pattern.indices
+    col_of_entry = np.repeat(np.arange(n_dofs), np.diff(pattern.indptr))
+    keys = col_of_entry * n_dofs + pattern.indices  # column-major, ascending
     # entry p of a matrix's transpose is entry transpose[p] of the matrix
-    transpose = np.searchsorted(keys, pattern.indices * n_dofs + row_of_entry)
+    transpose = np.searchsorted(keys, pattern.indices * n_dofs + col_of_entry)
 
-    def on_pattern(mat: sp.csr_matrix) -> sp.csr_matrix:
+    def on_pattern(mat: sp.csr_matrix) -> sp.csc_matrix:
         """A canonical CSR matrix re-expressed on the shared pattern."""
         data = np.zeros(pattern.nnz, dtype=np.complex128)
         mat_rows = np.repeat(np.arange(n_dofs), np.diff(mat.indptr))
-        data[np.searchsorted(keys, mat_rows * n_dofs + mat.indices)] = mat.data
+        data[np.searchsorted(keys, mat.indices * n_dofs + mat_rows)] = mat.data
         return _with_pattern(pattern, data)
 
     regions = sorted(models)
 
-    def region_sum(mats: dict[int, sp.csr_matrix]) -> sp.csr_matrix:
+    def region_sum(mats: dict[int, sp.csc_matrix]) -> sp.csc_matrix:
         return _with_pattern(pattern, _linear_combination([1.0] * len(regions), [mats[r].data for r in regions]))
 
     ksq = k1 * k1 + k2 * k2
@@ -185,9 +189,9 @@ def assemble_family(
     )
 
 
-def _with_pattern(pattern: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix sharing ``pattern``'s indices and indptr, holding ``data``."""
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+def _with_pattern(pattern: sp.spmatrix, data: np.ndarray) -> sp.csc_matrix:
+    """CSC matrix sharing ``pattern``'s indices and indptr, holding ``data``."""
+    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
 def _linear_combination(coeffs: list[complex], datas: list[np.ndarray]) -> np.ndarray:
@@ -199,7 +203,7 @@ def _linear_combination(coeffs: list[complex], datas: list[np.ndarray]) -> np.nd
     return acc
 
 
-def build_T(fam: OperatorFamily, nu: complex) -> sp.csr_matrix:
+def build_T(fam: OperatorFamily, nu: complex) -> sp.csc_matrix:
     """Operator matrix at normalized frequency ``nu``.
 
     TE:  K(k) - (2 pi nu)^2 sum_rho eps_rho(nu) M_rho
@@ -231,61 +235,3 @@ def build_T(fam: OperatorFamily, nu: complex) -> sp.csr_matrix:
         datas.append(fam.mass_total.data)
     return _with_pattern(fam.mass_total, _linear_combination(coeffs, datas))
 
-
-def direct_assembly_check(
-    mesh: Mesh,
-    pmap: PeriodicMap,
-    k: tuple[float, float],
-    polarization: str,
-    models: dict[int, PermittivityModel],
-    nu: complex,
-) -> sp.csr_matrix:
-    """Monolithic reassembly of the operator at ``nu`` for cross-checking.
-
-    Deliberately independent of the production path: basis coefficients come
-    from solving the local Vandermonde system and all integrals use the
-    edge-midpoint quadrature rule (exact for quadratics), with the
-    permittivity baked in element by element.  Intended for tests.
-    """
-    if polarization not in ("TE", "TM"):
-        raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
-    k1, k2 = float(k[0]), float(k[1])
-    kvec = np.array([k1, k2])
-    ksq = k1 * k1 + k2 * k2
-    scale = (2.0 * math.pi * complex(nu)) ** 2
-    eps_of_region = {region: eval_eps(models[region], nu) for region in models}
-
-    n_dofs = pmap.n_dofs
-    rows, cols, vals = [], [], []
-    for tri, region in zip(mesh.triangles, mesh.region_of_triangle):
-        pts = mesh.vertices[tri]
-        vander = np.column_stack([np.ones(3), pts[:, 0], pts[:, 1]])
-        coefs = np.linalg.inv(vander)  # column i holds (a_i, b_i, c_i) of phi_i
-        grads = coefs[1:, :].T  # (3, 2), row m = grad phi_m
-        d1 = pts[1] - pts[0]
-        d2 = pts[2] - pts[0]
-        area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-        mids = 0.5 * (pts[[0, 1, 2]] + pts[[1, 2, 0]])
-        w = area / 3.0
-        phi = coefs[0][None, :] + mids @ coefs[1:, :]  # (quad point, basis)
-
-        local = np.zeros((3, 3), dtype=np.complex128)
-        eps = eps_of_region[int(region)]
-        for m in range(3):
-            for n in range(3):
-                grad_term = grads[m] @ grads[n] * area
-                mass_mn = w * float(phi[:, m] @ phi[:, n])
-                g_mn = (kvec @ grads[m]) * w * float(phi[:, n].sum())
-                g_nm = (kvec @ grads[n]) * w * float(phi[:, m].sum())
-                bracket = grad_term + 1j * g_mn - 1j * g_nm + ksq * mass_mn
-                if polarization == "TE":
-                    local[m, n] = bracket - scale * eps * mass_mn
-                else:
-                    local[m, n] = bracket / eps - scale * mass_mn
-        d = pmap.dof_of_vertex[tri]
-        for m in range(3):
-            for n in range(3):
-                rows.append(d[m])
-                cols.append(d[n])
-                vals.append(local[m, n])
-    return from_triplet_arrays(n_dofs, n_dofs, np.array(rows), np.array(cols), np.array(vals))

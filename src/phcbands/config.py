@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .materials import Constant, Drude, LossyDrude, PermittivityModel, normalize_physical_drude
@@ -262,29 +262,12 @@ def resolved_dict(cfg: RunConfig) -> dict:
     filling fraction converted to a radius, physical units normalized)."""
     return {
         "polarization": cfg.polarization,
-        "geometry": {"n": cfg.geometry.n, "r": cfg.geometry.r},
+        "geometry": asdict(cfg.geometry),
         "materials": {str(region): _model_dict(cfg.models[region]) for region in sorted(cfg.models)},
-        "window": {
-            "re_min": cfg.window.re_min,
-            "re_max": cfg.window.re_max,
-            "im_min": cfg.window.im_min,
-            "im_max": cfg.window.im_max,
-        },
-        "sim": {
-            "delta0": cfg.sim.delta0,
-            "beta0": cfg.sim.beta0,
-            "m0": cfg.sim.m0,
-            "seed": cfg.sim.seed,
-            "initial_side": cfg.sim.initial_side,
-            "dedup_tol": cfg.sim.dedup_tol,
-            "max_retries": cfg.sim.max_retries,
-        },
+        "window": asdict(cfg.window),
+        "sim": asdict(cfg.sim),
         "path": {"nk": cfg.nk},
-        "outputs": {
-            "csv_path": cfg.outputs.csv_path,
-            "svg_path": cfg.outputs.svg_path,
-            "meta_path": cfg.outputs.meta_path,
-        },
+        "outputs": asdict(cfg.outputs),
     }
 
 

@@ -74,8 +74,6 @@ class SimConfig:
     seed: int = 0
     dedup_tol: float | None = None
     initial_side: float = 0.1
-    refine_tol: float = 1e-9
-    refine_max_iter: int = 40
 
     def __post_init__(self):
         if self.dedup_tol is None:
@@ -303,7 +301,8 @@ def refine_eigenpair(nu0: complex, fam, tol: float = 1e-9, max_iter: int = 40) -
         step_size = abs(step)
 
         w = _inverse_iterate(fam, nu, v)
-        norm_w = np.linalg.norm(w)
+        with np.errstate(over="ignore"):
+            norm_w = np.linalg.norm(w)
         if np.isfinite(norm_w) and norm_w > 0:
             v = w / norm_w
         # an overflowing solve means T(nu) is singular to machine precision;

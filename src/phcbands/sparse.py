@@ -1,17 +1,15 @@
 """Complex sparse matrices and direct LU solves.
 
-Matrices are scipy CSR with complex128 entries throughout; factorizations go
-through SuperLU.  This module is the only place the solver touches a sparse
-backend, so everything downstream sees a fixed, deterministic contract:
-duplicate triplets are summed into a canonical (sorted, duplicate-free) CSR
-matrix, and a factorization whose smallest pivot falls below
-``PIVOT_RATIO_FLOOR`` times the largest is reported as singular instead of
-silently producing garbage.
+Triplets are summed into canonical (sorted, duplicate-free) CSR matrices
+with complex128 entries.  Factorizations go through SuperLU, which factors
+CSC: ``factorize`` takes a complex128 CSC matrix as it is and converts
+anything else.  This module is the only place the solver touches a sparse
+backend, so everything downstream sees a fixed, deterministic contract: a
+factorization whose smallest pivot falls below ``PIVOT_RATIO_FLOOR`` times
+the largest is reported as singular instead of silently producing garbage.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,17 +36,7 @@ def from_triplet_arrays(n_rows: int, n_cols: int, rows, cols, vals) -> sp.csr_ma
     return mat
 
 
-@dataclass
-class LUFactorization:
-    """SuperLU factorization with its pivot magnitudes recorded."""
-
-    shape: tuple[int, int]
-    min_pivot: float
-    max_pivot: float
-    _lu: SuperLU = field(repr=False)
-
-
-def factorize(mat: sp.spmatrix) -> LUFactorization:
+def factorize(mat: sp.spmatrix) -> SuperLU:
     """LU-factorize a square sparse matrix.
 
     Raises SingularMatrixError for exactly singular input and for pivots
@@ -69,17 +57,19 @@ def factorize(mat: sp.spmatrix) -> LUFactorization:
         raise SingularMatrixError(
             f"numerically singular matrix: pivot ratio {min_pivot:.3e} / {max_pivot:.3e}"
         )
-    return LUFactorization(shape=mat.shape, min_pivot=min_pivot, max_pivot=max_pivot, _lu=lu)
+    return lu
 
 
-def solve(fact: LUFactorization, b: np.ndarray) -> np.ndarray:
+def solve(lu: SuperLU, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for a previously factorized A."""
     b = np.asarray(b, dtype=np.complex128)
-    if b.shape != (fact.shape[0],):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({fact.shape[0]},)")
-    return fact._lu.solve(b)
+    if b.shape != (lu.shape[0],):
+        raise ValueError(f"right-hand side has shape {b.shape}, expected ({lu.shape[0]},)")
+    return lu.solve(b)
 
 
 def frobenius_norm(mat: sp.spmatrix) -> float:
+    """Frobenius norm, summed in row-major (CSR) entry order whatever the
+    input format, so the residuals it scales are reproducible bit for bit."""
     data = sp.csr_matrix(mat).data
     return float(np.sqrt(np.sum(np.abs(data) ** 2))) if data.size else 0.0

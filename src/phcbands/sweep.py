@@ -121,7 +121,7 @@ def solve_at_k(
 
     refined: list[EigenCandidate] = []
     for cand in result.candidates:
-        rr = refine_eigenpair(cand.nu, fam, tol=cfg.refine_tol, max_iter=cfg.refine_max_iter)
+        rr = refine_eigenpair(cand.nu, fam)
         if not window.contains(rr.nu):
             continue
         refined.append(EigenCandidate(nu=rr.nu, region_side=cand.region_side, residual=rr.residual))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from phcbands.assembly import assemble_family, build_T, direct_assembly_check
+from phcbands.assembly import assemble_family, build_T
 from phcbands.cli import run
 from phcbands.io import write_bands_csv, emit_svg
 from phcbands.materials import Constant, Drude, LossyDrude
@@ -23,7 +23,7 @@ from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_
 from phcbands.sim import SearchRegion, SimConfig, indicator, random_probe
 from phcbands.sweep import Window, dense_linear_oracle, drude_polynomial_oracle, solve_at_k, sweep
 
-from conftest import GAMMA, M, X, DiagonalFamily
+from conftest import GAMMA, M, X, DiagonalFamily, direct_assembly_check
 
 
 def _report(criterion: int, passed: bool, detail: str) -> None:

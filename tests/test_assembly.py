@@ -8,16 +8,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from phcbands.assembly import (
-    PermittivityBoundsError,
-    assemble_family,
-    build_T,
-    direct_assembly_check,
-)
+from phcbands.assembly import PermittivityBoundsError, assemble_family, build_T
 from phcbands.materials import Constant, Drude, eval_eps
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
 
-from conftest import GAMMA, X
+from conftest import GAMMA, X, direct_assembly_check
 
 TWO_REGION = {0: Constant(1.0), 1: Constant(8.9)}
 
@@ -187,7 +182,7 @@ def _ordered_sum(terms):
 @pytest.mark.parametrize("pol", ["TE", "TM"])
 @pytest.mark.parametrize("k", [GAMMA, (1.1, -0.7)])
 def test_build_T_on_fixed_pattern(family_factory, pol, k):
-    # every matrix of the family and every T(nu) share one CSR pattern, and
+    # every matrix of the family and every T(nu) is CSC on one shared pattern, and
     # T(nu) holds exactly (not just to roundoff) the documented formula
     # evaluated densely in its documented term order
     models = {0: Constant(1.0), 1: Drude(1.0, 0.01)}
@@ -213,7 +208,8 @@ def test_build_T_on_fixed_pattern(family_factory, pol, k):
 
     for nu in (0.37 + 0.01j, 0.05 - 0.02j, 0.61, 0.9 + 0.03j):
         t = build_T(fam, nu)
-        for mat in shared + [t]:
+        for mat in [pattern] + shared + [t]:
+            assert mat.format == "csc"
             assert np.array_equal(mat.indptr, pattern.indptr)
             assert np.array_equal(mat.indices, pattern.indices)
         scale = (2.0 * math.pi * complex(nu)) ** 2

@@ -167,6 +167,7 @@ def test_resolved_dict_is_canonical():
     resolved = resolved_dict(cfg)
     assert set(resolved) == {"polarization", "geometry", "materials", "window", "sim", "path", "outputs"}
     assert resolved["materials"]["0"] == {"variant": "constant", "eps_re": 1.0, "eps_im": 0.0}
+    assert set(resolved["sim"]) == {"delta0", "beta0", "m0", "seed", "initial_side", "dedup_tol", "max_retries"}
     assert resolved["sim"]["dedup_tol"] == 2e-4
     json.dumps(resolved)  # must be JSON-serializable as-is
 

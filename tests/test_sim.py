@@ -236,6 +236,7 @@ def test_dedup_sorted_output():
     assert [c.nu for c in merged] == [0.3 - 0.02j, 0.3 + 0.02j, 0.9 + 0j]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_refine_scalar_pole_to_machine_precision():
     result = refine_eigenpair(0.5003, DiagonalFamily([0.5]))
     assert result.converged
