@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .materials import PermittivityModel, check_bounds, eval_eps
+from .materials import PermittivityModel, check_bounds, eval_eps, is_conjugate_symmetric
 from .mesh import Mesh, PeriodicMap
 from .sparse import from_triplet_arrays
 
@@ -77,6 +77,12 @@ class OperatorFamily:
     @property
     def regions(self) -> list[int]:
         return sorted(self.models)
+
+    @property
+    def conjugate_symmetric(self) -> bool:
+        """True when T(conj(nu)) = T(nu)^H: every region's permittivity is
+        conjugate-symmetric, and the momentum forms are Hermitian for real k."""
+        return all(is_conjugate_symmetric(model) for model in self.models.values())
 
     def t_matrix(self, nu: complex) -> sp.csc_matrix:
         return build_T(self, nu)

@@ -124,6 +124,19 @@ def check_bounds(model: PermittivityModel, nu: complex) -> bool:
     return model.abs_floor <= abs(value) <= model.abs_cap
 
 
+def is_conjugate_symmetric(model: PermittivityModel) -> bool:
+    """True when eps(conj(nu)) = conj(eps(nu)) at every nu: a real Constant,
+    or a Drude or LossyDrude metal without loss.  Such a model is real on
+    the real axis, and its operator obeys T(conj(nu)) = T(nu)^H."""
+    if isinstance(model, Constant):
+        return complex(model.eps).imag == 0.0
+    if isinstance(model, Drude):
+        return model.nu_tau == 0.0
+    if isinstance(model, LossyDrude):
+        return model.gamma == 0.0
+    raise TypeError(f"unknown permittivity model {model!r}")
+
+
 def normalize_physical_drude(omega_p: float, omega_tau: float, a: float) -> Drude:
     """Convert physical Drude parameters to a normalized model.
 

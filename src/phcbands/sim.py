@@ -14,13 +14,43 @@ centre as an eigenvalue candidate.  Candidates are then merged by
 single-linkage clustering and polished by Newton-accelerated inverse
 iteration.
 
+Most of the search's cost is one sparse LU factorization per quadrature node,
+and many nodes recur, so each ``sim_h`` run keeps a ``SolveMemo`` of the
+solutions u(z) = T(z)^-1 g by contour point and factorizes a point once:
+
+- Corners.  On the first attempt the circle circumscribes the square, so
+  when m0 is a multiple of 8 the nodes j in (m0/8)*{1, 3, 5, 7} are the
+  square's corners; they are placed exactly there.  A square shares them
+  with its neighbours, and its four children's corners are its own corners,
+  its edge midpoints and its centre.
+- Mirror.  When the family is conjugation-symmetric, T(conj z) = T(z)^H, so
+  one conjugate-transpose solve with the LU of T(z) gives u(conj z).  A
+  window symmetric about Im nu = 0 then needs about half the
+  factorizations.
+
+A hit equals a fresh solve up to rounding.  Points are matched after
+rounding their coordinates to a quantum of 2^-24 beta0, far below the node
+spacing of the smallest square and far above the few units in the last
+place by which two squares' arithmetic can place the same point, so a hit is
+u at the same point formed by another route.  The conjugate-transpose solve is a
+backward-stable solve of T(conj z) u = g, as a fresh factorization would
+be.  The memo lives for one ``sim_h`` call.  At each level it counts the
+nodes that level's squares will ask for: it carries over from the level
+before only what the new level asks for, keeps a solution during the level
+only while a later square asks for it or it sits on a square's corner, and
+computes a mirror solution only for a point some square still asks for.
+Retried contours move off the square and neither use nor fill the memo.
+
 Any object with ``t_matrix(nu) -> sparse matrix`` and ``n_dofs`` works as the
-operator family, so the machinery is testable on scalar problems.
+operator family, so the machinery is testable on scalar problems.  A family
+may also set ``conjugate_symmetric``; without it, no mirror solutions are
+used.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,6 +63,7 @@ from .sparse import SingularMatrixError, factorize, frobenius_norm, solve
 _SQRT2 = math.sqrt(2.0)
 _RETRY_SCALE = 1.05
 _REFINE_SEED = 160923  # fixed start vector seed so refinement is reproducible
+_KEY_QUANTUM = 2.0**-24  # memo key resolution, in units of beta0
 
 
 class IndicatorError(RuntimeError):
@@ -129,27 +160,104 @@ def random_probe(n_dofs: int, seed: int) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-def indicator(region: SearchRegion, fam, g: np.ndarray, cfg: SimConfig) -> float:
+def contour_nodes(region: SearchRegion, m0: int, radius: float) -> list[tuple[complex, complex, bool]]:
+    """(phase, point, corner) of the m0 trapezoid nodes on the circle of
+    ``radius`` about the region's centre.
+
+    On the circumscribed circle, when m0 is a multiple of 8, the nodes
+    j in (m0/8)*{1, 3, 5, 7} are the square's corners; they are formed as
+    centre + (+-side/2) + i(+-side/2) and flagged ``corner``.
+    """
+    step = m0 // 8 if m0 % 8 == 0 and radius == region.radius else 0
+    half = region.side / 2.0
+    nodes = []
+    for j in range(m0):
+        phase = np.exp(2j * np.pi * j / m0)
+        corner = bool(step) and j % (2 * step) == step
+        if corner:
+            point = region.center + complex(math.copysign(half, phase.real), math.copysign(half, phase.imag))
+        else:
+            point = region.center + radius * phase
+        nodes.append((phase, point, corner))
+    return nodes
+
+
+class SolveMemo:
+    """Solutions u(z) = T(z)^-1 g at contour points, shared by the squares of
+    one ``sim_h`` run (see the module docstring for what is shared and why)."""
+
+    def __init__(self, fam, g: np.ndarray, cfg: SimConfig):
+        self.g = g
+        self.m0 = cfg.m0
+        self.quantum = _KEY_QUANTUM * cfg.beta0
+        self.mirror = bool(getattr(fam, "conjugate_symmetric", False))
+        self._u: dict[tuple[int, int], np.ndarray] = {}
+        self._wanted: Counter = Counter()
+
+    def _key(self, z: complex) -> tuple[int, int]:
+        return (round(z.real / self.quantum), round(z.imag / self.quantum))
+
+    def start_level(self, level: Sequence[SearchRegion]) -> None:
+        """Count the first-attempt nodes of the level's squares and drop
+        every solution none of them asks for."""
+        self._wanted = Counter(
+            self._key(point) for region in level for _, point, _ in contour_nodes(region, self.m0, region.radius)
+        )
+        self._u = {key: u for key, u in self._u.items() if key in self._wanted}
+
+    def take(self, point: complex, corner: bool) -> np.ndarray | None:
+        """The stored solution at ``point``, or None; either way the caller's
+        claim on the point is spent.  A solution no later square asks for is
+        dropped unless it sits on the caller's corner."""
+        key = self._key(point)
+        self._wanted[key] -= 1
+        u = self._u.get(key)
+        if u is not None and not corner and self._wanted[key] <= 0:
+            del self._u[key]
+        return u
+
+    def store(self, point: complex, corner: bool, u: np.ndarray, lu) -> None:
+        """Keep a fresh solution, and from its LU the mirror point's solution,
+        where a square will ask for them."""
+        key = self._key(point)
+        if corner or self._wanted[key] > 0:
+            self._u[key] = u
+        if self.mirror and point.imag != 0.0:
+            mirror = self._key(point.conjugate())
+            if self._wanted[mirror] > 0 and mirror not in self._u:
+                self._u[mirror] = solve(lu, self.g, trans="H")
+
+
+def indicator(region: SearchRegion, fam, g: np.ndarray, cfg: SimConfig, memo: SolveMemo | None = None) -> float:
     """Contour-integral indicator of ``region``.
 
     A factorization failure at a quadrature point (an eigenvalue or a
     permittivity pole sitting on the circle) grows the contour radius by 5 %
     and retries, up to cfg.max_retries times; after that IndicatorError.
+    ``memo``, built for the same family and probe, is consulted and filled
+    on the first attempt only.
     """
     base_radius = region.radius
-    last_error: Exception | None = None
+    # only the message is kept: a kept exception's traceback holds this frame
+    # (a reference cycle) and factorize's rejected LU until a full garbage
+    # collection, so the memory of each failure would pile up
+    last_error = ""
     for attempt in range(cfg.max_retries + 1):
         radius = base_radius * _RETRY_SCALE**attempt
+        shared = memo if attempt == 0 else None
         try:
             acc = np.zeros(len(g), dtype=np.complex128)
-            for j in range(cfg.m0):
-                phase = np.exp(2j * np.pi * j / cfg.m0)
-                point = region.center + radius * phase
-                fact = factorize(fam.t_matrix(point))
-                acc += phase * solve(fact, g)
+            for phase, point, corner in contour_nodes(region, cfg.m0, radius):
+                u = shared.take(point, corner) if shared is not None else None
+                if u is None:
+                    fact = factorize(fam.t_matrix(point))
+                    u = solve(fact, g)
+                    if shared is not None:
+                        shared.store(point, corner, u, fact)
+                acc += phase * u
             return float(np.linalg.norm(acc) * radius / cfg.m0)
         except (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError) as exc:
-            last_error = exc
+            last_error = str(exc)
     raise IndicatorError(
         f"indicator failed for region centred at {region.center!r} "
         f"after {cfg.max_retries} retries: {last_error}"
@@ -171,19 +279,22 @@ def subdivide(region: SearchRegion) -> list[SearchRegion]:
 def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimResult:
     """Breadth-first indicator search over a set of disjoint squares.
 
-    One probe vector, drawn from cfg.seed, is used for the entire run.
+    One probe vector, drawn from cfg.seed, is used for the entire run, with
+    one ``SolveMemo`` that factorizes each shared contour point once.
     Regions whose indicator evaluation fails hard are recorded in the result
     and their subtrees skipped; the search itself continues.
     """
     g = random_probe(fam.n_dofs, cfg.seed)
+    memo = SolveMemo(fam, g, cfg)
     level = list(initial_regions)
     raw: list[EigenCandidate] = []
     failures: list[RegionFailure] = []
     while level:
+        memo.start_level(level)
         next_level: list[SearchRegion] = []
         for region in level:
             try:
-                value = indicator(region, fam, g, cfg)
+                value = indicator(region, fam, g, cfg, memo=memo)
             except IndicatorError as exc:
                 failures.append(RegionFailure(region, str(exc)))
                 continue
@@ -251,7 +362,7 @@ def _inverse_iterate(fam, nu: complex, rhs: np.ndarray) -> np.ndarray:
     iteration step."""
     shift = nu
     jitter = 1e-13 * max(1.0, abs(nu))
-    last_error: Exception | None = None
+    last_error = ""  # the message only, as in indicator
     # escalate up to percent-scale standoff: near a defective root the
     # singular part of T grows only quadratically with the distance, so
     # eps-scale nudges leave the factorization singular
@@ -259,10 +370,10 @@ def _inverse_iterate(fam, nu: complex, rhs: np.ndarray) -> np.ndarray:
         try:
             return solve(factorize(fam.t_matrix(shift)), rhs)
         except SingularMatrixError as exc:
-            last_error = exc
+            last_error = str(exc)
             shift = nu + jitter * (1.0 + 1.0j)
             jitter *= 10.0
-    raise last_error
+    raise SingularMatrixError(last_error)
 
 
 def refine_eigenpair(nu0: complex, fam, tol: float = 1e-9, max_iter: int = 40) -> RefineResult:

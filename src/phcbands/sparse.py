@@ -60,12 +60,19 @@ def factorize(mat: sp.spmatrix) -> SuperLU:
     return lu
 
 
-def solve(lu: SuperLU, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for a previously factorized A."""
+def solve(lu: SuperLU, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Solve A x = b for a previously factorized A.
+
+    With ``trans="H"`` the same factors solve the conjugate-transpose system
+    A^H x = b instead, which costs one more pair of triangular solves and no
+    factorization.
+    """
+    if trans not in ("N", "H"):
+        raise ValueError(f"trans must be 'N' or 'H', got {trans!r}")
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (lu.shape[0],):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({lu.shape[0]},)")
-    return lu.solve(b)
+    return lu.solve(b, trans=trans)
 
 
 def frobenius_norm(mat: sp.spmatrix) -> float:

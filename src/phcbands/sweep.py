@@ -113,7 +113,9 @@ def solve_at_k(
     Runs the indicator search on the tiled window, refines every candidate,
     drops refined values that leave the window, and merges duplicates
     (keeping the smallest residual per cluster).  Output is sorted by real
-    part, then imaginary part.
+    part, then imaginary part.  A candidate whose refinement fails (a
+    singular operator, or a permittivity out of bounds or at its pole) is
+    dropped with a warning; the other candidates are kept.
     """
     fam = assemble_family(mesh, pmap, k, polarization, models)
     result = sim_h(tile_window(window, cfg.initial_side), fam, cfg)
@@ -121,7 +123,11 @@ def solve_at_k(
 
     refined: list[EigenCandidate] = []
     for cand in result.candidates:
-        rr = refine_eigenpair(cand.nu, fam)
+        try:
+            rr = refine_eigenpair(cand.nu, fam)
+        except (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError) as exc:
+            warnings.append(f"refinement from nu = {cand.nu!r} failed: {exc}")
+            continue
         if not window.contains(rr.nu):
             continue
         refined.append(EigenCandidate(nu=rr.nu, region_side=cand.region_side, residual=rr.residual))
@@ -164,21 +170,25 @@ def sweep(
     A solver failure at one k-point (a singular operator, or a permittivity
     out of bounds or at its pole) is recorded as a warning on that point and
     the sweep continues; any other exception propagates.  k-points are
-    processed in path order.
+    processed in path order, and each distinct k-point is solved once: the
+    closing Gamma repeats the first point's result.
     """
     mesh = build_unit_cell_mesh(n, r)
     pmap = build_periodic_dof_map(mesh)
     path = make_kpath(nk)
+    solved: dict[tuple[float, float], KSolveResult] = {}
     points: list[KPointResult] = []
     for index, (k, arc) in enumerate(path.points):
-        try:
-            res = solve_at_k(mesh, pmap, k, polarization, models, window, cfg)
-            points.append(KPointResult(index=index, k=k, arclength=arc, eigenpairs=res.eigenpairs, warnings=res.warnings))
-        except (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError) as exc:
-            # keep sweeping; the point is reported empty
-            points.append(
-                KPointResult(index=index, k=k, arclength=arc, eigenpairs=[], warnings=[f"k-point failed: {exc}"])
-            )
+        if k not in solved:
+            try:
+                solved[k] = solve_at_k(mesh, pmap, k, polarization, models, window, cfg)
+            except (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError) as exc:
+                # keep sweeping; the point is reported empty
+                solved[k] = KSolveResult(eigenpairs=[], warnings=[f"k-point failed: {exc}"])
+        res = solved[k]
+        points.append(
+            KPointResult(index=index, k=k, arclength=arc, eigenpairs=list(res.eigenpairs), warnings=list(res.warnings))
+        )
     return BandDiagram(points=points, provenance=provenance or {})
 
 

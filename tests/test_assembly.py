@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from phcbands.assembly import PermittivityBoundsError, assemble_family, build_T
-from phcbands.materials import Constant, Drude, eval_eps
+from phcbands.materials import Constant, Drude, LossyDrude, eval_eps
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
 
 from conftest import GAMMA, X, direct_assembly_check
@@ -103,6 +103,30 @@ def test_operator_hermitian_for_real_eps(family_factory):
     for fam in (te, tm):
         t = fam.t_matrix(0.7).toarray()
         assert np.abs(t - t.conj().T).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "rod, symmetric",
+    [
+        (Constant(8.9), True),
+        (Drude(1.0, 0.0), True),
+        (LossyDrude(1.0, 0.0), True),
+        (Drude(1.0, 0.01), False),
+        (LossyDrude(1.0, 0.01), False),
+        (Constant(8.9 + 0.1j), False),
+    ],
+)
+def test_conjugate_symmetric_family(family_factory, rod, symmetric):
+    # the flag the indicator's mirror solves rely on: T(conj nu) = T(nu)^H
+    # exactly when every permittivity is conjugate-symmetric
+    for pol in ("TE", "TM"):
+        _, _, fam = family_factory(4, 0.3, (1.1, -0.7), pol, {0: Constant(1.0), 1: rod})
+        assert fam.conjugate_symmetric is symmetric
+        for nu in (0.41 + 0.03j, 0.8 - 0.02j):
+            t = fam.t_matrix(nu).toarray()
+            mirror = fam.t_matrix(nu.conjugate()).toarray()
+            gap = np.abs(mirror - t.conj().T).max() / np.abs(t).max()
+            assert bool(gap <= 1e-14) is symmetric
 
 
 def test_momentum_form_psd_and_kernel(family_factory):

@@ -12,6 +12,7 @@ from phcbands.materials import (
     PermittivityPoleError,
     check_bounds,
     eval_eps,
+    is_conjugate_symmetric,
     normalize_physical_drude,
 )
 
@@ -137,3 +138,24 @@ def test_model_parameter_validation():
 def test_eval_eps_rejects_unknown_model():
     with pytest.raises(TypeError):
         eval_eps(object(), 1.0)
+    with pytest.raises(TypeError):
+        is_conjugate_symmetric(object())
+
+
+@pytest.mark.parametrize(
+    "model, symmetric",
+    [
+        (Constant(8.9), True),
+        (Constant(8.9 + 0.0j), True),
+        (Constant(8.9 + 0.1j), False),
+        (Drude(1.0, 0.0), True),
+        (Drude(1.0, 0.01), False),
+        (LossyDrude(1.0, 0.0), True),
+        (LossyDrude(1.0, 0.01), False),
+    ],
+)
+def test_is_conjugate_symmetric(model, symmetric):
+    assert is_conjugate_symmetric(model) is symmetric
+    nu = 0.37 + 0.05j
+    gap = abs(eval_eps(model, nu.conjugate()) - eval_eps(model, nu).conjugate())
+    assert (gap <= 1e-15 * abs(eval_eps(model, nu))) is symmetric

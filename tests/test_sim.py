@@ -1,18 +1,23 @@
 """Indicator search: quadrature identities on scalar families, retry and
 failure paths, subdivision bookkeeping, dedup, and eigenpair refinement."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import phcbands.sim
 from phcbands.assembly import PermittivityBoundsError
+from phcbands.materials import Constant, Drude, LossyDrude
 from phcbands.sim import (
     EigenCandidate,
     IndicatorError,
     SearchRegion,
     SimConfig,
+    SolveMemo,
+    contour_nodes,
     dedup,
     indicator,
     random_probe,
@@ -20,8 +25,48 @@ from phcbands.sim import (
     sim_h,
     subdivide,
 )
+from phcbands.sweep import Window, tile_window
 
 from conftest import X, DiagonalFamily, SingularFamily
+
+# n=4 disc families at X: lossless (conjugation-symmetric) and two lossy ones
+MEMO_FAMILIES = {
+    "TE-lossless": ("TE", {0: Constant(1.0), 1: Constant(8.9)}),
+    "TE-drude": ("TE", {0: Constant(1.0), 1: Drude(1.0, 0.01)}),
+    "TM-lossy-drude": ("TM", {0: Constant(1.0), 1: LossyDrude(1.0, 0.01)}),
+}
+# tiles symmetric about the real axis
+MEMO_TILES = tile_window(Window(0.05, 1.2, -0.05, 0.05), 0.1)
+
+
+_UNCOUNTED = (phcbands.sim.factorize, phcbands.sim.solve, phcbands.sim.indicator)
+
+
+class SimCounter:
+    """Counts the factorizations, conjugate-transpose solves and indicator
+    calls the search makes; with ``use_memo=False`` every indicator call
+    runs without the memo, which gives the fresh-solve reference.  A new
+    counter replaces the previous one rather than wrapping it."""
+
+    def __init__(self, monkeypatch, use_memo=True):
+        self.factorizations = self.conjugate_solves = self.indicator_calls = 0
+        real_factorize, real_solve, real_indicator = _UNCOUNTED
+
+        def factorize(mat):
+            self.factorizations += 1
+            return real_factorize(mat)
+
+        def solve(lu, b, trans="N"):
+            self.conjugate_solves += trans == "H"
+            return real_solve(lu, b, trans)
+
+        def counted_indicator(region, fam, g, cfg, memo=None):
+            self.indicator_calls += 1
+            return real_indicator(region, fam, g, cfg, memo=memo if use_memo else None)
+
+        monkeypatch.setattr(phcbands.sim, "factorize", factorize)
+        monkeypatch.setattr(phcbands.sim, "solve", solve)
+        monkeypatch.setattr(phcbands.sim, "indicator", counted_indicator)
 
 
 class FlakyFamily:
@@ -128,6 +173,117 @@ def test_indicator_retries_past_material_failure():
     fam = FlakyFamily(pole=0.5 + region.radius, trigger=0.5 + region.radius)
     value = indicator(region, fam, random_probe(1, seed=0), SimConfig())
     assert value == pytest.approx(1.0 / (1.0 - 1.05**-16), rel=1e-10)
+
+
+def test_contour_nodes_place_corners_exactly():
+    region = SearchRegion(center=0.45 + 0.025j, side=0.05)
+    nodes = contour_nodes(region, 16, region.radius)
+    corners = [point for _, point, corner in nodes if corner]
+    assert [j for j, (_, _, corner) in enumerate(nodes) if corner] == [2, 6, 10, 14]
+    assert corners == [
+        region.center + complex(0.025, 0.025),
+        region.center + complex(-0.025, 0.025),
+        region.center + complex(-0.025, -0.025),
+        region.center + complex(0.025, -0.025),
+    ]
+    for phase, point, _ in nodes:
+        assert abs(point - (region.center + region.radius * phase)) <= 1e-16
+    # other node counts, and retried (larger) circles, have no corners
+    assert not any(corner for _, _, corner in contour_nodes(region, 12, region.radius))
+    assert not any(corner for _, _, corner in contour_nodes(region, 16, 1.05 * region.radius))
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_FAMILIES))
+def test_memo_matches_fresh_solves(name, family_factory, monkeypatch):
+    # follow the kept squares seven levels down, as sim_h does, and compare
+    # each indicator with the memo against a fresh solve at every node.  The
+    # bound is 1e-12 of max(value, delta0): moving a square's centre by one
+    # unit in the last place changes the fresh indicator on these squares by
+    # up to 3.8e-12 of that, and a memo hit is the same point formed by
+    # another route.
+    pol, models = MEMO_FAMILIES[name]
+    _, _, fam = family_factory(4, 0.3, X, pol, models)
+    cfg = SimConfig()
+    g = random_probe(fam.n_dofs, seed=0)
+    memo = SolveMemo(fam, g, cfg)
+    counter = SimCounter(monkeypatch)
+    level, calls, worst = MEMO_TILES, 0, 0.0
+    for _ in range(7):
+        memo.start_level(level)
+        shared = [indicator(region, fam, g, cfg, memo=memo) for region in level]
+        calls += len(level)
+        fresh = [indicator(region, fam, g, cfg) for region in level]
+        worst = max([worst] + [abs(a - b) / max(b, cfg.delta0) for a, b in zip(shared, fresh)])
+        level = [child for region, value in zip(level, fresh) if value > cfg.delta0 for child in subdivide(region)]
+    assert worst <= 1e-12
+    # the memo was used: fewer than m0 fresh factorizations per shared call
+    assert counter.factorizations - 16 * calls < 0.9 * 16 * calls
+
+
+def test_memo_mirror_halves_lossless_search(family_factory, monkeypatch):
+    pol, models = MEMO_FAMILIES["TE-lossless"]
+    _, _, fam = family_factory(4, 0.3, X, pol, models)
+    assert fam.conjugate_symmetric
+    reference = SimCounter(monkeypatch, use_memo=False)
+    fresh = sim_h(MEMO_TILES, fam, SimConfig())
+    counter = SimCounter(monkeypatch)
+    shared = sim_h(MEMO_TILES, fam, SimConfig())
+    assert [c.nu for c in shared.candidates] == [c.nu for c in fresh.candidates]
+    assert len(shared.candidates) == 6
+    assert counter.indicator_calls == reference.indicator_calls
+    assert reference.factorizations == 16 * reference.indicator_calls
+    assert counter.conjugate_solves > 0
+    assert counter.factorizations <= 0.45 * 16 * counter.indicator_calls
+
+
+@pytest.mark.parametrize("name", ["TE-drude", "TM-lossy-drude"])
+def test_memo_lossy_family_shares_corners_only(name, family_factory, monkeypatch):
+    pol, models = MEMO_FAMILIES[name]
+    _, _, fam = family_factory(4, 0.3, X, pol, models)
+    assert not fam.conjugate_symmetric
+    SimCounter(monkeypatch, use_memo=False)
+    fresh = sim_h(MEMO_TILES, fam, SimConfig())
+    counter = SimCounter(monkeypatch)
+    shared = sim_h(MEMO_TILES, fam, SimConfig())
+    assert [c.nu for c in shared.candidates] == [c.nu for c in fresh.candidates]
+    assert counter.conjugate_solves == 0
+    assert counter.factorizations <= 0.85 * 16 * counter.indicator_calls
+
+
+def test_sim_h_memo_does_not_leak_between_calls(family_factory, monkeypatch):
+    pol, models = MEMO_FAMILIES["TE-lossless"]
+    _, _, fam = family_factory(4, 0.3, X, pol, models)
+    runs = []
+    for _ in range(2):
+        counter = SimCounter(monkeypatch)
+        result = sim_h(MEMO_TILES, fam, SimConfig())
+        runs.append(
+            (
+                [c.nu for c in result.candidates],
+                counter.factorizations,
+                counter.conjugate_solves,
+                counter.indicator_calls,
+            )
+        )
+    assert runs[0] == runs[1]
+
+
+def test_singular_retries_leave_no_reference_cycle():
+    # a kept exception's traceback would tie the failed frame, and with it
+    # factorize's rejected LU, into a cycle that only a full collection frees
+    region = SearchRegion(center=0.5 + 0j, side=0.1)
+    on_node = DiagonalFamily([0.5 + region.radius])
+    gc.collect()
+    gc.disable()
+    try:
+        assert refine_eigenpair(0.5, DiagonalFamily([0.5])).converged  # first solve is singular
+        assert indicator(region, on_node, random_probe(1, seed=0), SimConfig()) > 1.0  # first contour is singular
+        with pytest.raises(IndicatorError):
+            indicator(region, SingularFamily(), random_probe(2, seed=0), SimConfig())
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_subdivide_quadrants():

@@ -46,6 +46,19 @@ def test_factorize_identity_and_diagonal():
     assert x == pytest.approx(np.array([1.0, 1.0]))
 
 
+def test_solve_conjugate_transpose_with_same_factors():
+    mat = sp.csc_matrix(np.array([[2.0 + 1.0j, 1.0, 0.0], [0.5j, 3.0, 1.0 - 1.0j], [0.0, 2.0, 4.0 + 0.5j]]))
+    lu = factorize(mat)
+    b = np.array([1.0, 2.0j, -1.0 + 1.0j])
+    x = solve(lu, b, trans="H")
+    assert np.abs(mat.toarray().conj().T @ x - b).max() <= 1e-14
+    assert np.array_equal(solve(lu, b, trans="N"), solve(lu, b))
+    with pytest.raises(ValueError):
+        solve(lu, b, trans="T")
+    with pytest.raises(ValueError):
+        solve(lu, b[:2])
+
+
 def test_factorize_singular_cases():
     with pytest.raises(SingularMatrixError):
         factorize(sp.csr_matrix((2, 2), dtype=np.complex128))

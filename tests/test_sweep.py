@@ -8,8 +8,8 @@ import pytest
 import scipy.linalg
 
 import phcbands.sweep
-from phcbands.assembly import assemble_family
-from phcbands.materials import Constant, Drude
+from phcbands.assembly import PermittivityBoundsError, assemble_family
+from phcbands.materials import Constant, Drude, PermittivityPoleError
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
 from phcbands.sim import SimConfig
 from phcbands.sparse import SingularMatrixError
@@ -151,6 +151,54 @@ def test_sweep_survives_kpoint_failure(monkeypatch):
     monkeypatch.setattr(phcbands.sweep, "solve_at_k", crash)
     with pytest.raises(RuntimeError, match="bug"):
         sweep(2, 0.0, "TE", {0: Constant(1.0)}, Window(0.4, 0.6, -0.05, 0.05), SimConfig(), nk=1)
+
+
+def test_sweep_solves_each_distinct_kpoint_once(monkeypatch):
+    calls = []
+    real_solve_at_k = phcbands.sweep.solve_at_k
+
+    def counted(mesh, pmap, k, *args):
+        calls.append(k)
+        return real_solve_at_k(mesh, pmap, k, *args)
+
+    monkeypatch.setattr(phcbands.sweep, "solve_at_k", counted)
+    win = Window(0.4, 0.6, -0.05, 0.05)
+    diagram = sweep(4, 0.0, "TE", {0: Constant(1.0)}, win, SimConfig(), nk=2)
+    # Gamma -> X -> M -> Gamma ends where it starts: 7 points, 6 solves
+    assert len(diagram.points) == 7
+    assert calls == [k for k, _ in make_kpath(2).points[:-1]]
+    first, last = diagram.points[0], diagram.points[-1]
+    assert last.k == first.k == GAMMA
+    assert (last.index, last.arclength) == (6, pytest.approx((2.0 + SQRT2) * math.pi, rel=1e-12))
+    assert [c.nu for c in last.eigenpairs] == [c.nu for c in first.eigenpairs]
+    assert last.eigenpairs is not first.eigenpairs
+
+
+def test_solve_at_k_drops_a_candidate_whose_refinement_fails(family_factory, monkeypatch):
+    # the empty lattice at X has two bands in the window; a refinement that
+    # fails for the lower start value costs that eigenvalue only
+    mesh, pmap, _ = family_factory(8, 0.0, X)
+    win = Window(0.3, 0.7, -0.05, 0.05)
+    real_refine = phcbands.sweep.refine_eigenpair
+    for error in (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError):
+
+        def refine(nu0, fam):
+            if abs(nu0 - 0.5) < 1e-3:
+                raise error("bad start")
+            return real_refine(nu0, fam)
+
+        monkeypatch.setattr(phcbands.sweep, "refine_eigenpair", refine)
+        res = solve_at_k(mesh, pmap, X, "TE", {0: Constant(1.0)}, win, SimConfig())
+        assert [c.nu.real for c in res.eigenpairs] == [pytest.approx(0.551961550756, abs=1e-9)]
+        assert len(res.warnings) == 1
+        assert res.warnings[0].startswith("refinement from nu = (0.5") and res.warnings[0].endswith("failed: bad start")
+
+    def crash(nu0, fam):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(phcbands.sweep, "refine_eigenpair", crash)
+    with pytest.raises(RuntimeError, match="bug"):
+        solve_at_k(mesh, pmap, X, "TE", {0: Constant(1.0)}, win, SimConfig())
 
 
 def test_sweep_attaches_provenance():
