@@ -1,8 +1,8 @@
 """Band structures of 2D dispersive photonic crystals.
 
 P1 finite elements on a periodic unit cell, quasimomentum-shifted TE/TM
-operators, and a recursive contour-integral indicator search for the
-(generally nonlinear) eigenvalue problem in the complex frequency plane.
+operators, and a block contour-moment search for the (generally
+nonlinear) eigenvalue problem in the complex frequency plane.
 
 The package exports the library API that README documents; everything else
 is reached through its submodule (``phcbands.sweep.sweep`` for the full

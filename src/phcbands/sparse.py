@@ -63,6 +63,11 @@ def factorize(mat: sp.spmatrix) -> SuperLU:
 def solve(lu: SuperLU, b: np.ndarray, trans: str = "N") -> np.ndarray:
     """Solve A x = b for a previously factorized A.
 
+    ``b`` is a vector of length n or an (n, p) block of right-hand sides.
+    A block is solved one column at a time, so each column equals its own
+    vector solve bit for bit: SuperLU's multi-column solve calls level-3
+    BLAS once per supernode, which under a threaded BLAS is slower than the
+    column loop for the search's blocks (p = 12, a few hundred DOFs).
     With ``trans="H"`` the same factors solve the conjugate-transpose system
     A^H x = b instead, which costs one more pair of triangular solves and no
     factorization.
@@ -70,9 +75,11 @@ def solve(lu: SuperLU, b: np.ndarray, trans: str = "N") -> np.ndarray:
     if trans not in ("N", "H"):
         raise ValueError(f"trans must be 'N' or 'H', got {trans!r}")
     b = np.asarray(b, dtype=np.complex128)
-    if b.shape != (lu.shape[0],):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({lu.shape[0]},)")
-    return lu.solve(b, trans=trans)
+    if b.ndim not in (1, 2) or b.shape[0] != lu.shape[0]:
+        raise ValueError(f"right-hand side has shape {b.shape}, expected ({lu.shape[0]},) or ({lu.shape[0]}, p)")
+    if b.ndim == 1:
+        return lu.solve(b, trans=trans)
+    return np.column_stack([lu.solve(column, trans=trans) for column in b.T])
 
 
 def frobenius_norm(mat: sp.spmatrix) -> float:

@@ -2,10 +2,10 @@
 
 The high-symmetry walk for the square lattice is Gamma (0, 0) -> X (pi, 0)
 -> M (pi, pi) -> Gamma.  At every k-point the complex search window is tiled
-with squares, handed to the indicator search, and each candidate is refined;
-the collected eigenpairs form the band diagram.
+with squares, handed to the contour search, and each start value is
+refined; the collected eigenpairs form the band diagram.
 
-Two brute-force oracles cross-check the indicator path on small meshes: a
+Two brute-force oracles cross-check the search on small meshes: a
 dense generalized eigensolve for frequency-independent permittivities, and a
 quartic polynomial eigensolve (via companion linearization) for a Drude rod
 in vacuum under TE polarization.
@@ -110,27 +110,29 @@ def solve_at_k(
 ) -> KSolveResult:
     """Locate and refine all eigenvalues inside the window at one k-point.
 
-    Runs the indicator search on the tiled window, refines every candidate,
-    drops refined values that leave the window, and merges duplicates
-    (keeping the smallest residual per cluster).  Output is sorted by real
-    part, then imaginary part.  A candidate whose refinement fails (a
-    singular operator, or a permittivity out of bounds or at its pole) is
-    dropped with a warning; the other candidates are kept.
+    Runs the contour search on the tiled window and refines every start
+    value.  A refined value is kept only if it lies in the square whose
+    moments gave it (closed, up to a 1e-9 slack) and in the window; values
+    that leave are dropped silently, since the square that holds them finds
+    them itself.  Kept values are merged (keeping the smallest residual per
+    cluster) and sorted by real part, then imaginary part.  A start value
+    whose refinement fails (a singular operator, or a permittivity out of
+    bounds or at its pole) is dropped with a warning; the others are kept.
     """
     fam = assemble_family(mesh, pmap, k, polarization, models)
     result = sim_h(tile_window(window, cfg.initial_side), fam, cfg)
     warnings = [f"region at {f.region.center!r} (side {f.region.side:g}): {f.message}" for f in result.failures]
 
     refined: list[EigenCandidate] = []
-    for cand in result.candidates:
+    for start in result.candidates:
         try:
-            rr = refine_eigenpair(cand.nu, fam)
+            rr = refine_eigenpair(start.nu, fam)
         except (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError) as exc:
-            warnings.append(f"refinement from nu = {cand.nu!r} failed: {exc}")
+            warnings.append(f"refinement from nu = {start.nu!r} failed: {exc}")
             continue
-        if not window.contains(rr.nu):
+        if not (start.tile.contains(rr.nu) and window.contains(rr.nu)):
             continue
-        refined.append(EigenCandidate(nu=rr.nu, region_side=cand.region_side, residual=rr.residual))
+        refined.append(EigenCandidate(nu=rr.nu, region_side=start.tile.side, residual=rr.residual))
         if not rr.converged:
             warnings.append(f"refinement stalled at nu = {rr.nu!r} (residual {rr.residual:.3e})")
 

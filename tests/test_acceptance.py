@@ -17,13 +17,14 @@ import scipy.linalg
 
 from phcbands.assembly import assemble_family, build_T
 from phcbands.cli import run
+from phcbands.config import load_config
 from phcbands.io import write_bands_csv, emit_svg
 from phcbands.materials import Constant, Drude, LossyDrude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
 from phcbands.sim import SearchRegion, SimConfig, indicator, random_probe
-from phcbands.sweep import Window, dense_linear_oracle, drude_polynomial_oracle, solve_at_k, sweep
+from phcbands.sweep import Window, dense_linear_oracle, drude_polynomial_oracle, make_kpath, solve_at_k, sweep
 
-from conftest import GAMMA, M, X, DiagonalFamily, direct_assembly_check
+from conftest import GAMMA, M, X, DiagonalFamily, direct_assembly_check, drude_rod_quartic_roots
 
 
 def _report(criterion: int, passed: bool, detail: str) -> None:
@@ -316,12 +317,12 @@ def test_criterion_6_structural_invariants(tmp_path):
 def test_criterion_7_metal_rod_cli_sweeps(tmp_path):
     details = []
     ok = True
-    # Row counts of the default search on the circle-fitted n=8 mesh.  Every
-    # TM row is a root of the dense quartic linearization of the Drude TM
-    # problem (to 5e-12); the TM interface modes gather at 0.42-0.49, where
-    # eps ~ -1, and the default delta0 leaves 22 of the 63 roots in the window
-    # unfound, so the count pins the search, not the whole spectrum.
-    for pol, expected_rows in (("TE", 19), ("TM", 41)):
+    # Every root of the dense quartic linearization in the window (19 TE and
+    # 63 TM over the four k-points of the circle-fitted n=8 mesh; the TM
+    # interface modes gather at 0.42-0.49, where eps ~ -1, many in close
+    # pairs) must have a CSV row within dedup_tol at its k-point, and every
+    # row must be such a root.
+    for pol in ("TE", "TM"):
         outputs = {
             "csv_path": str(tmp_path / f"{pol}.csv"),
             "svg_path": str(tmp_path / f"{pol}.svg"),
@@ -348,19 +349,35 @@ def test_criterion_7_metal_rod_cli_sweeps(tmp_path):
 
         rows = [line.split(",") for line in (tmp_path / f"{pol}.csv").read_text(encoding="utf-8").splitlines()[1:]]
         k_indices = {int(row[0]) for row in rows}
+        cfg = load_config(config_path)
+        mesh = build_unit_cell_mesh(cfg.geometry.n, cfg.geometry.r)
+        pmap = build_periodic_dof_map(mesh)
+        n_roots = missed = spurious = 0
+        for index, (k, _) in enumerate(make_kpath(cfg.nk).points):
+            fam = assemble_family(mesh, pmap, k, cfg.polarization, cfg.models)
+            roots = drude_rod_quartic_roots(fam, cfg.window)
+            found = [complex(float(row[4]), float(row[5])) for row in rows if int(row[0]) == index]
+            tol = cfg.sim.dedup_tol
+            n_roots += len(roots)
+            missed += sum(1 for z in roots if not any(abs(z - f) <= tol for f in found))
+            spurious += sum(1 for f in found if not any(abs(z - f) <= tol for z in roots))
         max_residual = max(float(row[6]) for row in rows)
         markers = (tmp_path / f"{pol}.svg").read_text(encoding="utf-8").count("<circle")
         meta = json.loads((tmp_path / f"{pol}_meta.json").read_text(encoding="utf-8"))
 
         pol_ok = (
             code == 0
-            and len(rows) == expected_rows
+            and n_roots > 0
+            and missed == spurious == 0
             and k_indices == {0, 1, 2, 3}
             and max_residual <= 1e-6
             and markers == len(rows)
             and meta["n_eigenvalues"] == len(rows)
         )
         ok = ok and pol_ok
-        details.append(f"{pol}: exit {code}, {len(rows)} bands, max residual {max_residual:.1e}")
+        details.append(
+            f"{pol}: exit {code}, {len(rows)} rows for {n_roots} quartic roots, {missed} missed, "
+            f"{spurious} spurious, max residual {max_residual:.1e}"
+        )
     _report(7, ok, "; ".join(details))
     assert ok

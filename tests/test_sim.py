@@ -1,5 +1,6 @@
-"""Indicator search: quadrature identities on scalar families, retry and
-failure paths, subdivision bookkeeping, dedup, and eigenpair refinement."""
+"""Contour search: quadrature identities on scalar families, retry and
+failure paths, block moments and their start values, the solve memo, dedup,
+and eigenpair refinement."""
 
 import gc
 import math
@@ -12,6 +13,7 @@ import phcbands.sim
 from phcbands.assembly import PermittivityBoundsError
 from phcbands.materials import Constant, Drude, LossyDrude
 from phcbands.sim import (
+    ContourMoments,
     EigenCandidate,
     IndicatorError,
     SearchRegion,
@@ -19,6 +21,7 @@ from phcbands.sim import (
     SolveMemo,
     contour_nodes,
     dedup,
+    hankel_rank_and_values,
     indicator,
     random_probe,
     refine_eigenpair,
@@ -35,7 +38,7 @@ MEMO_FAMILIES = {
     "TE-drude": ("TE", {0: Constant(1.0), 1: Drude(1.0, 0.01)}),
     "TM-lossy-drude": ("TM", {0: Constant(1.0), 1: LossyDrude(1.0, 0.01)}),
 }
-# tiles symmetric about the real axis
+# one row of 12 tiles symmetric about the real axis; no family above splits one
 MEMO_TILES = tile_window(Window(0.05, 1.2, -0.05, 0.05), 0.1)
 
 
@@ -60,9 +63,9 @@ class SimCounter:
             self.conjugate_solves += trans == "H"
             return real_solve(lu, b, trans)
 
-        def counted_indicator(region, fam, g, cfg, memo=None):
+        def counted_indicator(region, fam, g, cfg, memo=None, moments=None):
             self.indicator_calls += 1
-            return real_indicator(region, fam, g, cfg, memo=memo if use_memo else None)
+            return real_indicator(region, fam, g, cfg, memo=memo if use_memo else None, moments=moments)
 
         monkeypatch.setattr(phcbands.sim, "factorize", factorize)
         monkeypatch.setattr(phcbands.sim, "solve", solve)
@@ -193,34 +196,44 @@ def test_contour_nodes_place_corners_exactly():
     assert not any(corner for _, _, corner in contour_nodes(region, 16, 1.05 * region.radius))
 
 
+def _moments(region, fam, probe, cfg, memo=None):
+    out = ContourMoments()
+    indicator(region, fam, probe, cfg, memo=memo, moments=out)
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(MEMO_FAMILIES))
 def test_memo_matches_fresh_solves(name, family_factory, monkeypatch):
-    # follow the kept squares seven levels down, as sim_h does, and compare
-    # each indicator with the memo against a fresh solve at every node.  The
-    # bound is 1e-12 of max(value, delta0): moving a square's centre by one
-    # unit in the last place changes the fresh indicator on these squares by
-    # up to 3.8e-12 of that, and a memo hit is the same point formed by
-    # another route.
+    # the row of tiles and then all their quarters, as two levels of sim_h:
+    # every moment block taken with the memo equals the one from a fresh
+    # solve at every node, relative to the rank scale, and a memo hit is the
+    # same point formed by another route
     pol, models = MEMO_FAMILIES[name]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     cfg = SimConfig()
-    g = random_probe(fam.n_dofs, seed=0)
-    memo = SolveMemo(fam, g, cfg)
+    probe = random_probe(fam.n_dofs, 0, columns=12)
+    memo = SolveMemo(fam, probe, cfg)
     counter = SimCounter(monkeypatch)
     level, calls, worst = MEMO_TILES, 0, 0.0
-    for _ in range(7):
+    for _ in range(2):
         memo.start_level(level)
-        shared = [indicator(region, fam, g, cfg, memo=memo) for region in level]
+        shared = [_moments(region, fam, probe, cfg, memo) for region in level]
         calls += len(level)
-        fresh = [indicator(region, fam, g, cfg) for region in level]
-        worst = max([worst] + [abs(a - b) / max(b, cfg.delta0) for a, b in zip(shared, fresh)])
-        level = [child for region, value in zip(level, fresh) if value > cfg.delta0 for child in subdivide(region)]
+        fresh = [_moments(region, fam, probe, cfg) for region in level]
+        for a, b in zip(shared, fresh):
+            assert (a.radius, a.blocks.shape) == (b.radius, (4, fam.n_dofs, 12))
+            worst = max(worst, np.abs(a.blocks - b.blocks).max() / b.scale, abs(a.scale - b.scale) / b.scale)
+        level = [child for region in level for child in subdivide(region)]
     assert worst <= 1e-12
     # the memo was used: fewer than m0 fresh factorizations per shared call
     assert counter.factorizations - 16 * calls < 0.9 * 16 * calls
 
 
 def test_memo_mirror_halves_lossless_search(family_factory, monkeypatch):
+    # an unsplit row of t tiles straddling the real axis: the upper half of
+    # each circle (7 nodes, corners shared along the row) plus its 2 nodes on
+    # the axis are factorized, the lower half comes from conjugate-transpose
+    # solves, so 8t + 1 factorizations against 16t fresh
     pol, models = MEMO_FAMILIES["TE-lossless"]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     assert fam.conjugate_symmetric
@@ -228,16 +241,20 @@ def test_memo_mirror_halves_lossless_search(family_factory, monkeypatch):
     fresh = sim_h(MEMO_TILES, fam, SimConfig())
     counter = SimCounter(monkeypatch)
     shared = sim_h(MEMO_TILES, fam, SimConfig())
-    assert [c.nu for c in shared.candidates] == [c.nu for c in fresh.candidates]
-    assert len(shared.candidates) == 6
-    assert counter.indicator_calls == reference.indicator_calls
-    assert reference.factorizations == 16 * reference.indicator_calls
-    assert counter.conjugate_solves > 0
-    assert counter.factorizations <= 0.45 * 16 * counter.indicator_calls
+    t = len(MEMO_TILES)
+    assert counter.indicator_calls == reference.indicator_calls == t
+    assert reference.factorizations == 16 * t
+    assert counter.factorizations == 8 * t + 1
+    assert counter.conjugate_solves == 6 * t + 1
+    assert len(shared.candidates) == len(fresh.candidates) > 0
+    for a, b in zip(shared.candidates, fresh.candidates):
+        assert a.tile == b.tile and abs(a.nu - b.nu) <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["TE-drude", "TM-lossy-drude"])
 def test_memo_lossy_family_shares_corners_only(name, family_factory, monkeypatch):
+    # 12 nodes of each circle are its own, the corners are shared along the
+    # row: 14t + 2 factorizations against 16t fresh
     pol, models = MEMO_FAMILIES[name]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     assert not fam.conjugate_symmetric
@@ -245,9 +262,14 @@ def test_memo_lossy_family_shares_corners_only(name, family_factory, monkeypatch
     fresh = sim_h(MEMO_TILES, fam, SimConfig())
     counter = SimCounter(monkeypatch)
     shared = sim_h(MEMO_TILES, fam, SimConfig())
-    assert [c.nu for c in shared.candidates] == [c.nu for c in fresh.candidates]
+    t = len(MEMO_TILES)
+    assert counter.indicator_calls == t
     assert counter.conjugate_solves == 0
-    assert counter.factorizations <= 0.85 * 16 * counter.indicator_calls
+    assert counter.factorizations == 14 * t + 2
+    # a shared corner is the same point formed from the other tile's centre
+    assert len(shared.candidates) == len(fresh.candidates) > 0
+    for a, b in zip(shared.candidates, fresh.candidates):
+        assert a.tile == b.tile and abs(a.nu - b.nu) <= 1e-10
 
 
 def test_sim_h_memo_does_not_leak_between_calls(family_factory, monkeypatch):
@@ -295,6 +317,8 @@ def test_subdivide_quadrants():
 
 
 def test_sim_h_locates_scalar_poles():
+    # each square's moments give its own pole as the one start value inside
+    # its circle; the other pole leaks in from outside and is left out
     fam = DiagonalFamily([0.33, 0.72 + 0.01j])
     regions = [
         SearchRegion(center=0.3 + 0j, side=0.2),
@@ -302,10 +326,54 @@ def test_sim_h_locates_scalar_poles():
     ]
     result = sim_h(regions, fam, SimConfig())
     assert not result.failures
-    assert len(result.candidates) == 2
-    assert abs(result.candidates[0].nu - 0.33) <= 1e-4
-    assert abs(result.candidates[1].nu - (0.72 + 0.01j)) <= 1e-4
-    assert all(c.region_side * math.sqrt(2.0) <= 1e-4 for c in result.candidates)
+    assert [start.tile for start in result.candidates] == regions
+    assert abs(result.candidates[0].nu - 0.33) <= 1e-12
+    assert abs(result.candidates[1].nu - (0.72 + 0.01j)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "poles",
+    [[0.33], [0.3313 + 0.0002j, 0.331, 0.9]],
+    ids=["1-dof-one-pole", "3-dof-close-pair"],
+)
+def test_sim_h_small_families_cap_the_probe_block(poles):
+    # p = n_dofs: one column (capacity 2, so the square is split to the
+    # minimum side) and three columns; every pole in the square, including
+    # a pair 3.6e-4 apart, has a start value inside a square that holds it
+    fam = DiagonalFamily(poles)
+    region = SearchRegion(center=0.35 + 0j, side=0.1)
+    result = sim_h([region], fam, SimConfig())
+    assert not result.failures
+    for pole in poles:
+        if not region.contains(pole):
+            continue
+        near = [s for s in result.candidates if abs(s.nu - pole) <= 1e-10]
+        assert near and all(s.tile.contains(pole) for s in near)
+    assert all(abs(s.nu - 0.9) > 0.1 for s in result.candidates)
+    assert min(s.tile.side for s in result.candidates) == (0.0125 if len(poles) == 1 else 0.1)
+
+
+def test_hankel_order_finds_a_double_root_without_residue():
+    # T(nu) = nu^2 has a double root at 0 whose 1/nu residue vanishes, so
+    # A0 is zero up to quadrature error and has rank 0 under the search's
+    # rule: Beyn's A0/A1 pencil sees nothing.  The order-2 Hankel pencil
+    # sees rank 2 and a double eigenvalue at the root.
+    class Square:
+        n_dofs = 1
+
+        def t_matrix(self, nu):
+            return sp.csr_matrix(np.array([[complex(nu) ** 2]]))
+
+    region = SearchRegion(center=0.02 + 0.01j, side=0.1)
+    moments = ContourMoments()
+    value = indicator(region, Square(), random_probe(1, 0, columns=1), SimConfig(), moments=moments)
+    assert value == pytest.approx(np.abs(moments.blocks[0]).max(), rel=1e-12)
+    assert value <= 1e-6 * moments.scale
+    # A1 = (1 / 2 pi i) oint ((z - c) / R) z^-2 dz g = g / R
+    assert np.abs(moments.blocks[1]).max() == pytest.approx(1.0 / region.radius, rel=1e-6)
+    rank, values = hankel_rank_and_values(moments, region.center)
+    assert rank == 2
+    assert len(values) == 2 and all(abs(nu) <= 1e-8 for nu in values)
 
 
 def test_sim_h_empty_region_finds_nothing():
@@ -341,22 +409,14 @@ def test_sim_h_deterministic_and_seed_stable():
 
 
 def test_dedup_merges_and_preserves():
-    close = [
-        EigenCandidate(nu=0.5 + 0j, region_side=1e-4),
-        EigenCandidate(nu=0.50001 + 0j, region_side=1e-4),
-    ]
-    merged = dedup(close, tol=2e-4)
-    assert len(merged) == 1
-    assert merged[0].nu == pytest.approx(0.500005, abs=1e-12)
-
     apart = [
-        EigenCandidate(nu=0.5 + 0j, region_side=1e-4),
-        EigenCandidate(nu=0.6 + 0j, region_side=1e-4),
+        EigenCandidate(nu=0.5 + 0j, region_side=1e-4, residual=1e-12),
+        EigenCandidate(nu=0.6 + 0j, region_side=1e-4, residual=1e-12),
     ]
-    assert len(dedup(apart, tol=2e-4)) == 2
+    assert dedup(apart, tol=2e-4) == apart
     assert dedup([], tol=2e-4) == []
 
-    # refined candidates are not averaged: the smallest residual wins
+    # candidates are not averaged: the smallest residual wins, the first on ties
     refined = [
         EigenCandidate(nu=0.5 + 0j, region_side=1e-4, residual=1e-10),
         EigenCandidate(nu=0.50001 + 0j, region_side=2e-4, residual=1e-13),
@@ -366,27 +426,30 @@ def test_dedup_merges_and_preserves():
     assert len(merged) == 1
     assert merged[0] is refined[1]
 
+    # only refined candidates are merged
+    with pytest.raises(ValueError, match="refined"):
+        dedup([EigenCandidate(nu=0.5 + 0j, region_side=1e-4)], tol=2e-4)
+
 
 def test_dedup_single_linkage_chains():
     # pairwise neighbours link transitively even though the endpoints are
     # further apart than the tolerance
     chain = [
-        EigenCandidate(nu=0.5 + 0j, region_side=1e-4),
-        EigenCandidate(nu=0.50015 + 0j, region_side=1e-4),
-        EigenCandidate(nu=0.5003 + 0j, region_side=1e-4),
+        EigenCandidate(nu=0.5 + 0j, region_side=1e-4, residual=1e-11),
+        EigenCandidate(nu=0.50015 + 0j, region_side=1e-4, residual=1e-12),
+        EigenCandidate(nu=0.5003 + 0j, region_side=1e-4, residual=1e-10),
     ]
     merged = dedup(chain, tol=2e-4)
-    assert len(merged) == 1
-    assert merged[0].nu == pytest.approx(0.50015, abs=1e-12)
+    assert merged == [chain[1]]
     with pytest.raises(ValueError):
         dedup(chain, tol=-1.0)
 
 
 def test_dedup_sorted_output():
     items = [
-        EigenCandidate(nu=0.9 + 0j, region_side=1e-4),
-        EigenCandidate(nu=0.3 + 0.02j, region_side=1e-4),
-        EigenCandidate(nu=0.3 - 0.02j, region_side=1e-4),
+        EigenCandidate(nu=0.9 + 0j, region_side=1e-4, residual=1e-12),
+        EigenCandidate(nu=0.3 + 0.02j, region_side=1e-4, residual=1e-12),
+        EigenCandidate(nu=0.3 - 0.02j, region_side=1e-4, residual=1e-12),
     ]
     merged = dedup(items, tol=1e-6)
     assert [c.nu for c in merged] == [0.3 - 0.02j, 0.3 + 0.02j, 0.9 + 0j]

@@ -59,6 +59,27 @@ def test_solve_conjugate_transpose_with_same_factors():
         solve(lu, b[:2])
 
 
+@pytest.mark.parametrize("trans", ["N", "H"])
+def test_block_solve_equals_column_solves(trans):
+    rng = np.random.default_rng(3)
+    n, p = 40, 5
+    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    dense[np.abs(dense) < 1.0] = 0.0
+    dense += 10.0 * np.eye(n)
+    lu = factorize(sp.csc_matrix(dense))
+    block = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+    x = solve(lu, block, trans=trans)
+    assert x.shape == (n, p)
+    for j in range(p):
+        assert np.array_equal(x[:, j], solve(lu, block[:, j], trans=trans))
+    with pytest.raises(ValueError):
+        solve(lu, block[:-1], trans=trans)
+    with pytest.raises(ValueError):
+        solve(lu, block.T, trans=trans)
+    with pytest.raises(ValueError):
+        solve(lu, block[:, :, None], trans=trans)
+
+
 def test_factorize_singular_cases():
     with pytest.raises(SingularMatrixError):
         factorize(sp.csr_matrix((2, 2), dtype=np.complex128))

@@ -11,7 +11,7 @@ import phcbands.sweep
 from phcbands.assembly import PermittivityBoundsError, assemble_family
 from phcbands.materials import Constant, Drude, PermittivityPoleError
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
-from phcbands.sim import SimConfig
+from phcbands.sim import SearchRegion, SimConfig, StartValue
 from phcbands.sparse import SingularMatrixError
 from phcbands.sweep import (
     Window,
@@ -176,7 +176,9 @@ def test_sweep_solves_each_distinct_kpoint_once(monkeypatch):
 
 def test_solve_at_k_drops_a_candidate_whose_refinement_fails(family_factory, monkeypatch):
     # the empty lattice at X has two bands in the window; a refinement that
-    # fails for the lower start value costs that eigenvalue only
+    # fails for the lower start values costs that eigenvalue only.  0.5 lies
+    # on the edge the squares [0.4, 0.5] and [0.5, 0.6] share, so each of the
+    # two gives a start value there and each failure warns.
     mesh, pmap, _ = family_factory(8, 0.0, X)
     win = Window(0.3, 0.7, -0.05, 0.05)
     real_refine = phcbands.sweep.refine_eigenpair
@@ -190,8 +192,9 @@ def test_solve_at_k_drops_a_candidate_whose_refinement_fails(family_factory, mon
         monkeypatch.setattr(phcbands.sweep, "refine_eigenpair", refine)
         res = solve_at_k(mesh, pmap, X, "TE", {0: Constant(1.0)}, win, SimConfig())
         assert [c.nu.real for c in res.eigenpairs] == [pytest.approx(0.551961550756, abs=1e-9)]
-        assert len(res.warnings) == 1
-        assert res.warnings[0].startswith("refinement from nu = (0.5") and res.warnings[0].endswith("failed: bad start")
+        assert len(res.warnings) == 2
+        for warning in res.warnings:
+            assert warning.startswith("refinement from nu = (0.") and warning.endswith("failed: bad start")
 
     def crash(nu0, fam):
         raise RuntimeError("bug")
@@ -199,6 +202,49 @@ def test_solve_at_k_drops_a_candidate_whose_refinement_fails(family_factory, mon
     monkeypatch.setattr(phcbands.sweep, "refine_eigenpair", crash)
     with pytest.raises(RuntimeError, match="bug"):
         solve_at_k(mesh, pmap, X, "TE", {0: Constant(1.0)}, win, SimConfig())
+
+
+def test_solve_at_k_finds_zero_at_gamma(family_factory):
+    # nu = 0 is a double root of T(nu) = K - 4 pi^2 nu^2 M with no 1/nu
+    # residue; it lies on the edge between the squares [-0.1, 0] and
+    # [0, 0.1], and only the order-2 Hankel moments see it
+    mesh, pmap, fam = family_factory(8, 0.0, GAMMA)
+    win = Window(-0.1, 0.3, -0.05, 0.05)
+    res = solve_at_k(mesh, pmap, GAMMA, "TE", {0: Constant(1.0)}, win, SimConfig())
+    assert res.warnings == []
+    assert [abs(c.nu) <= 1e-6 for c in res.eigenpairs] == [True]
+    assert dense_linear_oracle(fam, Window(-0.01, 0.3, -0.05, 0.05)) == [pytest.approx(0.0, abs=1e-6)]
+
+
+def test_solve_at_k_drops_a_start_value_that_leaves_its_square(family_factory, monkeypatch):
+    # a noise start value at 0.52 in the square [0.52, 0.53] refines to a band
+    # outside it (0.5 or 0.552); it is dropped without a warning, and the
+    # squares that hold those bands still give them
+    mesh, pmap, _ = family_factory(8, 0.0, X)
+    win = Window(0.3, 0.7, -0.05, 0.05)
+    real_sim_h, real_refine = phcbands.sweep.sim_h, phcbands.sweep.refine_eigenpair
+    noise = StartValue(0.52 + 0j, SearchRegion(center=0.525 + 0j, side=0.01))
+    refined = []
+
+    def noisy_sim_h(regions, fam, cfg):
+        result = real_sim_h(regions, fam, cfg)
+        result.candidates.append(noise)
+        return result
+
+    def refine(nu0, fam):
+        rr = real_refine(nu0, fam)
+        refined.append((nu0, rr.nu))
+        return rr
+
+    monkeypatch.setattr(phcbands.sweep, "sim_h", noisy_sim_h)
+    monkeypatch.setattr(phcbands.sweep, "refine_eigenpair", refine)
+    res = solve_at_k(mesh, pmap, X, "TE", {0: Constant(1.0)}, win, SimConfig())
+    assert refined[-1][0] == noise.nu and not noise.tile.contains(refined[-1][1], 1e-3)
+    assert res.warnings == []
+    assert [c.nu.real for c in res.eigenpairs] == [
+        pytest.approx(0.5, abs=1e-9),
+        pytest.approx(0.551961550756, abs=1e-9),
+    ]
 
 
 def test_sweep_attaches_provenance():
