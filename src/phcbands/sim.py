@@ -114,10 +114,6 @@ class SearchRegion:
         """Radius of the circumscribing circle (half the diagonal)."""
         return self.side / _SQRT2
 
-    @property
-    def diameter(self) -> float:
-        return self.side * _SQRT2
-
     def contains(self, nu: complex, slack: float = _TILE_SLACK) -> bool:
         """Whether nu lies in the closed square grown by ``slack``."""
         reach = self.side / 2.0 + slack
@@ -169,7 +165,6 @@ class EigenCandidate:
     """Eigenvalue estimate; residual is set once the pair has been refined."""
 
     nu: complex
-    region_side: float
     residual: float | None = None
 
 

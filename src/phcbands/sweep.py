@@ -132,7 +132,7 @@ def solve_at_k(
             continue
         if not (start.tile.contains(rr.nu) and window.contains(rr.nu)):
             continue
-        refined.append(EigenCandidate(nu=rr.nu, region_side=start.tile.side, residual=rr.residual))
+        refined.append(EigenCandidate(nu=rr.nu, residual=rr.residual))
         if not rr.converged:
             warnings.append(f"refinement stalled at nu = {rr.nu!r} (residual {rr.residual:.3e})")
 

@@ -40,15 +40,15 @@ def small_diagram():
             k=(0.0, 0.0),
             arclength=0.0,
             eigenpairs=[
-                EigenCandidate(nu=0.9 + 0.001j, region_side=1e-4, residual=3e-12),
-                EigenCandidate(nu=0.3 - 0.002j, region_side=1e-4, residual=1e-11),
+                EigenCandidate(nu=0.9 + 0.001j, residual=3e-12),
+                EigenCandidate(nu=0.3 - 0.002j, residual=1e-11),
             ],
         ),
         KPointResult(
             index=1,
             k=(math.pi, 0.0),
             arclength=math.pi,
-            eigenpairs=[EigenCandidate(nu=0.5 + 0j, region_side=1e-4, residual=2e-13)],
+            eigenpairs=[EigenCandidate(nu=0.5 + 0j, residual=2e-13)],
             warnings=["refinement stalled at nu = 0.5"],
         ),
     ]
@@ -205,7 +205,7 @@ def test_csv_missing_residual_written_as_nan(tmp_path):
                 index=0,
                 k=(0.0, 0.0),
                 arclength=0.0,
-                eigenpairs=[EigenCandidate(nu=0.5 + 0j, region_side=1e-4)],
+                eigenpairs=[EigenCandidate(nu=0.5 + 0j)],
             )
         ]
     )

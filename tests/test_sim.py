@@ -89,7 +89,6 @@ class FlakyFamily:
 def test_region_properties_and_validation():
     region = SearchRegion(center=0.5 + 0.25j, side=0.2)
     assert region.radius == pytest.approx(0.2 / math.sqrt(2.0), rel=1e-15)
-    assert region.diameter == pytest.approx(0.2 * math.sqrt(2.0), rel=1e-15)
     for side in (0.0, -0.1):
         with pytest.raises(ValueError):
             SearchRegion(center=0j, side=side)
@@ -410,17 +409,17 @@ def test_sim_h_deterministic_and_seed_stable():
 
 def test_dedup_merges_and_preserves():
     apart = [
-        EigenCandidate(nu=0.5 + 0j, region_side=1e-4, residual=1e-12),
-        EigenCandidate(nu=0.6 + 0j, region_side=1e-4, residual=1e-12),
+        EigenCandidate(nu=0.5 + 0j, residual=1e-12),
+        EigenCandidate(nu=0.6 + 0j, residual=1e-12),
     ]
     assert dedup(apart, tol=2e-4) == apart
     assert dedup([], tol=2e-4) == []
 
     # candidates are not averaged: the smallest residual wins, the first on ties
     refined = [
-        EigenCandidate(nu=0.5 + 0j, region_side=1e-4, residual=1e-10),
-        EigenCandidate(nu=0.50001 + 0j, region_side=2e-4, residual=1e-13),
-        EigenCandidate(nu=0.50002 + 0j, region_side=1e-4, residual=1e-13),
+        EigenCandidate(nu=0.5 + 0j, residual=1e-10),
+        EigenCandidate(nu=0.50001 + 0j, residual=1e-13),
+        EigenCandidate(nu=0.50002 + 0j, residual=1e-13),
     ]
     merged = dedup(refined, tol=2e-4)
     assert len(merged) == 1
@@ -428,16 +427,16 @@ def test_dedup_merges_and_preserves():
 
     # only refined candidates are merged
     with pytest.raises(ValueError, match="refined"):
-        dedup([EigenCandidate(nu=0.5 + 0j, region_side=1e-4)], tol=2e-4)
+        dedup([EigenCandidate(nu=0.5 + 0j)], tol=2e-4)
 
 
 def test_dedup_single_linkage_chains():
     # pairwise neighbours link transitively even though the endpoints are
     # further apart than the tolerance
     chain = [
-        EigenCandidate(nu=0.5 + 0j, region_side=1e-4, residual=1e-11),
-        EigenCandidate(nu=0.50015 + 0j, region_side=1e-4, residual=1e-12),
-        EigenCandidate(nu=0.5003 + 0j, region_side=1e-4, residual=1e-10),
+        EigenCandidate(nu=0.5 + 0j, residual=1e-11),
+        EigenCandidate(nu=0.50015 + 0j, residual=1e-12),
+        EigenCandidate(nu=0.5003 + 0j, residual=1e-10),
     ]
     merged = dedup(chain, tol=2e-4)
     assert merged == [chain[1]]
@@ -447,9 +446,9 @@ def test_dedup_single_linkage_chains():
 
 def test_dedup_sorted_output():
     items = [
-        EigenCandidate(nu=0.9 + 0j, region_side=1e-4, residual=1e-12),
-        EigenCandidate(nu=0.3 + 0.02j, region_side=1e-4, residual=1e-12),
-        EigenCandidate(nu=0.3 - 0.02j, region_side=1e-4, residual=1e-12),
+        EigenCandidate(nu=0.9 + 0j, residual=1e-12),
+        EigenCandidate(nu=0.3 + 0.02j, residual=1e-12),
+        EigenCandidate(nu=0.3 - 0.02j, residual=1e-12),
     ]
     merged = dedup(items, tol=1e-6)
     assert [c.nu for c in merged] == [0.3 - 0.02j, 0.3 + 0.02j, 0.9 + 0j]
