@@ -62,6 +62,8 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{where}' must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"'{where}' must be finite, got {value!r}")
     return float(value)
 
 
@@ -174,15 +176,13 @@ def _parse_sim(raw: dict | None) -> SimConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("'sim' must be an object")
-    allowed = {"delta0", "beta0", "m0", "seed", "initial_side", "dedup_tol", "max_retries"}
-    _reject_unknown(raw, allowed, "sim")
+    _reject_unknown(raw, {"delta0", "seed", "dedup_tol"}, "sim")
     kwargs = {}
-    for key in ("delta0", "beta0", "initial_side", "dedup_tol"):
+    for key in ("delta0", "dedup_tol"):
         if key in raw:
             kwargs[key] = _as_number(raw[key], f"sim.{key}")
-    for key in ("m0", "seed", "max_retries"):
-        if key in raw:
-            kwargs[key] = _as_int(raw[key], f"sim.{key}")
+    if "seed" in raw:
+        kwargs["seed"] = _as_int(raw["seed"], "sim.seed")
     try:
         return SimConfig(**kwargs)
     except ValueError as exc:

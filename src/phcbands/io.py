@@ -40,10 +40,9 @@ def write_bands_csv(diagram: BandDiagram, path: str | Path) -> None:
         k1, k2 = point.k
         pairs = sorted(point.eigenpairs, key=lambda c: (c.nu.real, c.nu.imag))
         for cand in pairs:
-            residual = cand.residual if cand.residual is not None else float("nan")
             lines.append(
                 f"{point.index},{_fmt(k1)},{_fmt(k2)},{_fmt(point.arclength)},"
-                f"{_fmt(cand.nu.real)},{_fmt(cand.nu.imag)},{_fmt(residual)}"
+                f"{_fmt(cand.nu.real)},{_fmt(cand.nu.imag)},{_fmt(cand.residual)}"
             )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

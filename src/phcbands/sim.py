@@ -2,7 +2,7 @@
 
 The solver never forms eigenvectors of a linearization.  The window is tiled
 with squares; for each square Omega, with circumscribing circle of radius R
-about its centre c, the trapezoid rule on m0 nodes
+about its centre c, the trapezoid rule on m0 = 16 nodes
 z_j = c + R exp(i theta_j), theta_j = 2 pi j / m0, gives the scaled moments
 of the resolvent applied to a seeded probe block V with p columns,
 
@@ -39,16 +39,16 @@ and many nodes recur, so each ``sim_h`` run keeps a ``SolveMemo`` of the
 solutions u(z) = T(z)^-1 V by contour point and factorizes a point once:
 
 - Corners.  On the first attempt the circle circumscribes the square, so
-  when m0 is a multiple of 8 the nodes j in (m0/8)*{1, 3, 5, 7} are the
-  square's corners; they are placed exactly there.  A square shares them
-  with its neighbours, and its four children's corners include its own.
+  the nodes j = 2, 6, 10, 14 are the square's corners; they are placed
+  exactly there.  A square shares them with its neighbours, and its four
+  children's corners include its own.
 - Mirror.  When the family is conjugation-symmetric, T(conj z) = T(z)^H, so
   one conjugate-transpose solve with the LU of T(z) gives u(conj z).  A
   row of t squares straddling Im nu = 0 then needs 8t + 1 factorizations
   instead of the 14t + 2 of lossy media.
 
 A hit equals a fresh solve up to rounding.  Points are matched after
-rounding their coordinates to a quantum of 2^-24 beta0, far below the node
+rounding their coordinates to a quantum of 2^-24 * 1e-4, far below the node
 spacing of any square and far above the few units in the last place by
 which two squares' arithmetic can place the same point, so a hit is u at
 the same point formed by another route.  The conjugate-transpose solve is a
@@ -60,9 +60,10 @@ only while a later square asks for it or it sits on a square's corner, and
 computes a mirror solution only for a point some square still asks for.
 Retried contours move off the square and neither use nor fill the memo.
 
-``SimConfig.delta0`` and ``beta0`` still parse, but no longer decide which
-eigenvalues are found: ``delta0`` is only validated, and ``beta0`` sets the
-default ``dedup_tol`` and the memo key quantum.
+The paper's bisection was tuned by an indicator threshold delta0 and a
+terminal square size beta0.  The block moments decide by rank instead, so
+the node count, the retries, the split rule and the key quantum are fixed
+constants here; ``SimConfig.delta0`` still parses but decides nothing.
 
 Any object with ``t_matrix(nu) -> sparse matrix`` and ``n_dofs`` works as the
 operator family, so the machinery is testable on scalar problems.  A family
@@ -84,9 +85,11 @@ from .materials import PermittivityPoleError
 from .sparse import SingularMatrixError, factorize, frobenius_norm, solve
 
 _SQRT2 = math.sqrt(2.0)
+_NODES = 16  # m0, trapezoid nodes per circle
+_MAX_RETRIES = 3  # 5 % larger circles tried after a failed factorization
 _RETRY_SCALE = 1.05
 _REFINE_SEED = 160923  # fixed start vector seed so refinement is reproducible
-_KEY_QUANTUM = 2.0**-24  # memo key resolution, in units of beta0
+_KEY_QUANTUM = 2.0**-24 * 1e-4  # memo key resolution
 _PROBE_COLUMNS = 12  # p, the probe block's width (at most n_dofs)
 _HANKEL_ORDER = 2  # H0 is order x order blocks of A_0 .. A_{2 order - 2}
 _RANK_FACTOR = 1e-6  # rank threshold, relative to the largest quadrature summand
@@ -124,48 +127,31 @@ class SearchRegion:
 class SimConfig:
     """Settings of the contour search.
 
-    m0 is the number of quadrature nodes per circle, max_retries the number
-    of 5 % larger circles tried after a failed factorization, seed draws the
-    probe block, initial_side is the side of the squares tiling the window,
-    and dedup_tol the distance below which refined eigenvalues are merged
-    (twice beta0 by default).  delta0 and beta0, the indicator threshold
-    and terminal square diameter of the paper's bisection, still parse but
-    no longer decide which eigenvalues are found: the search extracts them
-    from block moments (see the module docstring).  beta0 also scales the
-    memo's key quantum.
+    seed draws the probe block, and dedup_tol is the distance below which
+    refined eigenvalues are merged.  delta0, the indicator threshold of the
+    paper's bisection, still parses but decides nothing: the search
+    extracts eigenvalues from block moments (see the module docstring).
     """
 
     delta0: float = 0.01
-    beta0: float = 1e-4
-    m0: int = 16
-    max_retries: int = 3
     seed: int = 0
-    dedup_tol: float | None = None
-    initial_side: float = 0.1
+    dedup_tol: float = 2e-4
 
     def __post_init__(self):
-        if self.dedup_tol is None:
-            self.dedup_tol = 2.0 * self.beta0
-        if not (self.delta0 > 0):
-            raise ValueError(f"delta0 must be positive, got {self.delta0!r}")
-        if not (self.beta0 > 0):
-            raise ValueError(f"beta0 must be positive, got {self.beta0!r}")
-        if int(self.m0) != self.m0 or self.m0 < 2:
-            raise ValueError(f"m0 must be an integer >= 2, got {self.m0!r}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be nonnegative, got {self.max_retries!r}")
-        if not (self.dedup_tol >= self.beta0):
-            raise ValueError(f"dedup_tol must be >= beta0, got {self.dedup_tol!r}")
-        if not (self.initial_side > 0):
-            raise ValueError(f"initial_side must be positive, got {self.initial_side!r}")
+        if not (0 < self.delta0 < math.inf):
+            raise ValueError(f"delta0 must be positive and finite, got {self.delta0!r}")
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not (1e-4 <= self.dedup_tol < math.inf):
+            raise ValueError(f"dedup_tol must be finite and >= 1e-4, got {self.dedup_tol!r}")
 
 
 @dataclass
 class EigenCandidate:
-    """Eigenvalue estimate; residual is set once the pair has been refined."""
+    """Refined eigenvalue and the relative residual of its eigenpair."""
 
     nu: complex
-    residual: float | None = None
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -217,20 +203,20 @@ def random_probe(n_dofs: int, seed: int, columns: int | None = None) -> np.ndarr
     return g / np.linalg.norm(g, axis=0 if columns is not None else None)
 
 
-def contour_nodes(region: SearchRegion, m0: int, radius: float) -> list[tuple[complex, complex, bool]]:
-    """(phase, point, corner) of the m0 trapezoid nodes on the circle of
+def contour_nodes(region: SearchRegion, radius: float) -> list[tuple[complex, complex, bool]]:
+    """(phase, point, corner) of the 16 trapezoid nodes on the circle of
     ``radius`` about the region's centre.
 
-    On the circumscribed circle, when m0 is a multiple of 8, the nodes
-    j in (m0/8)*{1, 3, 5, 7} are the square's corners; they are formed as
-    centre + (+-side/2) + i(+-side/2) and flagged ``corner``.
+    On the circumscribed circle the nodes j = 2, 6, 10, 14 are the square's
+    corners; they are formed as centre + (+-side/2) + i(+-side/2) and
+    flagged ``corner``.
     """
-    step = m0 // 8 if m0 % 8 == 0 and radius == region.radius else 0
+    circumscribed = radius == region.radius
     half = region.side / 2.0
     nodes = []
-    for j in range(m0):
-        phase = np.exp(2j * np.pi * j / m0)
-        corner = bool(step) and j % (2 * step) == step
+    for j in range(_NODES):
+        phase = np.exp(2j * np.pi * j / _NODES)
+        corner = circumscribed and j % 4 == 2
         if corner:
             point = region.center + complex(math.copysign(half, phase.real), math.copysign(half, phase.imag))
         else:
@@ -244,22 +230,20 @@ class SolveMemo:
     one ``sim_h`` run (see the module docstring for what is shared and why).
     V is a probe vector or block."""
 
-    def __init__(self, fam, probe: np.ndarray, cfg: SimConfig):
+    def __init__(self, fam, probe: np.ndarray):
         self.probe = probe
-        self.m0 = cfg.m0
-        self.quantum = _KEY_QUANTUM * cfg.beta0
         self.mirror = bool(getattr(fam, "conjugate_symmetric", False))
         self._u: dict[tuple[int, int], np.ndarray] = {}
         self._wanted: Counter = Counter()
 
     def _key(self, z: complex) -> tuple[int, int]:
-        return (round(z.real / self.quantum), round(z.imag / self.quantum))
+        return (round(z.real / _KEY_QUANTUM), round(z.imag / _KEY_QUANTUM))
 
     def start_level(self, level: Sequence[SearchRegion]) -> None:
         """Count the first-attempt nodes of the level's squares and drop
         every solution none of them asks for."""
         self._wanted = Counter(
-            self._key(point) for region in level for _, point, _ in contour_nodes(region, self.m0, region.radius)
+            self._key(point) for region in level for _, point, _ in contour_nodes(region, region.radius)
         )
         self._u = {key: u for key, u in self._u.items() if key in self._wanted}
 
@@ -290,7 +274,7 @@ def indicator(
     region: SearchRegion,
     fam,
     probe: np.ndarray,
-    cfg: SimConfig,
+    cfg: SimConfig,  # unread; bench/tracing.py reads cfg.delta0 from this argument
     memo: SolveMemo | None = None,
     moments: ContourMoments | None = None,
 ) -> float:
@@ -300,7 +284,7 @@ def indicator(
     Given ``moments``, also fills it with the block moments of the circle
     used (see ``ContourMoments``).  A factorization failure at a quadrature
     point (an eigenvalue or a permittivity pole sitting on the circle) grows
-    the contour radius by 5 % and retries, up to cfg.max_retries times;
+    the contour radius by 5 % and retries, up to 3 times;
     after that IndicatorError.  ``memo``, built for the same family and
     probe, is consulted and filled on the first attempt only.
     """
@@ -310,13 +294,13 @@ def indicator(
     # (a reference cycle) and factorize's rejected LU until a full garbage
     # collection, so the memory of each failure would pile up
     last_error = ""
-    for attempt in range(cfg.max_retries + 1):
+    for attempt in range(_MAX_RETRIES + 1):
         radius = base_radius * _RETRY_SCALE**attempt
         shared = memo if attempt == 0 else None
         try:
             sums = np.zeros((n_moments,) + probe.shape, dtype=np.complex128)
             largest = 0.0
-            for phase, point, corner in contour_nodes(region, cfg.m0, radius):
+            for phase, point, corner in contour_nodes(region, radius):
                 u = shared.take(point, corner) if shared is not None else None
                 if u is None:
                     fact = factorize(fam.t_matrix(point))
@@ -335,14 +319,14 @@ def indicator(
             last_error = str(exc)
             continue
         if moments is not None:
-            moments.blocks = sums * (radius / cfg.m0)
+            moments.blocks = sums * (radius / _NODES)
             moments.radius = radius
             moments.scale = radius * math.sqrt(largest)
         first = sums[0] if probe.ndim == 1 else sums[0][:, 0]
-        return float(np.linalg.norm(first) * radius / cfg.m0)
+        return float(np.linalg.norm(first) * radius / _NODES)
     raise IndicatorError(
         f"indicator failed for region centred at {region.center!r} "
-        f"after {cfg.max_retries} retries: {last_error}"
+        f"after {_MAX_RETRIES} retries: {last_error}"
     )
 
 
@@ -387,7 +371,7 @@ def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimRe
     columns = min(_PROBE_COLUMNS, fam.n_dofs)
     probe = random_probe(fam.n_dofs, cfg.seed, columns=columns)
     capacity = _HANKEL_ORDER * columns
-    memo = SolveMemo(fam, probe, cfg)
+    memo = SolveMemo(fam, probe)
     level = list(initial_regions)
     starts: list[StartValue] = []
     failures: list[RegionFailure] = []
@@ -420,8 +404,6 @@ def dedup(candidates: Sequence[EigenCandidate], tol: float) -> list[EigenCandida
     if tol < 0:
         raise ValueError(f"dedup tolerance must be nonnegative, got {tol!r}")
     items = list(candidates)
-    if any(item.residual is None for item in items):
-        raise ValueError("dedup merges refined candidates only")
     parent = list(range(len(items)))
 
     def find(a: int) -> int:

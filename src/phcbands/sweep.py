@@ -43,6 +43,8 @@ class Window:
     im_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+            raise ValueError(f"search window bounds must be finite, got {self!r}")
         if not (self.re_max > self.re_min and self.im_max > self.im_min):
             raise ValueError(f"empty search window {self!r}")
 
@@ -76,6 +78,9 @@ def make_kpath(nk: int, nodes: tuple[tuple[float, float], ...] = (GAMMA, X, M, G
             points.append(((ax + t * (bx - ax), ay + t * (by - ay)), arc + t * leg))
         arc += leg
     return KPath(nodes=tuple(nodes), nk=nk, points=tuple(points))
+
+
+_TILE_SIDE = 0.1  # side of the squares that tile the search window
 
 
 def tile_window(window: Window, side: float) -> list[SearchRegion]:
@@ -120,7 +125,7 @@ def solve_at_k(
     bounds or at its pole) is dropped with a warning; the others are kept.
     """
     fam = assemble_family(mesh, pmap, k, polarization, models)
-    result = sim_h(tile_window(window, cfg.initial_side), fam, cfg)
+    result = sim_h(tile_window(window, _TILE_SIDE), fam, cfg)
     warnings = [f"region at {f.region.center!r} (side {f.region.side:g}): {f.message}" for f in result.failures]
 
     refined: list[EigenCandidate] = []

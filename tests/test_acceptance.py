@@ -94,9 +94,9 @@ def test_criterion_2_dense_oracle_equivalence():
     pmap = build_periodic_dof_map(mesh)
     models = {0: Constant(1.0), 1: Constant(8.9)}
     window = Window(0.05, 1.2, -0.02, 0.02)
-    # the lossless problem has eigenvalues with tiny indicator plateaus well
-    # below the default threshold; 1e-3 was calibrated on this mesh family
-    cfg = SimConfig(delta0=1e-3)
+    # default settings: at Gamma, X and M the search must find the dense
+    # oracle's window eigenvalues and no others, within 2e-4
+    cfg = SimConfig()
 
     details = []
     worst = 0.0
@@ -139,13 +139,13 @@ def test_criterion_4_lossy_metal_residuals_and_lowest_band(lossy_disc_x, tmp_pat
     lowest_rel = abs(low24 - low48) / abs(low48)
     lowest_ok = lowest_rel <= 0.02
 
-    # scan the apparent band gap above the lowest band at a 100x finer
-    # indicator threshold: the coarse mesh really has no spectrum there
+    # the apparent band gap above the lowest band, searched on its own with
+    # the default settings: the coarse mesh has only the lowest band there
     r = filling_fraction_to_radius(0.2827)
     models = {0: Constant(1.0), 1: LossyDrude(1.0, 0.01)}
     mesh24 = build_unit_cell_mesh(24, r)
     pmap24 = build_periodic_dof_map(mesh24)
-    gap = solve_at_k(mesh24, pmap24, X, "TM", models, Window(0.25, 0.45, -0.05, 0.05), SimConfig(delta0=1e-4))
+    gap = solve_at_k(mesh24, pmap24, X, "TM", models, Window(0.25, 0.45, -0.05, 0.05), SimConfig())
     gap_ok = len(gap.eigenpairs) == 1 and abs(gap.eigenpairs[0].nu.real - low24) <= 1e-3
 
     # qualitative band-diagram reproduction: coarse sweep over the full

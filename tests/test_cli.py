@@ -184,6 +184,37 @@ def test_oracle_size_cap_is_config_error(tmp_path, capsys):
     assert "limited to" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["beta0", "m0", "max_retries", "initial_side"])
+def test_removed_sim_keys_are_unknown(tmp_path, capsys, key):
+    raw = empty_lattice_raw(2)
+    raw["sim"] = {"seed": 0, key: 1}
+    config = write_config(tmp_path, "cfg.json", raw)
+    assert run(["solve", "--config", config, "--k", X_ARG]) == 1
+    assert f"configuration error: unknown key 'sim.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,text,key",
+    [
+        ("sim", '{"seed": -1}', "seed"),
+        ("window", '{"re_max": Infinity}', "window.re_max"),
+        ("sim", '{"dedup_tol": Infinity}', "sim.dedup_tol"),
+        ("sim", '{"delta0": NaN}', "sim.delta0"),
+    ],
+)
+def test_bad_numbers_are_configuration_errors(tmp_path, capsys, section, text, key):
+    # json parses NaN and Infinity; they and a negative seed must fail as
+    # configuration errors naming the key, not in the solver or silently
+    raw = empty_lattice_raw(2)
+    raw.pop(section, None)
+    raw = json.dumps(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{raw[:-1]}, "{section}": {text}}}', encoding="utf-8")
+    assert run(["solve", "--config", str(path), "--k", X_ARG]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+
+
 def test_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "phcbands.cli", "--version"],

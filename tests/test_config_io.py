@@ -167,8 +167,10 @@ def test_resolved_dict_is_canonical():
     resolved = resolved_dict(cfg)
     assert set(resolved) == {"polarization", "geometry", "materials", "window", "sim", "path", "outputs"}
     assert resolved["materials"]["0"] == {"variant": "constant", "eps_re": 1.0, "eps_im": 0.0}
-    assert set(resolved["sim"]) == {"delta0", "beta0", "m0", "seed", "initial_side", "dedup_tol", "max_retries"}
-    assert resolved["sim"]["dedup_tol"] == 2e-4
+    assert resolved["sim"] == {"delta0": 0.01, "seed": 0, "dedup_tol": 2e-4}
+    # the sim schema keys are exactly the SimConfig fields
+    custom = {"delta0": 0.02, "seed": 3, "dedup_tol": 3e-4}
+    assert config_from_dict(minimal_raw(sim=custom)).resolved["sim"] == custom
     json.dumps(resolved)  # must be JSON-serializable as-is
 
 
@@ -196,22 +198,6 @@ def test_csv_numeric_roundtrip(tmp_path):
     assert float(rows[2]["arclength"]) == pytest.approx(math.pi, rel=1e-11)
     assert float(rows[0]["im_nu"]) == pytest.approx(-0.002, rel=1e-11)
     assert float(rows[2]["residual"]) == pytest.approx(2e-13, rel=1e-11)
-
-
-def test_csv_missing_residual_written_as_nan(tmp_path):
-    diagram = BandDiagram(
-        points=[
-            KPointResult(
-                index=0,
-                k=(0.0, 0.0),
-                arclength=0.0,
-                eigenpairs=[EigenCandidate(nu=0.5 + 0j)],
-            )
-        ]
-    )
-    path = tmp_path / "bands.csv"
-    write_bands_csv(diagram, path)
-    assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",nan")
 
 
 def test_csv_deterministic(tmp_path):

@@ -177,7 +177,7 @@ def test_lu_paths_agree_on_disc_family(family_factory, lu_paths):
     _, _, fam = family_factory(8, 0.3, X, "TE", {0: Constant(1.0), 1: Drude(1.0, 0.01)})
     assert fam.n_dofs <= sparse._DENSE_MAX_DOFS
     region = SearchRegion(center=0.5 + 0j, side=0.1)
-    points = [z for _, z, _ in contour_nodes(region, 16, region.radius)][::4]
+    points = [z for _, z, _ in contour_nodes(region, region.radius)][::4]
     probe = random_probe(fam.n_dofs, seed=0, columns=12)
     for trans in ("N", "H"):
         solutions = [[solve(factorize_on(fam.t_matrix(z)), probe, trans=trans) for z in points] for factorize_on in lu_paths()]

@@ -39,6 +39,9 @@ def test_window_validation_and_membership():
         Window(0.7, 0.3, -0.05, 0.05)
     with pytest.raises(ValueError):
         Window(0.3, 0.7, 0.05, 0.05)
+    for bounds in ((0.3, math.inf, -0.05, 0.05), (0.3, 0.7, -math.inf, 0.05), (math.nan, 0.7, -0.05, 0.05)):
+        with pytest.raises(ValueError, match="finite"):
+            Window(*bounds)
 
 
 def test_kpath_structure():
