@@ -106,6 +106,14 @@ def _element_geometry(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 _MASS_PATTERN = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
+def check_quasimomentum(k: tuple[float, float]) -> tuple[float, float]:
+    """``k`` as two floats; ValueError unless both lie in [-pi, pi] (NaN fails)."""
+    k1, k2 = float(k[0]), float(k[1])
+    if not (abs(k1) <= math.pi + _BZ_TOL and abs(k2) <= math.pi + _BZ_TOL):
+        raise ValueError(f"quasimomentum {k!r} outside the first Brillouin zone")
+    return k1, k2
+
+
 def assemble_family(
     mesh: Mesh,
     pmap: PeriodicMap,
@@ -120,9 +128,7 @@ def assemble_family(
     """
     if polarization not in ("TE", "TM"):
         raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
-    k1, k2 = float(k[0]), float(k[1])
-    if abs(k1) > math.pi + _BZ_TOL or abs(k2) > math.pi + _BZ_TOL:
-        raise ValueError(f"quasimomentum {k!r} outside the first Brillouin zone")
+    k1, k2 = check_quasimomentum(k)
     present = set(int(t) for t in np.unique(mesh.region_of_triangle))
     missing = present - set(models)
     if missing:

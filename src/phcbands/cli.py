@@ -17,10 +17,10 @@ import sys
 from . import __version__
 from .config import ConfigError, RunConfig, config_sha256, load_config
 from .io import emit_svg, write_bands_csv, write_metadata
-from .materials import Constant, Drude
+from .materials import Constant
 from .mesh import GeometryError, build_periodic_dof_map, build_unit_cell_mesh, write_mesh_dump
 from .sweep import BandDiagram, dense_linear_oracle, drude_polynomial_oracle, solve_at_k, sweep
-from .assembly import assemble_family
+from .assembly import assemble_family, check_quasimomentum
 
 
 def _parse_k(text: str) -> tuple[float, float]:
@@ -28,9 +28,9 @@ def _parse_k(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ConfigError(f"quasimomentum must be 'k1,k2', got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        return check_quasimomentum((float(parts[0]), float(parts[1])))
     except ValueError as exc:
-        raise ConfigError(f"quasimomentum must be numeric, got {text!r}") from exc
+        raise ConfigError(f"quasimomentum must be two finite numbers in [-pi, pi], got {text!r}") from exc
 
 
 def diagram_from_config(cfg: RunConfig) -> BandDiagram:
@@ -99,14 +99,11 @@ def _cmd_oracle(args) -> int:
     mesh = build_unit_cell_mesh(cfg.geometry.n, cfg.geometry.r)
     pmap = build_periodic_dof_map(mesh)
     fam = assemble_family(mesh, pmap, k, cfg.polarization, cfg.models)
-    which = args.which
-    if which == "auto":
-        which = "dense" if all(isinstance(m, Constant) for m in cfg.models.values()) else "poly"
+    # auto: the dense oracle when every permittivity is frequency-independent
+    dense = args.which == "dense" or (args.which == "auto" and all(isinstance(m, Constant) for m in cfg.models.values()))
+    oracle = dense_linear_oracle if dense else drude_polynomial_oracle
     try:
-        if which == "dense":
-            values = dense_linear_oracle(fam, cfg.window)
-        else:
-            values = drude_polynomial_oracle(fam, cfg.window)
+        values = oracle(fam, cfg.window)
     except ValueError as exc:
         raise ConfigError(f"oracle not applicable: {exc}") from exc
     for value in values:

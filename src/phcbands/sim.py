@@ -434,24 +434,25 @@ def _residual(t_mat, v: np.ndarray) -> float:
     return float(num / denom)
 
 
-def _inverse_iterate(fam, nu: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve T(nu) w = rhs.  When nu sits exactly on an eigenvalue the
-    factorization is singular; the solve shift (and only the shift) is then
-    nudged off the eigenvalue, which turns the solve into a sharp inverse
-    iteration step."""
-    shift = nu
+def _inverse_iterate(fam, nu: complex, t_nu, rhs: np.ndarray) -> np.ndarray:
+    """Solve T(nu) w = rhs, given t_nu = T(nu).  When nu sits exactly on an
+    eigenvalue the factorization is singular; the solve shift (and only the
+    shift) is then nudged off the eigenvalue, which turns the solve into a
+    sharp inverse iteration step."""
+    t_shift = t_nu
     jitter = 1e-13 * max(1.0, abs(nu))
     last_error = ""  # the message only, as in indicator
     # escalate up to percent-scale standoff: near a defective root the
     # singular part of T grows only quadratically with the distance, so
     # eps-scale nudges leave the factorization singular
-    for _ in range(12):
+    for attempt in range(12):
+        if attempt:
+            t_shift = fam.t_matrix(nu + jitter * (1.0 + 1.0j))
+            jitter *= 10.0
         try:
-            return solve(factorize(fam.t_matrix(shift)), rhs)
+            return solve(factorize(t_shift), rhs)
         except SingularMatrixError as exc:
             last_error = str(exc)
-            shift = nu + jitter * (1.0 + 1.0j)
-            jitter *= 10.0
     raise SingularMatrixError(last_error)
 
 
@@ -468,9 +469,10 @@ def refine_eigenpair(nu0: complex, fam, tol: float = 1e-9, max_iter: int = 40) -
     either way.
     """
     nu = complex(nu0)
-    v = _inverse_iterate(fam, nu, random_probe(fam.n_dofs, _REFINE_SEED))
+    t_nu = fam.t_matrix(nu)  # T at the current nu, built once per nu
+    v = _inverse_iterate(fam, nu, t_nu, random_probe(fam.n_dofs, _REFINE_SEED))
     v = v / np.linalg.norm(v)
-    residual = _residual(fam.t_matrix(nu), v)
+    residual = _residual(t_nu, v)
     if residual == 0.0:
         return RefineResult(nu=nu, vector=v, residual=0.0, converged=True, iterations=0)
 
@@ -480,7 +482,7 @@ def refine_eigenpair(nu0: complex, fam, tol: float = 1e-9, max_iter: int = 40) -
         iterations = iteration
         fd = 1e-6 * max(1.0, abs(nu))
         t_prime = (fam.t_matrix(nu + fd) - fam.t_matrix(nu - fd)) * (1.0 / (2.0 * fd))
-        numer = np.vdot(v, fam.t_matrix(nu) @ v)
+        numer = np.vdot(v, t_nu @ v)
         denom = np.vdot(v, t_prime @ v)
         if denom == 0 or not (np.isfinite(numer) and np.isfinite(denom)):
             break
@@ -490,14 +492,15 @@ def refine_eigenpair(nu0: complex, fam, tol: float = 1e-9, max_iter: int = 40) -
         nu = nu - step
         step_size = abs(step)
 
-        w = _inverse_iterate(fam, nu, v)
+        t_nu = fam.t_matrix(nu)
+        w = _inverse_iterate(fam, nu, t_nu, v)
         with np.errstate(over="ignore"):
             norm_w = np.linalg.norm(w)
         if np.isfinite(norm_w) and norm_w > 0:
             v = w / norm_w
         # an overflowing solve means T(nu) is singular to machine precision;
         # the current v is then already the best available null vector
-        residual = _residual(fam.t_matrix(nu), v)
+        residual = _residual(t_nu, v)
         if residual <= tol and step_size <= 1e-10 * max(1.0, abs(nu)):
             return RefineResult(nu=nu, vector=v, residual=residual, converged=True, iterations=iteration)
     return RefineResult(nu=nu, vector=v, residual=residual, converged=residual <= tol, iterations=iterations)

@@ -7,8 +7,8 @@ refined; the collected eigenpairs form the band diagram.
 
 Two brute-force oracles cross-check the search on small meshes: a
 dense generalized eigensolve for frequency-independent permittivities, and a
-quartic polynomial eigensolve (via companion linearization) for a Drude rod
-in vacuum under TE polarization.
+quartic polynomial eigensolve (via companion linearization) for a Drude or
+lossy-Drude rod in vacuum, TE or TM.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import OperatorFamily, PermittivityBoundsError, assemble_family
-from .materials import Constant, Drude, PermittivityModel, PermittivityPoleError
+from .materials import Constant, Drude, LossyDrude, PermittivityModel, PermittivityPoleError
 from .mesh import Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
 from .sim import EigenCandidate, SearchRegion, SimConfig, dedup, refine_eigenpair, sim_h
 from .sparse import SingularMatrixError
@@ -230,61 +230,53 @@ def dense_linear_oracle(fam: OperatorFamily, window: Window) -> list[complex]:
 
 
 def drude_polynomial_oracle(fam: OperatorFamily, window: Window) -> list[complex]:
-    """Window eigenvalues of the TE problem with a Drude rod in vacuum via a
-    quartic polynomial eigenproblem.
+    """Window eigenvalues of a Drude or lossy-Drude rod (region 1) in vacuum
+    (region 0), TE or TM, via a quartic polynomial eigenproblem.
 
-    Multiplying the TE operator by the Drude denominator nu^2 - i nu nu_tau
+    Both rod models read eps = 1 - nu_p^2 / d with d = nu^2 - i nu_tau nu;
+    a LossyDrude(nu_p, gamma) enters as nu_tau = -gamma.  Multiplying T(nu)
+    by d (TE), or by d eps = d - nu_p^2, the denominator of 1 / eps (TM),
     clears the rational term and leaves
 
-        P(nu) = A4 nu^4 + A3 nu^3 + A2 nu^2 + A1 nu,
-        A4 = -4 pi^2 M,  A3 = 4 i pi^2 nu_tau M,
-        A2 = K + 4 pi^2 nu_p^2 M_rod,  A1 = -i nu_tau K,
+        P(nu) = A4 nu^4 + A3 nu^3 + A2 nu^2 + A1 nu + A0,
+        A4 = -4 pi^2 M,  A3 = 4 i pi^2 nu_tau M,  A1 = -i nu_tau K,
+        TE: A2 = K + 4 pi^2 nu_p^2 M_rod,  A0 = 0,
+        TM: A2 = K + 4 pi^2 nu_p^2 M,      A0 = -nu_p^2 K_bg,
 
-    with M the total mass matrix and M_rod the rod-region mass matrix.  The
-    companion linearization is solved densely; the spurious roots at nu = 0
-    and nu = i nu_tau introduced by the multiplication fall outside any
-    window with re_min > 0.
+    with K and M the total momentum form and mass, K_bg the background's
+    momentum form and M_rod the rod's mass.  The companion linearization is
+    solved densely.  The multiplication adds roots where the multiplier
+    vanishes (nu = 0 and i nu_tau for TE; the zeros of eps(nu) for TM, where
+    P = nu_p^2 K_rod is singular); roots within 1e-6 of those points are
+    dropped, as are roots with Re nu < 0.
     """
     _require_dense_size(fam.n_dofs, POLY_ORACLE_MAX_DOFS, "polynomial oracle")
-    if fam.polarization != "TE":
-        raise ValueError("drude_polynomial_oracle applies to the TE form only")
     background = fam.models.get(0)
     rod = fam.models.get(1)
     if not (isinstance(background, Constant) and complex(background.eps) == 1.0 + 0.0j):
         raise ValueError("drude_polynomial_oracle needs a vacuum background (Constant 1)")
-    if not isinstance(rod, Drude):
-        raise ValueError("drude_polynomial_oracle needs a Drude rod model")
+    if not isinstance(rod, (Drude, LossyDrude)):
+        raise ValueError("drude_polynomial_oracle needs a Drude or LossyDrude rod model")
+    nu_p, nu_tau = rod.nu_p, (rod.nu_tau if isinstance(rod, Drude) else -rod.gamma)
 
-    size = fam.n_dofs
-    eye = np.eye(size, dtype=np.complex128)
-    zero = np.zeros((size, size), dtype=np.complex128)
     kmat = fam.momentum_form_total.toarray()
     mass = fam.mass_total.toarray()
-    mass_rod = fam.mass[1].toarray()
     four_pi_sq = 4.0 * math.pi**2
-    a4 = -four_pi_sq * mass
-    a3 = 4j * math.pi**2 * rod.nu_tau * mass
-    a2 = kmat + four_pi_sq * rod.nu_p**2 * mass_rod
-    a1 = -1j * rod.nu_tau * kmat
-    a0 = zero
+    if fam.polarization == "TE":
+        a2 = kmat + four_pi_sq * nu_p**2 * fam.mass[1].toarray()
+        a0 = np.zeros_like(kmat)
+        artificial = [0.0, 1j * nu_tau]
+    else:
+        a2 = kmat + four_pi_sq * nu_p**2 * mass
+        a0 = -(nu_p**2) * fam.momentum_form[0].toarray()
+        artificial = np.roots([1.0, -1j * nu_tau, -(nu_p**2)])
+    coeffs = [a0, -1j * nu_tau * kmat, a2, 4j * math.pi**2 * nu_tau * mass]
 
-    lhs = np.block(
-        [
-            [zero, eye, zero, zero],
-            [zero, zero, eye, zero],
-            [zero, zero, zero, eye],
-            [-a0, -a1, -a2, -a3],
-        ]
-    )
-    rhs = np.block(
-        [
-            [eye, zero, zero, zero],
-            [zero, eye, zero, zero],
-            [zero, zero, eye, zero],
-            [zero, zero, zero, a4],
-        ]
-    )
-    lam = scipy.linalg.eigvals(lhs, rhs)
-    keep = [complex(z) for z in lam if np.isfinite(z) and z.real >= 0.0 and window.contains(z)]
-    keep.sort(key=lambda z: (z.real, z.imag))
-    return keep
+    size = fam.n_dofs
+    lhs = np.eye(4 * size, k=size, dtype=np.complex128)  # identity blocks above the diagonal
+    lhs[3 * size :] = -np.hstack(coeffs)
+    rhs = np.eye(4 * size, dtype=np.complex128)
+    rhs[3 * size :, 3 * size :] = -four_pi_sq * mass
+    roots = [complex(z) for z in scipy.linalg.eigvals(lhs, rhs) if np.isfinite(z) and z.real >= 0.0]
+    keep = [z for z in roots if window.contains(z) and min(abs(z - a) for a in artificial) > 1e-6]
+    return sorted(keep, key=lambda z: (z.real, z.imag))

@@ -1,17 +1,15 @@
 """Shared fixtures: cached operator families, scalar test families, the
-analytic empty-lattice reference spectrum, an independent monolithic
-assembly of the operator, and a dense quartic oracle for a Drude rod in
-TE and TM."""
+analytic empty-lattice reference spectrum, and an independent monolithic
+assembly of the operator."""
 
 import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 
-from phcbands.assembly import OperatorFamily, assemble_family
-from phcbands.materials import Constant, Drude, PermittivityModel, eval_eps
+from phcbands.assembly import assemble_family
+from phcbands.materials import Constant, PermittivityModel, eval_eps
 from phcbands.mesh import Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
 from phcbands.sparse import from_triplet_arrays
 
@@ -133,51 +131,3 @@ def direct_assembly_check(
                 vals.append(local[m, n])
     return from_triplet_arrays(n_dofs, n_dofs, np.array(rows), np.array(cols), np.array(vals))
 
-
-def drude_rod_quartic_roots(fam: OperatorFamily, window) -> list[complex]:
-    """Window roots of T(nu) for a Drude rod (region 1) in vacuum (region 0),
-    TE or TM, by a dense companion linearization.
-
-    With d = nu^2 - i nu nu_tau, the denominator of the rod's eps, T(nu)
-    times d (TE) or times d eps = d - nu_p^2, the denominator of 1 / eps
-    (TM), is the quartic P(nu) = A4 nu^4 + A3 nu^3 + A2 nu^2 + A1 nu + A0:
-
-        A4 = -4 pi^2 M,  A3 = 4 i pi^2 nu_tau M,  A1 = -i nu_tau K,
-        TE: A2 = K + 4 pi^2 nu_p^2 M_rod,  A0 = 0,
-        TM: A2 = K + 4 pi^2 nu_p^2 M,      A0 = -nu_p^2 K_bg,
-
-    with K and M the total momentum form and mass, K_bg the background's
-    momentum form and M_rod the rod's mass.  The multiplication adds roots
-    where the multiplier vanishes (nu = 0 and i nu_tau for TE, eps(nu) = 0
-    for TM, where P = nu_p^2 K_rod is singular); roots within 1e-6 of those
-    points are dropped.
-    """
-    rod = fam.models[1]
-    if not (isinstance(rod, Drude) and fam.models[0] == Constant(1.0)):
-        raise ValueError("drude_rod_quartic_roots needs a Drude rod in vacuum")
-    nu_p, nu_tau = rod.nu_p, rod.nu_tau
-    kmat = fam.momentum_form_total.toarray()
-    mass = fam.mass_total.toarray()
-    four_pi_sq = 4.0 * math.pi**2
-    if fam.polarization == "TE":
-        a2 = kmat + four_pi_sq * nu_p**2 * fam.mass[1].toarray()
-        a0 = np.zeros_like(kmat)
-        artificial = [0.0, 1j * nu_tau]
-    else:
-        a2 = kmat + four_pi_sq * nu_p**2 * mass
-        a0 = -(nu_p**2) * fam.momentum_form[0].toarray()
-        artificial = list(np.roots([1.0, -1j * nu_tau, -(nu_p**2)]))
-    coeffs = [a0, -1j * nu_tau * kmat, a2, 4j * math.pi**2 * nu_tau * mass]
-
-    size = fam.n_dofs
-    eye = np.eye(size, dtype=np.complex128)
-    lhs = np.zeros((4 * size, 4 * size), dtype=np.complex128)
-    rhs = np.eye(4 * size, dtype=np.complex128)
-    for block in range(3):
-        lhs[block * size : (block + 1) * size, (block + 1) * size : (block + 2) * size] = eye
-    for block, coeff in enumerate(coeffs):
-        lhs[3 * size :, block * size : (block + 1) * size] = -coeff
-    rhs[3 * size :, 3 * size :] = -four_pi_sq * mass
-    roots = [complex(z) for z in scipy.linalg.eigvals(lhs, rhs) if np.isfinite(z)]
-    keep = [z for z in roots if window.contains(z) and min(abs(z - a) for a in artificial) > 1e-6]
-    return sorted(keep, key=lambda z: (z.real, z.imag))

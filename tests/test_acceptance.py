@@ -24,7 +24,7 @@ from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_
 from phcbands.sim import SearchRegion, SimConfig, indicator, random_probe
 from phcbands.sweep import Window, dense_linear_oracle, drude_polynomial_oracle, make_kpath, solve_at_k, sweep
 
-from conftest import GAMMA, M, X, DiagonalFamily, direct_assembly_check, drude_rod_quartic_roots
+from conftest import GAMMA, M, X, DiagonalFamily, direct_assembly_check
 
 
 def _report(criterion: int, passed: bool, detail: str) -> None:
@@ -317,7 +317,7 @@ def test_criterion_6_structural_invariants(tmp_path):
 def test_criterion_7_metal_rod_cli_sweeps(tmp_path):
     details = []
     ok = True
-    # Every root of the dense quartic linearization in the window (19 TE and
+    # Every root of drude_polynomial_oracle in the window (19 TE and
     # 63 TM over the four k-points of the circle-fitted n=8 mesh; the TM
     # interface modes gather at 0.42-0.49, where eps ~ -1, many in close
     # pairs) must have a CSV row within dedup_tol at its k-point, and every
@@ -355,7 +355,7 @@ def test_criterion_7_metal_rod_cli_sweeps(tmp_path):
         n_roots = missed = spurious = 0
         for index, (k, _) in enumerate(make_kpath(cfg.nk).points):
             fam = assemble_family(mesh, pmap, k, cfg.polarization, cfg.models)
-            roots = drude_rod_quartic_roots(fam, cfg.window)
+            roots = drude_polynomial_oracle(fam, cfg.window)
             found = [complex(float(row[4]), float(row[5])) for row in rows if int(row[0]) == index]
             tol = cfg.sim.dedup_tol
             n_roots += len(roots)

@@ -277,6 +277,8 @@ def test_assembly_validation():
     with pytest.raises(ValueError):
         assemble_family(mesh, pmap, (4.0, 0.0), "TE", TWO_REGION)
     with pytest.raises(ValueError):
+        assemble_family(mesh, pmap, (math.nan, 0.0), "TE", TWO_REGION)  # NaN fails the zone check
+    with pytest.raises(ValueError):
         assemble_family(mesh, pmap, X, "TE", {0: Constant(1.0)})  # missing disc model
     # the Brillouin zone boundary itself is admissible
     fam = assemble_family(mesh, pmap, (math.pi, -math.pi), "TE", TWO_REGION)

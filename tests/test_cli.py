@@ -10,7 +10,7 @@ import pytest
 from phcbands.assembly import assemble_family
 from phcbands.cli import run
 from phcbands.io import CSV_HEADER
-from phcbands.materials import Constant, Drude
+from phcbands.materials import Constant, Drude, LossyDrude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
 from phcbands.sweep import Window, drude_polynomial_oracle
 
@@ -92,9 +92,13 @@ def test_solve_prints_plane_wave_band(tmp_path, capsys):
 
 
 def test_solve_rejects_bad_k(tmp_path, capsys):
+    # a k outside the zone is a usage error, on solve and on oracle alike;
+    # NaN must not slip past the zone check into the solver
     config = write_config(tmp_path, "cfg.json", empty_lattice_raw(4))
-    assert run(["solve", "--config", config, "--k", "1.0"]) == 1
-    assert run(["solve", "--config", config, "--k", "a,b"]) == 1
+    for command in ("solve", "oracle"):
+        for k in ("1.0", "a,b", "nan,0", "4,0", "inf,0"):
+            assert run([command, "--config", config, "--k", k]) == 1
+            assert "configuration error: quasimomentum must be" in capsys.readouterr().err
 
 
 def test_sweep_end_to_end(tmp_path):
@@ -156,18 +160,20 @@ def test_oracle_dense(tmp_path, capsys):
 
 
 def test_oracle_poly(tmp_path, capsys):
-    raw = drude_raw()
-    config = write_config(tmp_path, "cfg.json", raw)
-    assert run(["oracle", "--config", config, "--k", X_ARG, "--which", "poly"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    printed = [complex(*map(float, line.split())) for line in lines]
-
-    mesh = build_unit_cell_mesh(raw["geometry"]["n"], raw["geometry"]["r"])
-    models = {0: Constant(1.0), 1: Drude(1.0, 0.01)}
-    fam = assemble_family(mesh, build_periodic_dof_map(mesh), (math.pi, 0.0), "TE", models)
-    expected = drude_polynomial_oracle(fam, Window(**raw["window"]))
-    assert len(expected) == 2
-    assert printed == pytest.approx(expected, rel=1e-11)
+    # a TE Drude and a TM lossy-Drude rod, by --which poly and by auto
+    te = drude_raw()
+    tm = {**te, "polarization": "TM", "material": {"variant": "lossy_drude", "nu_p": 1.0, "gamma": 0.01}}
+    mesh = build_unit_cell_mesh(te["geometry"]["n"], te["geometry"]["r"])
+    pmap = build_periodic_dof_map(mesh)
+    for raw, rod, count in ((te, Drude(1.0, 0.01), 2), (tm, LossyDrude(1.0, 0.01), 10)):
+        config = write_config(tmp_path, "cfg.json", raw)
+        fam = assemble_family(mesh, pmap, (math.pi, 0.0), raw["polarization"], {0: Constant(1.0), 1: rod})
+        expected = drude_polynomial_oracle(fam, Window(**raw["window"]))
+        assert len(expected) == count
+        for which in (["--which", "poly"], []):
+            assert run(["oracle", "--config", config, "--k", X_ARG, *which]) == 0
+            printed = [complex(*map(float, line.split())) for line in capsys.readouterr().out.splitlines()]
+            assert printed == pytest.approx(expected, rel=1e-11)
 
 
 def test_oracle_mismatch_is_config_error(tmp_path, capsys):

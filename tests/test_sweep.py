@@ -9,8 +9,8 @@ import scipy.linalg
 
 import phcbands.sweep
 from phcbands.assembly import PermittivityBoundsError, assemble_family
-from phcbands.materials import Constant, Drude, PermittivityPoleError
-from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
+from phcbands.materials import Constant, Drude, LossyDrude, PermittivityPoleError, normalize_physical_drude
+from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
 from phcbands.sim import SearchRegion, SimConfig, StartValue
 from phcbands.sparse import SingularMatrixError
 from phcbands.sweep import (
@@ -352,13 +352,54 @@ def test_poly_oracle_lossless_roots_are_real(family_factory):
     linear = [nu for nu in np.sqrt(np.clip(lam, 0.0, None) / four_pi_sq) if win.contains(nu)]
     assert len(linear) == 2
     assert [v.real for v in vals] == pytest.approx(linear, abs=1e-10)
+    # and TM times nu^2 - nu_p^2 is a quadratic pencil in lam = nu^2,
+    # -4 pi^2 lam^2 M + lam (K_bg + K_rod + 4 pi^2 nu_p^2 M) - nu_p^2 K_bg,
+    # whose root lam = nu_p^2 is artificial
+    for n, expected in ((4, 10), (8, 21)):
+        _, _, fam = family_factory(n, 0.3, X, "TM", {0: Constant(1.0), 1: Drude(0.7, 0.0)})
+        mass = fam.mass_total.toarray()
+        k_bg = fam.momentum_form[0].toarray()
+        q1 = k_bg + fam.momentum_form[1].toarray() + four_pi_sq * 0.7**2 * mass
+        eye = np.eye(fam.n_dofs)
+        zero = np.zeros_like(eye)
+        lam = scipy.linalg.eigvals(
+            np.block([[zero, eye], [0.7**2 * k_bg, -q1]]), np.block([[eye, zero], [zero, -four_pi_sq * mass]])
+        )
+        nus = np.sqrt(lam[np.isfinite(lam)].astype(np.complex128))
+        quadratic = sorted((complex(nu) for nu in nus if win.contains(nu) and abs(nu - 0.7) > 1e-6), key=lambda z: z.real)
+        vals = drude_polynomial_oracle(fam, win)
+        assert len(vals) == len(quadratic) == expected
+        assert max(abs(a - b) for a, b in zip(vals, quadratic)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+@pytest.mark.parametrize("rod", [Drude(1.0, 0.01), LossyDrude(1.0, 0.01)])
+def test_poly_oracle_roots_are_singular_points(family_factory, n, polarization, rod):
+    # every returned root makes the rational operator T(nu) itself singular,
+    # for both rod models (LossyDrude enters as nu_tau = -gamma)
+    win = Window(0.1, 1.2, -0.05, 0.05)
+    _, _, fam = family_factory(n, 0.3, X, polarization, {0: Constant(1.0), 1: rod})
+    sigmas = [scipy.linalg.svdvals(fam.t_matrix(nu).toarray()) for nu in drude_polynomial_oracle(fam, win)]
+    assert sigmas and max(s[-1] / s[0] for s in sigmas) <= 1e-12
+
+
+def test_poly_oracle_drops_tm_roots_at_eps_zero():
+    # criterion 7's TM rod at Gamma: multiplying T by d eps adds the zero
+    # of eps once per null vector of the rod's momentum form (56 of the 72
+    # DOFs), inside the window; none of those copies may be returned
+    rod = normalize_physical_drude(2.0 * math.pi * 1914e12, 2.0 * math.pi * 8.34e12, 1e-7)
+    mesh = build_unit_cell_mesh(8, filling_fraction_to_radius(0.1256))
+    fam = assemble_family(mesh, build_periodic_dof_map(mesh), GAMMA, "TM", {0: Constant(1.0), 1: rod})
+    (eps_zero,) = [z for z in np.roots([1.0, -1j * rod.nu_tau, -(rod.nu_p**2)]) if z.real > 0]
+    assert eps_zero == pytest.approx(0.63844 + 0.00139j, abs=1e-5)
+    assert fam.n_dofs - np.linalg.matrix_rank(fam.momentum_form[1].toarray()) == 56
+    vals = drude_polynomial_oracle(fam, Window(0.05, 1.2, -0.05, 0.05))
+    assert len(vals) == 15 and min(abs(v - eps_zero) for v in vals) > 1e-3
 
 
 def test_poly_oracle_validation(family_factory):
     win = Window(0.1, 1.2, -0.05, 0.05)
-    _, _, tm = family_factory(4, 0.3, X, "TM", {0: Constant(1.0), 1: Drude(1.0, 0.01)})
-    with pytest.raises(ValueError):
-        drude_polynomial_oracle(tm, win)
     _, _, bad_bg = family_factory(4, 0.3, X, "TE", {0: Constant(2.0), 1: Drude(1.0, 0.01)})
     with pytest.raises(ValueError):
         drude_polynomial_oracle(bad_bg, win)
