@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .materials import PermittivityModel, check_bounds, eval_eps, is_conjugate_symmetric
+from .materials import ABS_CAP, ABS_FLOOR, PermittivityModel, eval_eps, is_conjugate_symmetric
 from .mesh import Mesh, PeriodicMap
 from .sparse import from_triplet_arrays
 
@@ -222,9 +222,9 @@ def build_T(fam: OperatorFamily, nu: complex) -> sp.csc_matrix:
     TM:  sum_rho eps_rho(nu)^-1 K_rho(k) - (2 pi nu)^2 M
 
     The terms are summed in the order written, regions in ascending tag
-    order, on the family's shared pattern.  For TM every region's
-    permittivity must pass its admissibility bounds at ``nu``; a violation
-    raises PermittivityBoundsError.
+    order, on the family's shared pattern.  For TM every region's |eps(nu)|
+    must lie in [ABS_FLOOR, ABS_CAP]; outside it PermittivityBoundsError is
+    raised.  Either form raises PermittivityPoleError at a pole of eps.
     """
     nu = complex(nu)
     scale = (2.0 * math.pi * nu) ** 2
@@ -238,10 +238,10 @@ def build_T(fam: OperatorFamily, nu: complex) -> sp.csc_matrix:
         coeffs = []
         datas = []
         for region in fam.regions:
-            model = fam.models[region]
-            if not check_bounds(model, nu):
+            eps = eval_eps(fam.models[region], nu)
+            if not (ABS_FLOOR <= abs(eps) <= ABS_CAP):
                 raise PermittivityBoundsError(f"region {region} permittivity out of bounds at nu = {nu!r}")
-            coeffs.append(1.0 / eval_eps(model, nu))
+            coeffs.append(1.0 / eps)
             datas.append(fam.momentum_form[region].data)
         coeffs.append(-scale)
         datas.append(fam.mass_total.data)

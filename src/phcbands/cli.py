@@ -99,8 +99,9 @@ def _cmd_oracle(args) -> int:
     mesh = build_unit_cell_mesh(cfg.geometry.n, cfg.geometry.r)
     pmap = build_periodic_dof_map(mesh)
     fam = assemble_family(mesh, pmap, k, cfg.polarization, cfg.models)
-    # auto: the dense oracle when every permittivity is frequency-independent
-    dense = args.which == "dense" or (args.which == "auto" and all(isinstance(m, Constant) for m in cfg.models.values()))
+    # the dense oracle when every permittivity is frequency-independent,
+    # else the quartic one for the Drude or lossy-Drude rod
+    dense = all(isinstance(m, Constant) for m in cfg.models.values())
     oracle = dense_linear_oracle if dense else drude_polynomial_oracle
     try:
         values = oracle(fam, cfg.window)
@@ -131,7 +132,6 @@ def run(argv: list[str]) -> int:
     p_oracle = sub.add_parser("oracle", help="dense reference eigenvalues")
     p_oracle.add_argument("--config", required=True)
     p_oracle.add_argument("--k", default="0,0", help="quasimomentum 'k1,k2'")
-    p_oracle.add_argument("--which", choices=("auto", "dense", "poly"), default="auto")
 
     try:
         args = parser.parse_args(argv)

@@ -6,6 +6,11 @@ solver's units (a = c = 1) the physical factor (omega / c)^2 equals
 (2 pi nu)^2.  Dispersive models are expressed directly in nu, which makes
 them scale-free: physical Drude parameters are converted once via
 :func:`normalize_physical_drude`.
+
+Every model shares one admissible range for |eps|, [ABS_FLOOR, ABS_CAP] =
+[1e-8, 1e12].  A Constant outside it is rejected when it is made; a
+dispersive model leaves it only near a zero or a pole, where the TM form,
+which divides by eps, refuses that frequency.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ from typing import Union
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
-# Default admissibility bounds on |eps|.  Values outside reject a frequency
-# for the forms that divide by eps.
-DEFAULT_ABS_FLOOR = 1e-8
-DEFAULT_ABS_CAP = 1e12
+# admissible range of |eps| (see the module docstring)
+ABS_FLOOR = 1e-8
+ABS_CAP = 1e12
 
 
 class PermittivityPoleError(ArithmeticError):
@@ -31,12 +35,9 @@ class Constant:
     """Non-dispersive permittivity eps(nu) = eps."""
 
     eps: complex
-    abs_floor: float = DEFAULT_ABS_FLOOR
-    abs_cap: float = DEFAULT_ABS_CAP
 
     def __post_init__(self):
-        _check_bound_fields(self.abs_floor, self.abs_cap)
-        if not (self.abs_floor <= abs(self.eps) <= self.abs_cap):
+        if not (ABS_FLOOR <= abs(self.eps) <= ABS_CAP):
             raise ValueError(f"constant permittivity magnitude {abs(self.eps)!r} outside admissible bounds")
 
 
@@ -50,15 +51,10 @@ class Drude:
 
     nu_p: float
     nu_tau: float = 0.0
-    abs_floor: float = DEFAULT_ABS_FLOOR
-    abs_cap: float = DEFAULT_ABS_CAP
 
     def __post_init__(self):
-        _check_bound_fields(self.abs_floor, self.abs_cap)
-        if self.nu_p < 0:
-            raise ValueError(f"plasma frequency must be nonnegative, got {self.nu_p!r}")
-        if self.nu_tau < 0:
-            raise ValueError(f"collision frequency must be nonnegative, got {self.nu_tau!r}")
+        _check_rate("plasma frequency", self.nu_p)
+        _check_rate("collision frequency", self.nu_tau)
 
 
 @dataclass(frozen=True)
@@ -70,23 +66,19 @@ class LossyDrude:
 
     nu_p: float
     gamma: float = 0.0
-    abs_floor: float = DEFAULT_ABS_FLOOR
-    abs_cap: float = DEFAULT_ABS_CAP
 
     def __post_init__(self):
-        _check_bound_fields(self.abs_floor, self.abs_cap)
-        if self.nu_p < 0:
-            raise ValueError(f"plasma frequency must be nonnegative, got {self.nu_p!r}")
-        if self.gamma < 0:
-            raise ValueError(f"damping rate must be nonnegative, got {self.gamma!r}")
+        _check_rate("plasma frequency", self.nu_p)
+        _check_rate("damping rate", self.gamma)
 
 
 PermittivityModel = Union[Constant, Drude, LossyDrude]
 
 
-def _check_bound_fields(floor: float, cap: float) -> None:
-    if not (0.0 < floor < cap):
-        raise ValueError(f"admissibility bounds must satisfy 0 < floor < cap, got {floor!r}, {cap!r}")
+def _check_rate(what: str, value: float) -> None:
+    # the negated test also rejects NaN, for which every comparison is False
+    if not (0.0 <= value < math.inf):
+        raise ValueError(f"{what} must be nonnegative and finite, got {value!r}")
 
 
 def eval_eps(model: PermittivityModel, nu: complex) -> complex:
@@ -110,18 +102,6 @@ def eval_eps(model: PermittivityModel, nu: complex) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise PermittivityPoleError(f"permittivity overflow near pole at nu = {nu!r}")
     return value
-
-
-def check_bounds(model: PermittivityModel, nu: complex) -> bool:
-    """True when |eps(nu)| lies within the model's admissibility bounds.
-
-    A pole of the model reports False rather than raising.
-    """
-    try:
-        value = eval_eps(model, nu)
-    except PermittivityPoleError:
-        return False
-    return model.abs_floor <= abs(value) <= model.abs_cap
 
 
 def is_conjugate_symmetric(model: PermittivityModel) -> bool:

@@ -80,17 +80,6 @@ class Mesh:
     n: int
     r: float
 
-    def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def tagged_area(self, region: int) -> float:
-        """Total area of the triangles carrying the given region tag."""
-        mask = self.region_of_triangle == region
-        return float(self.signed_areas()[mask].sum())
-
 
 @dataclass(frozen=True)
 class PeriodicMap:

@@ -95,6 +95,8 @@ _HANKEL_ORDER = 2  # H0 is order x order blocks of A_0 .. A_{2 order - 2}
 _RANK_FACTOR = 1e-6  # rank threshold, relative to the largest quadrature summand
 _MIN_SIDE = 0.0125  # squares are split no finer than this
 _TILE_SLACK = 1e-9  # a refined value may leave its closed square by this much
+_REFINE_TOL = 1e-9  # relative residual at which refinement counts as converged
+_REFINE_MAX_ITER = 40  # Newton steps before refinement gives up
 
 
 class IndicatorError(RuntimeError):
@@ -117,9 +119,9 @@ class SearchRegion:
         """Radius of the circumscribing circle (half the diagonal)."""
         return self.side / _SQRT2
 
-    def contains(self, nu: complex, slack: float = _TILE_SLACK) -> bool:
-        """Whether nu lies in the closed square grown by ``slack``."""
-        reach = self.side / 2.0 + slack
+    def contains(self, nu: complex) -> bool:
+        """Whether nu lies in the closed square grown by 1e-9."""
+        reach = self.side / 2.0 + _TILE_SLACK
         return abs(nu.real - self.center.real) <= reach and abs(nu.imag - self.center.imag) <= reach
 
 
@@ -174,15 +176,12 @@ class ContourMoments:
 
 
 @dataclass
-class RegionFailure:
-    region: SearchRegion
-    message: str
-
-
-@dataclass
 class SimResult:
+    """Start values of every square, and one warning per square whose
+    moments failed."""
+
     candidates: list[StartValue]
-    failures: list[RegionFailure] = field(default_factory=list)
+    failures: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -228,7 +227,7 @@ def contour_nodes(region: SearchRegion, radius: float) -> list[tuple[complex, co
 class SolveMemo:
     """Solutions u(z) = T(z)^-1 V at contour points, shared by the squares of
     one ``sim_h`` run (see the module docstring for what is shared and why).
-    V is a probe vector or block."""
+    V is the probe block."""
 
     def __init__(self, fam, probe: np.ndarray):
         self.probe = probe
@@ -278,10 +277,12 @@ def indicator(
     memo: SolveMemo | None = None,
     moments: ContourMoments | None = None,
 ) -> float:
-    """Contour-integral indicator ||A_0 g|| of ``region`` for the probe
-    vector g, or for the first column of a probe block.
+    """Contour-integral indicator ||A_0 g|| of ``region``, the paper's
+    spectral indicator, for the first column g of the (n_dofs, p) probe
+    block.
 
-    Given ``moments``, also fills it with the block moments of the circle
+    Every call forms the block moments A_0 .. A_3 and the rank scale;
+    given ``moments``, it is filled with them and the radius of the circle
     used (see ``ContourMoments``).  A factorization failure at a quadrature
     point (an eigenvalue or a permittivity pole sitting on the circle) grows
     the contour radius by 5 % and retries, up to 3 times;
@@ -289,7 +290,6 @@ def indicator(
     probe, is consulted and filled on the first attempt only.
     """
     base_radius = region.radius
-    n_moments = 2 * _HANKEL_ORDER if moments is not None else 1
     # only the message is kept: a kept exception's traceback holds this frame
     # (a reference cycle) and factorize's rejected LU until a full garbage
     # collection, so the memory of each failure would pile up
@@ -298,7 +298,7 @@ def indicator(
         radius = base_radius * _RETRY_SCALE**attempt
         shared = memo if attempt == 0 else None
         try:
-            sums = np.zeros((n_moments,) + probe.shape, dtype=np.complex128)
+            sums = np.zeros((2 * _HANKEL_ORDER,) + probe.shape, dtype=np.complex128)
             largest = 0.0
             for phase, point, corner in contour_nodes(region, radius):
                 u = shared.take(point, corner) if shared is not None else None
@@ -308,13 +308,11 @@ def indicator(
                     if shared is not None:
                         shared.store(point, corner, u, fact)
                 weight = phase
-                for q in range(n_moments):
+                for q in range(2 * _HANKEL_ORDER):
                     sums[q] += weight * u
                     weight *= phase
-                if moments is not None:
-                    columns = u.reshape(len(u), -1)
-                    # ||u||_2^2 is the largest eigenvalue of the small Gram matrix
-                    largest = max(largest, float(np.linalg.eigvalsh(columns.conj().T @ columns)[-1]))
+                # ||u||_2^2 is the largest eigenvalue of the small Gram matrix
+                largest = max(largest, float(np.linalg.eigvalsh(u.conj().T @ u)[-1]))
         except (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError) as exc:
             last_error = str(exc)
             continue
@@ -322,8 +320,7 @@ def indicator(
             moments.blocks = sums * (radius / _NODES)
             moments.radius = radius
             moments.scale = radius * math.sqrt(largest)
-        first = sums[0] if probe.ndim == 1 else sums[0][:, 0]
-        return float(np.linalg.norm(first) * radius / _NODES)
+        return float(np.linalg.norm(sums[0][:, 0]) * radius / _NODES)
     raise IndicatorError(
         f"indicator failed for region centred at {region.center!r} "
         f"after {_MAX_RETRIES} retries: {last_error}"
@@ -365,8 +362,8 @@ def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimRe
     used for the entire run, with one ``SolveMemo`` that factorizes each
     shared contour point once.  Returns every square's start values,
     unmerged: each is to be refined and kept only if it stays in its square.
-    Regions whose moments fail hard are recorded in the result and skipped;
-    the search itself continues.
+    A square whose moments fail hard is skipped with a warning in
+    ``failures``; the search itself continues.
     """
     columns = min(_PROBE_COLUMNS, fam.n_dofs)
     probe = random_probe(fam.n_dofs, cfg.seed, columns=columns)
@@ -374,7 +371,7 @@ def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimRe
     memo = SolveMemo(fam, probe)
     level = list(initial_regions)
     starts: list[StartValue] = []
-    failures: list[RegionFailure] = []
+    failures: list[str] = []
     while level:
         memo.start_level(level)
         next_level: list[SearchRegion] = []
@@ -383,7 +380,7 @@ def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimRe
             try:
                 indicator(region, fam, probe, cfg, memo=memo, moments=moments)
             except IndicatorError as exc:
-                failures.append(RegionFailure(region, str(exc)))
+                failures.append(f"region at {region.center!r} (side {region.side:g}): {exc}")
                 continue
             rank, values = hankel_rank_and_values(moments, region.center)
             if rank >= capacity - 1 and region.side / 2.0 >= _MIN_SIDE:
@@ -456,17 +453,17 @@ def _inverse_iterate(fam, nu: complex, t_nu, rhs: np.ndarray) -> np.ndarray:
     raise SingularMatrixError(last_error)
 
 
-def refine_eigenpair(nu0: complex, fam, tol: float = 1e-9, max_iter: int = 40) -> RefineResult:
+def refine_eigenpair(nu0: complex, fam) -> RefineResult:
     """Polish an eigenvalue estimate by inverse iteration with Newton updates.
 
-    Each sweep solves T(nu) w = v to sharpen the eigenvector, then moves nu
-    by the one-dimensional Newton step on the Rayleigh functional
-    v^H T(nu) v / v^H T'(nu) v, T' taken as a central finite difference with
-    step 1e-6 * max(1, |nu|).  Converged means the relative residual
-    ||T v|| / (||T||_F ||v||) dropped to tol and the eigenvalue stopped
-    moving (the residual alone is a poor stop near nu = 0, where the
-    operator depends on nu quadratically); the last iterate is returned
-    either way.
+    Each of at most 40 sweeps solves T(nu) w = v to sharpen the
+    eigenvector, then moves nu by the one-dimensional Newton step on the
+    Rayleigh functional v^H T(nu) v / v^H T'(nu) v, T' taken as a central
+    finite difference with step 1e-6 * max(1, |nu|).  Converged means the
+    relative residual ||T v|| / (||T||_F ||v||) dropped to 1e-9 and the
+    eigenvalue stopped moving (the residual alone is a poor stop near
+    nu = 0, where the operator depends on nu quadratically); the last
+    iterate is returned either way.
     """
     nu = complex(nu0)
     t_nu = fam.t_matrix(nu)  # T at the current nu, built once per nu
@@ -478,7 +475,7 @@ def refine_eigenpair(nu0: complex, fam, tol: float = 1e-9, max_iter: int = 40) -
 
     step_size = math.inf
     iterations = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _REFINE_MAX_ITER + 1):
         iterations = iteration
         fd = 1e-6 * max(1.0, abs(nu))
         t_prime = (fam.t_matrix(nu + fd) - fam.t_matrix(nu - fd)) * (1.0 / (2.0 * fd))
@@ -501,6 +498,6 @@ def refine_eigenpair(nu0: complex, fam, tol: float = 1e-9, max_iter: int = 40) -
         # an overflowing solve means T(nu) is singular to machine precision;
         # the current v is then already the best available null vector
         residual = _residual(t_nu, v)
-        if residual <= tol and step_size <= 1e-10 * max(1.0, abs(nu)):
+        if residual <= _REFINE_TOL and step_size <= 1e-10 * max(1.0, abs(nu)):
             return RefineResult(nu=nu, vector=v, residual=residual, converged=True, iterations=iteration)
-    return RefineResult(nu=nu, vector=v, residual=residual, converged=residual <= tol, iterations=iterations)
+    return RefineResult(nu=nu, vector=v, residual=residual, converged=residual <= _REFINE_TOL, iterations=iterations)

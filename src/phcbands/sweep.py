@@ -54,21 +54,19 @@ class Window:
 
 @dataclass(frozen=True)
 class KPath:
-    """Sampled path through the Brillouin zone with cumulative arclength."""
+    """Sampled path through the Brillouin zone: (k, cumulative arclength)
+    per point."""
 
-    nodes: tuple[tuple[float, float], ...]
     nk: int
     points: tuple[tuple[tuple[float, float], float], ...]
 
-    @property
-    def total_arclength(self) -> float:
-        return self.points[-1][1]
 
-
-def make_kpath(nk: int, nodes: tuple[tuple[float, float], ...] = (GAMMA, X, M, GAMMA)) -> KPath:
-    """Sample ``nk`` segments per leg along the node walk (3 nk + 1 points)."""
+def make_kpath(nk: int) -> KPath:
+    """Sample ``nk`` segments per leg along Gamma -> X -> M -> Gamma
+    (3 nk + 1 points)."""
     if nk < 1:
         raise ValueError(f"nk must be >= 1, got {nk!r}")
+    nodes = (GAMMA, X, M, GAMMA)
     points: list[tuple[tuple[float, float], float]] = [(nodes[0], 0.0)]
     arc = 0.0
     for (ax, ay), (bx, by) in zip(nodes[:-1], nodes[1:]):
@@ -77,17 +75,16 @@ def make_kpath(nk: int, nodes: tuple[tuple[float, float], ...] = (GAMMA, X, M, G
             t = step / nk
             points.append(((ax + t * (bx - ax), ay + t * (by - ay)), arc + t * leg))
         arc += leg
-    return KPath(nodes=tuple(nodes), nk=nk, points=tuple(points))
+    return KPath(nk=nk, points=tuple(points))
 
 
 _TILE_SIDE = 0.1  # side of the squares that tile the search window
 
 
-def tile_window(window: Window, side: float) -> list[SearchRegion]:
-    """Cover the window with disjoint squares of the given side, anchored at
-    the lower-left corner; edge tiles keep their full size and may overhang."""
-    if side <= 0:
-        raise ValueError(f"tile side must be positive, got {side!r}")
+def tile_window(window: Window) -> list[SearchRegion]:
+    """Cover the window with disjoint squares of side 0.1, anchored at the
+    lower-left corner; edge tiles keep their full size and may overhang."""
+    side = _TILE_SIDE
     nx = max(1, math.ceil((window.re_max - window.re_min) / side - 1e-12))
     ny = max(1, math.ceil((window.im_max - window.im_min) / side - 1e-12))
     regions = []
@@ -125,8 +122,8 @@ def solve_at_k(
     bounds or at its pole) is dropped with a warning; the others are kept.
     """
     fam = assemble_family(mesh, pmap, k, polarization, models)
-    result = sim_h(tile_window(window, _TILE_SIDE), fam, cfg)
-    warnings = [f"region at {f.region.center!r} (side {f.region.side:g}): {f.message}" for f in result.failures]
+    result = sim_h(tile_window(window), fam, cfg)
+    warnings = list(result.failures)
 
     refined: list[EigenCandidate] = []
     for start in result.candidates:

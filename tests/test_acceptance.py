@@ -213,10 +213,10 @@ def test_criterion_5_indicator_calibration(family_factory):
     # scalar calibration: centred pole gives exactly 1, external pole at
     # twice the contour radius decays to the geometric tail 1/65535
     region = SearchRegion(center=0.3 + 0j, side=0.05)
-    inside = indicator(region, DiagonalFamily([0.3]), random_probe(1, seed=0), SimConfig())
+    inside = indicator(region, DiagonalFamily([0.3]), random_probe(1, seed=0, columns=1), SimConfig())
     outer_region = SearchRegion(center=0.2 + 0j, side=0.1)
     outside = indicator(
-        outer_region, DiagonalFamily([0.2 + 2.0 * outer_region.radius]), random_probe(1, seed=0), SimConfig()
+        outer_region, DiagonalFamily([0.2 + 2.0 * outer_region.radius]), random_probe(1, seed=0, columns=1), SimConfig()
     )
     scalar_ok = abs(inside - 1.0) <= 1e-12 and outside <= 1e-4
 
@@ -232,7 +232,7 @@ def test_criterion_5_indicator_calibration(family_factory):
     cfg = SimConfig()
     free_vals, full_vals = [], []
     for seed in range(20):
-        g = random_probe(fam.n_dofs, seed)
+        g = random_probe(fam.n_dofs, seed, columns=1)
         free_vals.append(indicator(free_region, fam, g, cfg))
         full_vals.append(indicator(full_region, fam, g, cfg))
     seeds_ok = max(free_vals) < cfg.delta0 < min(full_vals)

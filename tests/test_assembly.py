@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from phcbands.assembly import PermittivityBoundsError, assemble_family, build_T
-from phcbands.materials import Constant, Drude, LossyDrude, eval_eps
+from phcbands.materials import Constant, Drude, LossyDrude, PermittivityPoleError, eval_eps
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
 
 from conftest import GAMMA, X, direct_assembly_check
@@ -267,6 +267,10 @@ def test_tm_bounds_violation_raises(family_factory):
         tm.t_matrix(1.0)
     _, _, te = family_factory(4, 0.3, X, "TE", models)
     te.t_matrix(1.0)  # TE multiplies by eps, so eps = 0 is allowed
+    # at the pole nu = 0 both forms report the pole itself
+    for fam in (tm, te):
+        with pytest.raises(PermittivityPoleError):
+            fam.t_matrix(0.0)
 
 
 def test_assembly_validation():

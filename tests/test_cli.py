@@ -149,18 +149,16 @@ def test_sweep_unwritable_output_is_solver_error(tmp_path, capsys):
 
 
 def test_oracle_dense(tmp_path, capsys):
+    # frequency-independent materials get the dense oracle
     config = write_config(tmp_path, "cfg.json", empty_lattice_raw(4))
-    assert run(["oracle", "--config", config, "--k", X_ARG, "--which", "dense"]) == 0
+    assert run(["oracle", "--config", config, "--k", X_ARG]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert float(lines[0].split()[0]) == pytest.approx(0.5, abs=1e-9)
-    # auto picks the dense oracle for frequency-independent materials
-    assert run(["oracle", "--config", config, "--k", X_ARG]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 1
 
 
 def test_oracle_poly(tmp_path, capsys):
-    # a TE Drude and a TM lossy-Drude rod, by --which poly and by auto
+    # a TE Drude and a TM lossy-Drude rod get the quartic oracle
     te = drude_raw()
     tm = {**te, "polarization": "TM", "material": {"variant": "lossy_drude", "nu_p": 1.0, "gamma": 0.01}}
     mesh = build_unit_cell_mesh(te["geometry"]["n"], te["geometry"]["r"])
@@ -170,23 +168,22 @@ def test_oracle_poly(tmp_path, capsys):
         fam = assemble_family(mesh, pmap, (math.pi, 0.0), raw["polarization"], {0: Constant(1.0), 1: rod})
         expected = drude_polynomial_oracle(fam, Window(**raw["window"]))
         assert len(expected) == count
-        for which in (["--which", "poly"], []):
-            assert run(["oracle", "--config", config, "--k", X_ARG, *which]) == 0
-            printed = [complex(*map(float, line.split())) for line in capsys.readouterr().out.splitlines()]
-            assert printed == pytest.approx(expected, rel=1e-11)
+        assert run(["oracle", "--config", config, "--k", X_ARG]) == 0
+        printed = [complex(*map(float, line.split())) for line in capsys.readouterr().out.splitlines()]
+        assert printed == pytest.approx(expected, rel=1e-11)
 
 
-def test_oracle_mismatch_is_config_error(tmp_path, capsys):
-    constant = write_config(tmp_path, "constant.json", empty_lattice_raw(4))
-    assert run(["oracle", "--config", constant, "--k", X_ARG, "--which", "poly"]) == 1
-    assert "oracle not applicable" in capsys.readouterr().err
-    drude = write_config(tmp_path, "drude.json", drude_raw())
-    assert run(["oracle", "--config", drude, "--k", X_ARG, "--which", "dense"]) == 1
+def test_oracle_which_flag_is_usage_error(tmp_path, capsys):
+    # the materials pick the oracle, so there is no flag to choose one
+    config = write_config(tmp_path, "drude.json", drude_raw())
+    for which in ("auto", "dense", "poly"):
+        assert run(["oracle", "--config", config, "--k", X_ARG, "--which", which]) == 1
+        assert "unrecognized arguments: --which" in capsys.readouterr().err
 
 
 def test_oracle_size_cap_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, "big.json", empty_lattice_raw(51))
-    assert run(["oracle", "--config", config, "--k", X_ARG, "--which", "dense"]) == 1
+    assert run(["oracle", "--config", config, "--k", X_ARG]) == 1
     assert "limited to" in capsys.readouterr().err
 
 

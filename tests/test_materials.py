@@ -5,16 +5,26 @@ import math
 import pytest
 
 from phcbands.materials import (
+    ABS_CAP,
+    ABS_FLOOR,
     SPEED_OF_LIGHT,
     Constant,
     Drude,
     LossyDrude,
     PermittivityPoleError,
-    check_bounds,
     eval_eps,
     is_conjugate_symmetric,
     normalize_physical_drude,
 )
+
+
+def check_bounds(model, nu):
+    """True when |eps(nu)| lies in [ABS_FLOOR, ABS_CAP]; a pole is False."""
+    try:
+        value = eval_eps(model, nu)
+    except PermittivityPoleError:
+        return False
+    return ABS_FLOOR <= abs(value) <= ABS_CAP
 
 
 def test_constant_model():
@@ -25,12 +35,14 @@ def test_constant_model():
 
 
 def test_constant_rejects_out_of_bounds_eps():
-    with pytest.raises(ValueError):
-        Constant(eps=0.0)
-    with pytest.raises(ValueError):
-        Constant(eps=1e13)
-    # custom bounds move the admissible range
-    assert Constant(eps=1e13, abs_cap=1e14).eps == 1e13
+    assert (ABS_FLOOR, ABS_CAP) == (1e-8, 1e12)
+    # both bounds are admissible, on and off the real axis
+    for eps in (ABS_FLOOR, ABS_CAP, -ABS_FLOOR, 1j * ABS_CAP):
+        assert check_bounds(Constant(eps=eps), 0.5)
+    # just outside either one is rejected
+    for eps in (0.0, ABS_FLOOR * (1.0 - 1e-12), -ABS_FLOOR * (1.0 - 1e-12), ABS_CAP * (1.0 + 1e-12), 1e13):
+        with pytest.raises(ValueError, match="outside admissible bounds"):
+            Constant(eps=eps)
 
 
 def test_drude_zero_crossing():
@@ -129,10 +141,23 @@ def test_model_parameter_validation():
         LossyDrude(nu_p=1.0, gamma=-1.0)
     with pytest.raises(ValueError):
         normalize_physical_drude(-1.0, 0.0, 1e-7)
-    with pytest.raises(ValueError):
-        Drude(nu_p=1.0, abs_floor=0.0)
-    with pytest.raises(ValueError):
-        Constant(eps=1.0, abs_floor=1e6, abs_cap=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_parameters_must_be_finite(bad):
+    # NaN passes a plain "< 0" test; a Drude(nan) model would fail every
+    # contour point as an overflow near a pole and find nothing
+    for make in (
+        lambda: Drude(nu_p=bad),
+        lambda: Drude(nu_p=1.0, nu_tau=bad),
+        lambda: LossyDrude(nu_p=bad),
+        lambda: LossyDrude(nu_p=1.0, gamma=bad),
+    ):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            make()
+    for omega_p, omega_tau in ((bad, 0.0), (1.0, bad)):
+        with pytest.raises(ValueError):
+            normalize_physical_drude(omega_p, omega_tau, 1e-7)
 
 
 def test_eval_eps_rejects_unknown_model():

@@ -39,7 +39,7 @@ MEMO_FAMILIES = {
     "TM-lossy-drude": ("TM", {0: Constant(1.0), 1: LossyDrude(1.0, 0.01)}),
 }
 # one row of 12 tiles symmetric about the real axis; no family above splits one
-MEMO_TILES = tile_window(Window(0.05, 1.2, -0.05, 0.05), 0.1)
+MEMO_TILES = tile_window(Window(0.05, 1.2, -0.05, 0.05))
 
 
 _UNCOUNTED = (phcbands.sim.factorize, phcbands.sim.solve, phcbands.sim.indicator)
@@ -125,7 +125,7 @@ def test_indicator_exact_for_centred_pole():
     # the indicator collapses to ||g|| = 1 with no quadrature error at all
     fam = DiagonalFamily([0.3 + 0.1j])
     region = SearchRegion(center=0.3 + 0.1j, side=0.05)
-    value = indicator(region, fam, random_probe(1, seed=0), SimConfig())
+    value = indicator(region, fam, random_probe(1, seed=0, columns=1), SimConfig())
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -134,13 +134,13 @@ def test_indicator_geometric_decay_for_external_pole():
     # resolvent is the tail of a geometric series, |sum| = 1 / (2^16 - 1)
     region = SearchRegion(center=0.2 + 0j, side=0.1)
     fam = DiagonalFamily([0.2 + 2.0 * region.radius])
-    value = indicator(region, fam, random_probe(1, seed=0), SimConfig())
+    value = indicator(region, fam, random_probe(1, seed=0, columns=1), SimConfig())
     assert value == pytest.approx(1.0 / 65535.0, rel=1e-10)
 
 
 def test_indicator_separates_occupied_from_free(family_factory):
     _, _, fam = family_factory(8, 0.0, X)
-    g = random_probe(fam.n_dofs, seed=0)
+    g = random_probe(fam.n_dofs, seed=0, columns=1)
     cfg = SimConfig()
     free = indicator(SearchRegion(center=0.25 + 0j, side=0.02), fam, g, cfg)
     full = indicator(SearchRegion(center=0.5 + 0j, side=0.02), fam, g, cfg)
@@ -154,7 +154,7 @@ def test_indicator_retries_off_a_contour_pole():
     # 5 % and encloses the pole, giving 1 / (1 - 1.05^-16)
     region = SearchRegion(center=0.5 + 0j, side=0.1)
     fam = DiagonalFamily([0.5 + region.radius])
-    value = indicator(region, fam, random_probe(1, seed=0), SimConfig())
+    value = indicator(region, fam, random_probe(1, seed=0, columns=1), SimConfig())
     assert value == pytest.approx(1.0 / (1.0 - 1.05**-16), rel=1e-10)
     assert 1.0 < value < 2.5
 
@@ -164,7 +164,7 @@ def test_indicator_retries_past_material_failure():
     # failure at the quadrature node rather than a singular factorization
     region = SearchRegion(center=0.5 + 0j, side=0.1)
     fam = FlakyFamily(pole=0.5 + region.radius, trigger=0.5 + region.radius)
-    value = indicator(region, fam, random_probe(1, seed=0), SimConfig())
+    value = indicator(region, fam, random_probe(1, seed=0, columns=1), SimConfig())
     assert value == pytest.approx(1.0 / (1.0 - 1.05**-16), rel=1e-10)
 
 
@@ -288,9 +288,10 @@ def test_singular_retries_leave_no_reference_cycle():
     gc.disable()
     try:
         assert refine_eigenpair(0.5, DiagonalFamily([0.5])).converged  # first solve is singular
-        assert indicator(region, on_node, random_probe(1, seed=0), SimConfig()) > 1.0  # first contour is singular
+        # the first contour is singular
+        assert indicator(region, on_node, random_probe(1, seed=0, columns=1), SimConfig()) > 1.0
         with pytest.raises(IndicatorError):
-            indicator(region, SingularFamily(), random_probe(2, seed=0), SimConfig())
+            indicator(region, SingularFamily(), random_probe(2, seed=0, columns=1), SimConfig())
         unreachable = gc.collect()
     finally:
         gc.enable()
@@ -379,7 +380,8 @@ def test_sim_h_records_hard_failures():
     result = sim_h([SearchRegion(center=0.5 + 0j, side=0.2)], SingularFamily(), SimConfig())
     assert result.candidates == []
     assert len(result.failures) == 1
-    assert "after 3 retries" in result.failures[0].message
+    assert result.failures[0].startswith("region at (0.5+0j) (side 0.2): indicator failed")
+    assert "after 3 retries" in result.failures[0]
 
 
 def test_sim_h_deterministic_and_seed_stable():
@@ -461,8 +463,9 @@ def test_refine_matrix_eigenpair(family_factory):
     assert abs(partner.nu.imag) <= 1e-10
 
 
-def test_refine_iteration_budget():
-    result = refine_eigenpair(0.6, DiagonalFamily([0.5]), max_iter=0)
+def test_refine_iteration_budget(monkeypatch):
+    monkeypatch.setattr(phcbands.sim, "_REFINE_MAX_ITER", 0)
+    result = refine_eigenpair(0.6, DiagonalFamily([0.5]))
     assert not result.converged
     assert result.iterations == 0
     assert result.residual > 0.1
