@@ -11,18 +11,19 @@ with eps evaluated region by region at the normalized frequency nu.  On P1
 elements all integrals have closed forms, so assembly is exact up to
 roundoff.  The k- and nu-independent pieces (stiffness S, mass M and the two
 first-derivative matrices G1, G2 with entries integral(phi_n d phi_m / dx_j))
-are assembled once per region on the periodic DOFs; frequency sweeps then
-reduce to scalar linear combinations.
+are summed per region only long enough to form the region's momentum form;
+frequency sweeps then reduce to scalar linear combinations.
 
-All matrices of one family share a single CSC sparsity pattern, the union of
-the region patterns, so T(nu) is a linear combination of their ``data``
-arrays and never a sum of sparse matrices.  The pattern is CSC because that
-is what SuperLU factors, so T(nu) reaches the factorization without a
-format conversion.  Per-region entries are still summed from the element
-triplets in CSR by ``from_triplet_arrays`` and then placed on the shared
-pattern; entries a region does not touch hold zero.  The combination adds
-one term at a time in the order ``build_T`` documents, and that order is
-part of the contract: the operator, and with it every factorization and
+All matrices of one family share a single CSC sparsity pattern, the set of
+(row, col) pairs the elements touch, so T(nu) is a linear combination of
+their ``data`` arrays and never a sum of sparse matrices.  The pattern is
+CSC because that is what SuperLU factors, so T(nu) reaches the
+factorization without a format conversion.  Each region matrix is one
+scatter-add of its element entries into their slots of the pattern, in
+triangle order, with no intermediate matrix; entries a region does not
+touch hold zero.  So every sum is fixed by the mesh alone.  The combination
+adds one term at a time in the order ``build_T`` documents, and that order
+is part of the contract: the operator, and with it every factorization and
 every output file, is reproducible bit for bit.
 """
 
@@ -36,7 +37,6 @@ import scipy.sparse as sp
 
 from .materials import ABS_CAP, ABS_FLOOR, PermittivityModel, eval_eps, is_conjugate_symmetric
 from .mesh import Mesh, PeriodicMap
-from .sparse import from_triplet_arrays
 
 _BZ_TOL = 1e-12
 
@@ -49,26 +49,23 @@ class PermittivityBoundsError(RuntimeError):
 class OperatorFamily:
     """Region-split FEM matrices for one polarization at one quasimomentum.
 
-    ``stiffness``, ``mass``, ``grad1`` and ``grad2`` hold the k-independent
-    matrices per region tag.  ``momentum_form`` caches, per region,
+    ``mass`` holds the mass matrix M_rho of each region tag, and
+    ``momentum_form`` holds, per region,
 
         K_rho(k) = S_rho + i k1 G1 + i k2 G2 - i k1 G1^T - i k2 G2^T + |k|^2 M_rho
 
-    (G1, G2 of region rho), summed left to right.  ``momentum_form_total``
+    (S, G1, G2 of region rho), summed left to right.  ``momentum_form_total``
     and ``mass_total`` are the sums over regions in ascending tag order.
-    Every matrix is canonical CSC on the family's one shared pattern (the
+    These are the matrices ``build_T`` and the oracles read.  Every matrix
+    is canonical complex128 CSC on the family's one shared pattern (the
     same ``indices`` and ``indptr`` memory), so building the operator at a
     frequency costs one combination of ``data`` arrays, and the result is
     in the format SuperLU factors.
     """
 
     polarization: str
-    k: tuple[float, float]
     n_dofs: int
-    stiffness: dict[int, sp.csc_matrix]
     mass: dict[int, sp.csc_matrix]
-    grad1: dict[int, sp.csc_matrix]
-    grad2: dict[int, sp.csc_matrix]
     models: dict[int, PermittivityModel]
     momentum_form: dict[int, sp.csc_matrix] = field(repr=False)
     momentum_form_total: sp.csc_matrix = field(repr=False)
@@ -145,55 +142,46 @@ def assemble_family(
     grad1_el = np.broadcast_to((b / 6.0)[:, :, None], stiff_el.shape)
     grad2_el = np.broadcast_to((c / 6.0)[:, :, None], stiff_el.shape)
 
-    rows = np.broadcast_to(dof[:, :, None], stiff_el.shape)
-    cols = np.broadcast_to(dof[:, None, :], stiff_el.shape)
-
-    # The union of the region patterns, symmetric because every element
-    # couples all three of its vertices both ways, so its CSR indptr and
-    # indices serve unchanged as the CSC structure.
-    pattern = from_triplet_arrays(n_dofs, n_dofs, rows, cols, np.ones(rows.shape))
-    col_of_entry = np.repeat(np.arange(n_dofs), np.diff(pattern.indptr))
-    keys = col_of_entry * n_dofs + pattern.indices  # column-major, ascending
+    # Every element entry's column-major key col * n_dofs + row.  The sorted
+    # distinct keys are the shared CSC pattern, and slot[e] is the position
+    # of entry e in it.  The pattern is symmetric, because every element
+    # couples all three of its vertices both ways.
+    keys = (dof[:, None, :] * n_dofs + dof[:, :, None]).ravel()
+    pattern_keys, slot = np.unique(keys, return_inverse=True)
+    entry_rows, entry_cols = pattern_keys % n_dofs, pattern_keys // n_dofs
+    indptr = np.searchsorted(pattern_keys, np.arange(n_dofs + 1) * n_dofs)
+    nnz = pattern_keys.size
+    pattern = sp.csc_matrix((np.zeros(nnz, dtype=np.complex128), entry_rows, indptr), shape=(n_dofs, n_dofs))
     # entry p of a matrix's transpose is entry transpose[p] of the matrix
-    transpose = np.searchsorted(keys, pattern.indices * n_dofs + col_of_entry)
-
-    def on_pattern(mat: sp.csr_matrix) -> sp.csc_matrix:
-        """A canonical CSR matrix re-expressed on the shared pattern."""
-        data = np.zeros(pattern.nnz, dtype=np.complex128)
-        mat_rows = np.repeat(np.arange(n_dofs), np.diff(mat.indptr))
-        data[np.searchsorted(keys, mat.indices * n_dofs + mat_rows)] = mat.data
-        return _with_pattern(pattern, data)
+    transpose = np.searchsorted(pattern_keys, entry_rows * n_dofs + entry_cols)
 
     regions = sorted(models)
+    region_of_entry = np.repeat(mesh.region_of_triangle, 9)
 
     def region_sum(mats: dict[int, sp.csc_matrix]) -> sp.csc_matrix:
         return _with_pattern(pattern, _linear_combination([1.0] * len(regions), [mats[r].data for r in regions]))
 
     ksq = k1 * k1 + k2 * k2
-    stiffness, mass, grad1, grad2, momentum_form = {}, {}, {}, {}, {}
+    mass, momentum_form = {}, {}
     for region in regions:
-        sel = mesh.region_of_triangle == region
-        r, cc = rows[sel], cols[sel]
+        sel = region_of_entry == region
+        # one scatter-add per matrix, in triangle order
         s, m, g1, g2 = (
-            on_pattern(from_triplet_arrays(n_dofs, n_dofs, r, cc, element[sel]))
+            np.bincount(slot[sel], weights=element.ravel()[sel], minlength=nnz).astype(np.complex128)
             for element in (stiff_el, mass_el, grad1_el, grad2_el)
         )
-        stiffness[region], mass[region], grad1[region], grad2[region] = s, m, g1, g2
+        mass[region] = _with_pattern(pattern, m)
         momentum_form[region] = _with_pattern(
             pattern,
             _linear_combination(
                 [1.0, 1j * k1, 1j * k2, -1j * k1, -1j * k2, ksq],
-                [s.data, g1.data, g2.data, g1.data[transpose], g2.data[transpose], m.data],
+                [s, g1, g2, g1[transpose], g2[transpose], m],
             ),
         )
     return OperatorFamily(
         polarization=polarization,
-        k=(k1, k2),
         n_dofs=n_dofs,
-        stiffness=stiffness,
         mass=mass,
-        grad1=grad1,
-        grad2=grad2,
         models=dict(models),
         momentum_form=momentum_form,
         momentum_form_total=region_sum(momentum_form),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, RunConfig, config_sha256, load_config
@@ -76,6 +77,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    # a missing output directory is reported before the sweep, not after it
+    for path in (cfg.outputs.csv_path, cfg.outputs.svg_path, cfg.outputs.meta_path):
+        if not Path(path).parent.is_dir():
+            raise ConfigError(f"output directory of {path!r} does not exist")
     diagram = diagram_from_config(cfg)
     write_bands_csv(diagram, cfg.outputs.csv_path)
     emit_svg(diagram, cfg.outputs.svg_path)
@@ -145,7 +150,8 @@ def run(argv: list[str]) -> int:
     handlers = {"mesh": _cmd_mesh, "solve": _cmd_solve, "sweep": _cmd_sweep, "oracle": _cmd_oracle}
     try:
         return handlers[args.command](args)
-    except (ConfigError, GeometryError) as exc:
+    except (ConfigError, GeometryError, OSError) as exc:
+        # an OSError is an output file that cannot be written; it names the path
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -1,13 +1,14 @@
-"""Complex sparse matrices and direct LU solves.
+"""Direct LU solves of complex sparse matrices.
 
-Triplets are summed into canonical (sorted, duplicate-free) CSR matrices
-with complex128 entries.  ``factorize`` owns every factorization and takes
-one of two paths.  A square matrix of at most ``_DENSE_MAX_DOFS`` rows is
-densified and factored by LAPACK ``zgetrf``: at that size SuperLU's symbolic
-analysis and bookkeeping cost more than the arithmetic it saves.  Larger
-matrices go through SuperLU, which factors CSC, so a complex128 CSC matrix
-is taken as it is and anything else is converted.  Both paths return an
-object with SuperLU's ``shape`` and ``solve(b, trans)``, and ``solve`` is
+This module builds no matrix: ``assembly`` scatters the element entries of
+each operator straight onto its CSC pattern, summed in triangle order, with
+no CSR or triplet intermediate.  ``factorize`` owns every factorization and
+takes one of two paths.  A square matrix of at most ``_DENSE_MAX_DOFS`` rows
+is densified and factored by LAPACK ``zgetrf``: at that size SuperLU's
+symbolic analysis and bookkeeping cost more than the arithmetic it saves.
+Larger matrices go through SuperLU, which factors CSC, so a complex128 CSC
+matrix is taken as it is and anything else is converted.  Both paths return
+an object with SuperLU's ``shape`` and ``solve(b, trans)``, and ``solve`` is
 the one place right-hand sides reach it.  This module is the only place the
 solver touches a sparse or dense LU backend, so everything downstream sees a
 fixed, deterministic contract: a factorization whose smallest pivot falls
@@ -34,20 +35,6 @@ _DENSE_MAX_DOFS = 96
 
 class SingularMatrixError(RuntimeError):
     """Matrix is exactly or numerically singular."""
-
-
-def from_triplet_arrays(n_rows: int, n_cols: int, rows, cols, vals) -> sp.csr_matrix:
-    """Build a canonical CSR matrix from (row, col, value) arrays, summing
-    duplicates."""
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    cols = np.asarray(cols, dtype=np.int64).ravel()
-    vals = np.asarray(vals, dtype=np.complex128).ravel()
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
-        raise ValueError(f"triplet index outside {n_rows} x {n_cols}")
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
 
 
 class DenseLU:

@@ -57,7 +57,6 @@ class KPath:
     """Sampled path through the Brillouin zone: (k, cumulative arclength)
     per point."""
 
-    nk: int
     points: tuple[tuple[tuple[float, float], float], ...]
 
 
@@ -75,7 +74,7 @@ def make_kpath(nk: int) -> KPath:
             t = step / nk
             points.append(((ax + t * (bx - ax), ay + t * (by - ay)), arc + t * leg))
         arc += leg
-    return KPath(nk=nk, points=tuple(points))
+    return KPath(points=tuple(points))
 
 
 _TILE_SIDE = 0.1  # side of the squares that tile the search window

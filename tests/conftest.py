@@ -1,6 +1,6 @@
 """Shared fixtures: cached operator families, scalar test families, the
-analytic empty-lattice reference spectrum, and an independent monolithic
-assembly of the operator."""
+analytic empty-lattice reference spectrum, and an independent element-by-
+element assembly of the operator and of its region matrices."""
 
 import math
 
@@ -11,7 +11,6 @@ import scipy.sparse as sp
 from phcbands.assembly import assemble_family
 from phcbands.materials import Constant, PermittivityModel, eval_eps
 from phcbands.mesh import Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
-from phcbands.sparse import from_triplet_arrays
 
 GAMMA = (0.0, 0.0)
 X = (math.pi, 0.0)
@@ -73,6 +72,45 @@ def family_factory():
     return build
 
 
+def _p1_element(pts):
+    """Local P1 data of one triangle, independent of the production path:
+    basis coefficients from the local Vandermonde system, and the
+    edge-midpoint quadrature rule (exact for quadratics).
+
+    Returns the basis gradients (row m = grad phi_m), the area, the basis
+    values at the three edge midpoints (quadrature point, basis) and the
+    quadrature weight.
+    """
+    vander = np.column_stack([np.ones(3), pts[:, 0], pts[:, 1]])
+    coefs = np.linalg.inv(vander)  # column i holds (a_i, b_i, c_i) of phi_i
+    grads = coefs[1:, :].T  # (3, 2), row m = grad phi_m
+    d1 = pts[1] - pts[0]
+    d2 = pts[2] - pts[0]
+    area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
+    mids = 0.5 * (pts[[0, 1, 2]] + pts[[1, 2, 0]])
+    phi = coefs[0][None, :] + mids @ coefs[1:, :]  # (quad point, basis)
+    return grads, area, phi, area / 3.0
+
+
+def reference_region_matrices(mesh: Mesh, pmap: PeriodicMap) -> dict[int, tuple[np.ndarray, ...]]:
+    """Dense (S, M, G1, G2) of every region tag in the mesh, assembled element
+    by element with ``_p1_element``: S the stiffness, M the mass and
+    G_j[m, n] = integral(phi_n d phi_m / dx_j).  Intended for tests."""
+    n_dofs = pmap.n_dofs
+    mats = {}
+    for tri, region in zip(mesh.triangles, mesh.region_of_triangle):
+        s, m, g1, g2 = mats.setdefault(int(region), tuple(np.zeros((n_dofs, n_dofs)) for _ in range(4)))
+        grads, area, phi, w = _p1_element(mesh.vertices[tri])
+        d = pmap.dof_of_vertex[tri]
+        for a in range(3):
+            for b in range(3):
+                s[d[a], d[b]] += grads[a] @ grads[b] * area
+                m[d[a], d[b]] += w * float(phi[:, a] @ phi[:, b])
+                g1[d[a], d[b]] += grads[a][0] * w * float(phi[:, b].sum())
+                g2[d[a], d[b]] += grads[a][1] * w * float(phi[:, b].sum())
+    return mats
+
+
 def direct_assembly_check(
     mesh: Mesh,
     pmap: PeriodicMap,
@@ -83,10 +121,9 @@ def direct_assembly_check(
 ) -> sp.csr_matrix:
     """Monolithic reassembly of the operator at ``nu`` for cross-checking.
 
-    Deliberately independent of the production path: basis coefficients come
-    from solving the local Vandermonde system and all integrals use the
-    edge-midpoint quadrature rule (exact for quadratics), with the
-    permittivity baked in element by element.  Intended for tests.
+    Deliberately independent of the production path: the element data come
+    from ``_p1_element``, with the permittivity baked in element by element,
+    and the element entries are summed by scipy.  Intended for tests.
     """
     if polarization not in ("TE", "TM"):
         raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
@@ -99,17 +136,7 @@ def direct_assembly_check(
     n_dofs = pmap.n_dofs
     rows, cols, vals = [], [], []
     for tri, region in zip(mesh.triangles, mesh.region_of_triangle):
-        pts = mesh.vertices[tri]
-        vander = np.column_stack([np.ones(3), pts[:, 0], pts[:, 1]])
-        coefs = np.linalg.inv(vander)  # column i holds (a_i, b_i, c_i) of phi_i
-        grads = coefs[1:, :].T  # (3, 2), row m = grad phi_m
-        d1 = pts[1] - pts[0]
-        d2 = pts[2] - pts[0]
-        area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-        mids = 0.5 * (pts[[0, 1, 2]] + pts[[1, 2, 0]])
-        w = area / 3.0
-        phi = coefs[0][None, :] + mids @ coefs[1:, :]  # (quad point, basis)
-
+        grads, area, phi, w = _p1_element(mesh.vertices[tri])
         local = np.zeros((3, 3), dtype=np.complex128)
         eps = eps_of_region[int(region)]
         for m in range(3):
@@ -129,5 +156,4 @@ def direct_assembly_check(
                 rows.append(d[m])
                 cols.append(d[n])
                 vals.append(local[m, n])
-    return from_triplet_arrays(n_dofs, n_dofs, np.array(rows), np.array(cols), np.array(vals))
-
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n_dofs, n_dofs), dtype=np.complex128).tocsr()

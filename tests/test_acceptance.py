@@ -24,7 +24,7 @@ from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_
 from phcbands.sim import SearchRegion, SimConfig, indicator, random_probe
 from phcbands.sweep import Window, dense_linear_oracle, drude_polynomial_oracle, make_kpath, solve_at_k, sweep
 
-from conftest import GAMMA, M, X, DiagonalFamily, direct_assembly_check
+from conftest import GAMMA, M, X, DiagonalFamily, direct_assembly_check, reference_region_matrices
 
 
 def _report(criterion: int, passed: bool, detail: str) -> None:
@@ -253,17 +253,22 @@ def test_criterion_6_structural_invariants(tmp_path):
     mesh = build_unit_cell_mesh(4, 0.3)
     pmap = build_periodic_dof_map(mesh)
     fam = assemble_family(mesh, pmap, k, "TE", models)
+    fam0 = assemble_family(mesh, pmap, GAMMA, "TE", models)
 
-    def total(which):
-        return sum(getattr(fam, which)[region].toarray() for region in fam.regions)
+    def total(mats):
+        return sum(mats[region].toarray() for region in fam.regions)
 
     # the matrix multiplying -i in the quasimomentum form is the transpose
     # of the one multiplying +i, and on the torus that transpose is also
-    # the negation (integration by parts without boundary terms)
-    g1, g2 = total("grad1"), total("grad2")
+    # the negation (integration by parts without boundary terms): the
+    # first-order part K(k) - K(0) - |k|^2 M of the momentum form is 2 i A,
+    # with A = k1 G1 + k2 G2 from the element-by-element reference
+    reference = reference_region_matrices(mesh, pmap).values()
+    g1 = sum(g1 for _, _, g1, _ in reference)
+    g2 = sum(g2 for _, _, _, g2 in reference)
     a1 = k[0] * g1 + k[1] * g2
-    transpose_dev = max(np.abs(g1 + g1.T).max(), np.abs(g2 + g2.T).max())
-    shift = 1j * a1 - 1j * a1.T
+    shift = total(fam.momentum_form) - total(fam0.momentum_form) - (k[0] ** 2 + k[1] ** 2) * total(fam.mass)
+    transpose_dev = max(np.abs(g1 + g1.T).max(), np.abs(g2 + g2.T).max(), np.abs(shift - 2j * a1).max())
     hermitian_dev = np.abs(shift - shift.conj().T).max()
 
     kd = fam.momentum_form_total.toarray()
@@ -273,8 +278,8 @@ def test_criterion_6_structural_invariants(tmp_path):
     untagged = dataclasses.replace(mesh, region_of_triangle=np.zeros_like(mesh.region_of_triangle))
     plain = assemble_family(untagged, pmap, k, "TE", {0: Constant(1.0)})
     additivity_dev = max(
-        np.abs(total(which) - getattr(plain, which)[0].toarray()).max()
-        for which in ("stiffness", "mass", "grad1", "grad2")
+        np.abs(total(getattr(fam, which)) - getattr(plain, which)[0].toarray()).max()
+        for which in ("momentum_form", "mass")
     )
 
     nu = 0.37 + 0.01j

@@ -1,5 +1,6 @@
 """Operator assembly: element identities, Hermitian structure, region
-splitting, and the independent monolithic cross-check."""
+splitting, the triangle-order sums, and the independent element-by-element
+cross-checks."""
 
 import dataclasses
 import math
@@ -12,14 +13,24 @@ from phcbands.assembly import PermittivityBoundsError, assemble_family, build_T
 from phcbands.materials import Constant, Drude, LossyDrude, PermittivityPoleError, eval_eps
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
 
-from conftest import GAMMA, X, direct_assembly_check
+from conftest import GAMMA, X, direct_assembly_check, reference_region_matrices
 
 TWO_REGION = {0: Constant(1.0), 1: Constant(8.9)}
 
 
-def total(fam, which):
-    mats = getattr(fam, which)
-    return sum(mats[region].toarray() for region in fam.regions)
+def total(mats):
+    return sum(mats[region].toarray() for region in sorted(mats))
+
+
+def momentum_shift(fam, fam0, ksq):
+    """Per region, K_rho(k) - K_rho(0) - |k|^2 M_rho: the first-order part
+    i A - i A^T of the momentum form, from two families on one mesh."""
+    return {
+        region: fam.momentum_form[region].toarray()
+        - fam0.momentum_form[region].toarray()
+        - ksq * fam.mass[region].toarray()
+        for region in fam.regions
+    }
 
 
 def test_mass_partition_of_unity(family_factory):
@@ -29,57 +40,64 @@ def test_mass_partition_of_unity(family_factory):
 
 
 def test_stiffness_annihilates_constants(family_factory):
+    # at Gamma each region's momentum form is its stiffness matrix
     _, _, fam = family_factory(4, 0.3, GAMMA, models=TWO_REGION)
     ones = np.ones(fam.n_dofs)
     for region in fam.regions:
-        assert np.abs(fam.stiffness[region] @ ones).max() <= 1e-13
+        assert np.abs(fam.momentum_form[region] @ ones).max() <= 1e-13
 
 
 def test_grad_matrices_annihilate_constants(family_factory):
-    # integral of d phi / dx_j over the torus vanishes, so both row and
-    # column sums of the total G matrices are zero
-    _, _, fam = family_factory(2, 0.0, GAMMA)
+    # integral of d phi / dx_j over the torus vanishes, so the total G1, G2
+    # have zero row and column sums, and K(k) 1 = |k|^2 M 1 on both sides
+    k = (1.0, 0.5)
+    _, _, fam = family_factory(2, 0.0, k)
+    ksq = k[0] ** 2 + k[1] ** 2
     ones = np.ones(fam.n_dofs)
-    for which in ("grad1", "grad2"):
-        g = total(fam, which)
-        assert np.abs(g @ ones).max() <= 1e-14
-        assert np.abs(ones @ g).max() <= 1e-14
+    kd = fam.momentum_form_total.toarray()
+    md = fam.mass_total.toarray()
+    assert np.abs(kd @ ones - ksq * (md @ ones)).max() <= 1e-14
+    assert np.abs(ones @ kd - ksq * (ones @ md)).max() <= 1e-14
 
 
 def test_grad_total_antisymmetric(family_factory):
     # periodic integration by parts: (phi_n, d phi_m) = -(phi_m, d phi_n)
-    # summed over all elements; per region the boundary term survives
-    _, _, fam = family_factory(4, 0.3, GAMMA, models=TWO_REGION)
-    for which in ("grad1", "grad2"):
-        g = total(fam, which)
+    # summed over all elements, so the total first-order part of K(k) is
+    # 2 i A; per region the boundary term survives
+    k = (1.0, 0.5)
+    mesh, pmap, fam = family_factory(4, 0.3, k, models=TWO_REGION)
+    _, _, fam0 = family_factory(4, 0.3, GAMMA, models=TWO_REGION)
+    reference = reference_region_matrices(mesh, pmap).values()
+    g1 = sum(g1 for _, _, g1, _ in reference)
+    g2 = sum(g2 for _, _, _, g2 in reference)
+    for g in (g1, g2):
         assert np.abs(g + g.T).max() <= 1e-14
+    a = k[0] * g1 + k[1] * g2
+    shift = sum(momentum_shift(fam, fam0, k[0] ** 2 + k[1] ** 2).values())
+    assert np.abs(shift - 2j * a).max() <= 1e-14
 
 
 def test_momentum_shift_matrices_hermitian(family_factory):
     # i A1 - i A2 with A2 = A1^T is i times a real antisymmetric matrix
     k = (1.0, 0.5)
     _, _, fam = family_factory(4, 0.3, k, models=TWO_REGION)
-    g1 = total(fam, "grad1")
-    g2 = total(fam, "grad2")
-    a1 = k[0] * g1 + k[1] * g2
-    shift = 1j * a1 - 1j * a1.T
-    assert np.abs(shift - shift.conj().T).max() <= 1e-14
+    _, _, fam0 = family_factory(4, 0.3, GAMMA, models=TWO_REGION)
+    for shift in momentum_shift(fam, fam0, k[0] ** 2 + k[1] ** 2).values():
+        assert np.abs(shift - shift.conj().T).max() <= 1e-14
+        assert np.abs(shift.real).max() <= 1e-14
 
 
 def test_momentum_form_identity(family_factory):
+    # K_rho(k) = S_rho + i A - i A^T + |k|^2 M_rho against the element-by-
+    # element reference S and G of each region
     k = (1.0, 0.5)
-    _, _, fam = family_factory(4, 0.3, k, models=TWO_REGION)
+    mesh, pmap, fam = family_factory(4, 0.3, k, models=TWO_REGION)
     ksq = k[0] ** 2 + k[1] ** 2
-    for region in fam.regions:
-        g1 = fam.grad1[region].toarray()
-        g2 = fam.grad2[region].toarray()
-        expected = (
-            fam.stiffness[region].toarray()
-            + 1j * (k[0] * g1 + k[1] * g2)
-            - 1j * (k[0] * g1 + k[1] * g2).T
-            + ksq * fam.mass[region].toarray()
-        )
-        assert np.abs(fam.momentum_form[region].toarray() - expected).max() <= 1e-14
+    for region, (s, m, g1, g2) in reference_region_matrices(mesh, pmap).items():
+        a = k[0] * g1 + k[1] * g2
+        expected = s + 1j * a - 1j * a.T + ksq * m
+        assert np.abs(fam.momentum_form[region].toarray() - expected).max() <= 1e-13
+        assert np.abs(fam.mass[region].toarray() - m).max() <= 1e-15
     total_form = sum(fam.momentum_form[region].toarray() for region in fam.regions)
     assert np.abs(fam.momentum_form_total.toarray() - total_form).max() <= 1e-14
 
@@ -88,11 +106,12 @@ def test_region_additivity(family_factory):
     # the same fitted mesh with every tag set to background has the same
     # triangles, so the region-split matrices must sum to its single-region
     # assembly
-    mesh, pmap, fam_split = family_factory(4, 0.3, GAMMA, models=TWO_REGION)
+    k = (1.0, 0.5)
+    mesh, pmap, fam_split = family_factory(4, 0.3, k, models=TWO_REGION)
     untagged = dataclasses.replace(mesh, region_of_triangle=np.zeros_like(mesh.region_of_triangle))
-    fam_plain = assemble_family(untagged, pmap, GAMMA, "TE", {0: Constant(1.0)})
-    for which in ("stiffness", "mass", "grad1", "grad2"):
-        split = total(fam_split, which)
+    fam_plain = assemble_family(untagged, pmap, k, "TE", {0: Constant(1.0)})
+    for which in ("momentum_form", "mass"):
+        split = total(getattr(fam_split, which))
         plain = getattr(fam_plain, which)[0].toarray()
         assert np.abs(split - plain).max() <= 1e-14
 
@@ -144,9 +163,10 @@ def test_momentum_form_psd_and_kernel(family_factory):
 
 
 def test_te_at_zero_frequency_is_stiffness(family_factory):
-    _, _, fam = family_factory(4, 0.0, GAMMA)
+    mesh, pmap, fam = family_factory(4, 0.0, GAMMA)
     t0 = fam.t_matrix(0.0).toarray()
-    assert np.abs(t0 - fam.stiffness[0].toarray()).max() <= 1e-14
+    stiffness = reference_region_matrices(mesh, pmap)[0][0]
+    assert np.abs(t0 - stiffness).max() <= 1e-13
     assert np.abs(t0 @ np.ones(fam.n_dofs)).max() <= 1e-13
 
 
@@ -203,6 +223,37 @@ def _ordered_sum(terms):
     return acc
 
 
+def test_region_data_summed_in_triangle_order():
+    # each region's matrices add their element entries one at a time in
+    # triangle order, so a plain loop over the triangles reproduces its mass
+    # and (through the documented combination) its momentum form bit for bit
+    k1, k2 = 1.1, -0.7
+    mesh = build_unit_cell_mesh(8, 0.3)
+    pmap = build_periodic_dof_map(mesh)
+    fam = assemble_family(mesh, pmap, (k1, k2), "TE", TWO_REGION)
+    n = fam.n_dofs
+    sums = {region: tuple(np.zeros((n, n)) for _ in range(4)) for region in fam.regions}
+    for tri, region in zip(mesh.triangles.tolist(), mesh.region_of_triangle.tolist()):
+        (x0, y0), (x1, y1), (x2, y2) = mesh.vertices[tri].tolist()
+        b = (y1 - y2, y2 - y0, y0 - y1)
+        c = (x2 - x1, x0 - x2, x1 - x0)
+        area = 0.5 * (b[0] * c[1] - b[1] * c[0])
+        s, m, g1, g2 = sums[region]
+        dofs = pmap.dof_of_vertex[tri].tolist()
+        for i, row in enumerate(dofs):
+            for j, col in enumerate(dofs):
+                s[row, col] += (b[i] * b[j] + c[i] * c[j]) / (4.0 * area)
+                m[row, col] += area * ((2.0 if i == j else 1.0) / 12.0)
+                g1[row, col] += b[i] / 6.0
+                g2[row, col] += c[i] / 6.0
+    for region, (s, m, g1, g2) in sums.items():
+        form = _ordered_sum(
+            [(1.0, s), (1j * k1, g1), (1j * k2, g2), (-1j * k1, g1.T), (-1j * k2, g2.T), (k1 * k1 + k2 * k2, m)]
+        )
+        assert np.array_equal(fam.mass[region].toarray(), m)
+        assert np.array_equal(fam.momentum_form[region].toarray(), form)
+
+
 @pytest.mark.parametrize("pol", ["TE", "TM"])
 @pytest.mark.parametrize("k", [GAMMA, (1.1, -0.7)])
 def test_build_T_on_fixed_pattern(family_factory, pol, k):
@@ -213,18 +264,9 @@ def test_build_T_on_fixed_pattern(family_factory, pol, k):
     _, _, fam = family_factory(4, 0.3, k, pol, models)
     pattern = fam.mass_total
     shared = [fam.momentum_form_total] + [
-        getattr(fam, name)[region]
-        for name in ("stiffness", "mass", "grad1", "grad2", "momentum_form")
-        for region in fam.regions
+        getattr(fam, name)[region] for name in ("mass", "momentum_form") for region in fam.regions
     ]
-    k1, k2 = k
-    forms = {}
-    for region in fam.regions:
-        s, m, g1, g2 = (getattr(fam, name)[region].toarray() for name in ("stiffness", "mass", "grad1", "grad2"))
-        forms[region] = _ordered_sum(
-            [(1.0, s), (1j * k1, g1), (1j * k2, g2), (-1j * k1, g1.T), (-1j * k2, g2.T), (k1 * k1 + k2 * k2, m)]
-        )
-        assert np.array_equal(fam.momentum_form[region].toarray(), forms[region])
+    forms = {region: fam.momentum_form[region].toarray() for region in fam.regions}
     form_total = _ordered_sum([(1.0, forms[region]) for region in fam.regions])
     mass_total = _ordered_sum([(1.0, fam.mass[region].toarray()) for region in fam.regions])
     assert np.array_equal(fam.momentum_form_total.toarray(), form_total)

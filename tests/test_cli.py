@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from phcbands import cli
 from phcbands.assembly import assemble_family
 from phcbands.cli import run
 from phcbands.io import CSV_HEADER
@@ -141,11 +142,25 @@ def test_sweep_reruns_byte_identical(tmp_path):
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
 
-def test_sweep_unwritable_output_is_solver_error(tmp_path, capsys):
-    outputs = {"csv_path": str(tmp_path / "no_such_dir" / "bands.csv")}
-    config = write_config(tmp_path, "cfg.json", empty_lattice_raw(2, outputs=outputs))
-    assert run(["sweep", "--config", config]) == 2
-    assert "solver error" in capsys.readouterr().err
+def test_sweep_unwritable_output_is_configuration_error(tmp_path, capsys, monkeypatch):
+    # the missing directory is reported before any solving
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep called")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    for key in ("csv_path", "svg_path", "meta_path"):
+        missing = str(tmp_path / "no_such_dir" / "out")
+        config = write_config(tmp_path, "cfg.json", empty_lattice_raw(2, outputs={key: missing}))
+        assert run(["sweep", "--config", config]) == 1
+        assert f"configuration error: output directory of {missing!r} does not exist" in capsys.readouterr().err
+
+
+def test_mesh_unwritable_output_is_configuration_error(tmp_path, capsys):
+    config = write_config(tmp_path, "cfg.json", empty_lattice_raw(1))
+    missing = str(tmp_path / "no_such_dir" / "mesh.txt")
+    assert run(["mesh", "--config", config, "--out", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and missing in err
 
 
 def test_oracle_dense(tmp_path, capsys):

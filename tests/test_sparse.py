@@ -1,4 +1,4 @@
-"""Sparse construction and LU solve contracts.
+"""Sparse LU solve contracts.
 
 Every matrix here is small enough for the dense LAPACK path, so each LU
 test runs its body on both paths through the ``lu_paths`` fixture, which
@@ -19,7 +19,6 @@ from phcbands.sparse import (
     DenseLU,
     SingularMatrixError,
     factorize,
-    from_triplet_arrays,
     frobenius_norm,
     solve,
 )
@@ -46,26 +45,6 @@ def lu_paths(monkeypatch):
             yield checked
 
     return each
-
-
-def test_from_triplets_sums_duplicates():
-    mat = from_triplet_arrays(1, 1, [0, 0], [0, 0], [2.0, 3.0])
-    assert mat.toarray() == pytest.approx(np.array([[5.0]]))
-
-
-def test_from_triplets_stores_complex_entry():
-    mat = from_triplet_arrays(2, 2, [0], [1], [1j])
-    assert mat.nnz == 1
-    assert mat[0, 1] == 1j
-
-
-def test_from_triplets_range_check():
-    with pytest.raises(ValueError):
-        from_triplet_arrays(2, 2, [2], [0], [1.0])
-    with pytest.raises(ValueError):
-        from_triplet_arrays(2, 2, [0], [5], [1.0])
-    with pytest.raises(ValueError):
-        from_triplet_arrays(2, 2, [-1], [0], [1.0])
 
 
 def test_factorize_identity_and_diagonal(lu_paths):
