@@ -35,14 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .materials import ABS_CAP, ABS_FLOOR, PermittivityModel, eval_eps, is_conjugate_symmetric
+from .materials import ABS_CAP, ABS_FLOOR, PermittivityModel, PermittivityPoleError, eval_eps, is_conjugate_symmetric
 from .mesh import Mesh, PeriodicMap
 
 _BZ_TOL = 1e-12
-
-
-class PermittivityBoundsError(RuntimeError):
-    """Permittivity left its admissible bounds at the requested frequency."""
 
 
 @dataclass
@@ -210,9 +206,9 @@ def build_T(fam: OperatorFamily, nu: complex) -> sp.csc_matrix:
     TM:  sum_rho eps_rho(nu)^-1 K_rho(k) - (2 pi nu)^2 M
 
     The terms are summed in the order written, regions in ascending tag
-    order, on the family's shared pattern.  For TM every region's |eps(nu)|
-    must lie in [ABS_FLOOR, ABS_CAP]; outside it PermittivityBoundsError is
-    raised.  Either form raises PermittivityPoleError at a pole of eps.
+    order, on the family's shared pattern.  Either form raises
+    PermittivityPoleError at a pole of eps, and TM also where a region's
+    |eps(nu)| leaves [ABS_FLOOR, ABS_CAP], next to a zero or a pole.
     """
     nu = complex(nu)
     scale = (2.0 * math.pi * nu) ** 2
@@ -228,7 +224,7 @@ def build_T(fam: OperatorFamily, nu: complex) -> sp.csc_matrix:
         for region in fam.regions:
             eps = eval_eps(fam.models[region], nu)
             if not (ABS_FLOOR <= abs(eps) <= ABS_CAP):
-                raise PermittivityBoundsError(f"region {region} permittivity out of bounds at nu = {nu!r}")
+                raise PermittivityPoleError(f"region {region} permittivity out of bounds at nu = {nu!r}")
             coeffs.append(1.0 / eps)
             datas.append(fam.momentum_form[region].data)
         coeffs.append(-scale)

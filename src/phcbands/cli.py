@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, RunConfig, config_sha256, load_config
+from .config import ConfigError, RunConfig, config_sha256, load_config, resolved_dict
 from .io import emit_svg, write_bands_csv, write_metadata
 from .materials import Constant
 from .mesh import GeometryError, build_periodic_dof_map, build_unit_cell_mesh, write_mesh_dump
@@ -35,10 +35,9 @@ def _parse_k(text: str) -> tuple[float, float]:
 
 
 def diagram_from_config(cfg: RunConfig) -> BandDiagram:
-    """Run the configured sweep and attach provenance."""
-    provenance = dict(cfg.resolved)
-    provenance["window"] = dict(cfg.resolved["window"])
-    return sweep(
+    """Run the configured sweep and attach the resolved configuration as
+    its provenance."""
+    diagram = sweep(
         n=cfg.geometry.n,
         r=cfg.geometry.r,
         polarization=cfg.polarization,
@@ -46,8 +45,9 @@ def diagram_from_config(cfg: RunConfig) -> BandDiagram:
         window=cfg.window,
         cfg=cfg.sim,
         nk=cfg.nk,
-        provenance=provenance,
     )
+    diagram.provenance = resolved_dict(cfg)
+    return diagram
 
 
 def _cmd_mesh(args) -> int:

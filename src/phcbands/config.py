@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .materials import Constant, Drude, LossyDrude, PermittivityModel, normalize_physical_drude
-from .mesh import GeometryError, filling_fraction_to_radius
+from .mesh import filling_fraction_to_radius
 from .sim import SimConfig
 from .sweep import Window
 
@@ -43,20 +43,47 @@ class RunConfig:
     sim: SimConfig
     nk: int = DEFAULT_NK
     outputs: OutputPaths = field(default_factory=OutputPaths)
-    resolved: dict = field(default_factory=dict)  # canonical dict for hashing/provenance
+
+
+_ROOT_KEYS = frozenset({"polarization", "geometry", "material", "window", "sim", "path", "outputs"})
+_MATERIAL_KEYS = {
+    "constant": frozenset({"variant", "eps_re", "eps_im"}),
+    "drude": frozenset({"variant", "nu_p", "nu_tau", "physical_units"}),
+    "lossy_drude": frozenset({"variant", "nu_p", "gamma"}),
+}
+
+
+def _key(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _section(value, where: str, allowed: frozenset[str] | None) -> dict:
+    """The object at ``where`` (the root when empty): {} when absent or null;
+    a value that is not an object, or a key outside ``allowed`` (unless that
+    is None), is an error."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{where}' must be an object" if where else "configuration root must be an object")
+    unknown = sorted(set(value) - allowed) if allowed is not None else []
+    if unknown:
+        raise ConfigError(f"unknown key '{_key(where, unknown[0])}'")
+    return value
+
+
+def _build(where: str, make, **kwargs):
+    """``make(**kwargs)``, with the ValueError of a rejected value reported
+    as a configuration error of section ``where``."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"'{where}' invalid: {exc}") from exc
 
 
 def _require(section: dict, key: str, where: str):
     if key not in section:
-        raise ConfigError(f"missing required key '{where}.{key}'" if where else f"missing required key '{key}'")
+        raise ConfigError(f"missing required key '{_key(where, key)}'")
     return section[key]
-
-
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigError(f"unknown key '{where + '.' if where else ''}{name}'")
 
 
 def _as_number(value, where: str) -> float:
@@ -73,128 +100,85 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _parse_geometry(raw: dict) -> GeometryConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("'geometry' must be an object")
-    _reject_unknown(raw, {"n", "r", "f"}, "geometry")
+def _as_path(value, where: str) -> str:
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"'{where}' must be a non-empty string, got {value!r}")
+    return value
+
+
+def _parse_geometry(value) -> GeometryConfig:
+    raw = _section(value, "geometry", frozenset({"n", "r", "f"}))
     n = _as_int(_require(raw, "n", "geometry"), "geometry.n")
     if n < 1:
         raise ConfigError(f"'geometry.n' must be >= 1, got {n}")
-    has_r = "r" in raw
-    has_f = "f" in raw
-    if has_r == has_f:
+    if ("r" in raw) == ("f" in raw):
         raise ConfigError("'geometry' needs exactly one of 'r' (radius) or 'f' (filling fraction)")
-    try:
-        if has_r:
-            r = _as_number(raw["r"], "geometry.r")
-            if not (0.0 <= r < 0.5):
-                raise ConfigError(f"'geometry.r' must lie in [0, 0.5), got {r}")
-        else:
-            r = filling_fraction_to_radius(_as_number(raw["f"], "geometry.f"))
-    except GeometryError as exc:
-        raise ConfigError(f"'geometry.f' invalid: {exc}") from exc
+    if "r" in raw:
+        r = _as_number(raw["r"], "geometry.r")
+        if not (0.0 <= r < 0.5):
+            raise ConfigError(f"'geometry.r' must lie in [0, 0.5), got {r}")
+    else:
+        r = _build("geometry.f", filling_fraction_to_radius, f=_as_number(raw["f"], "geometry.f"))
     return GeometryConfig(n=n, r=r)
 
 
-def _parse_material(raw: dict) -> PermittivityModel:
-    if not isinstance(raw, dict):
-        raise ConfigError("'material' must be an object")
+def _parse_material(value) -> PermittivityModel:
+    # the keys a material takes depend on its variant, so they are checked
+    # once the variant is known
+    raw = _section(value, "material", None)
     variant = _require(raw, "variant", "material")
+    if not (isinstance(variant, str) and variant in _MATERIAL_KEYS):
+        raise ConfigError(f"'material.variant' must be one of constant/drude/lossy_drude, got {variant!r}")
+    _section(raw, "material", _MATERIAL_KEYS[variant])
     if variant == "constant":
-        _reject_unknown(raw, {"variant", "eps_re", "eps_im"}, "material")
         eps_re = _as_number(_require(raw, "eps_re", "material"), "material.eps_re")
         eps_im = _as_number(raw.get("eps_im", 0.0), "material.eps_im")
-        try:
-            return Constant(eps=complex(eps_re, eps_im))
-        except ValueError as exc:
-            raise ConfigError(f"'material': {exc}") from exc
-    if variant == "drude":
-        _reject_unknown(raw, {"variant", "nu_p", "nu_tau", "physical_units"}, "material")
-        physical = raw.get("physical_units")
-        if physical is not None:
-            if "nu_p" in raw or "nu_tau" in raw:
-                raise ConfigError("'material' takes either normalized parameters or 'physical_units', not both")
-            if not isinstance(physical, dict):
-                raise ConfigError("'material.physical_units' must be an object")
-            _reject_unknown(physical, {"omega_p_thz", "omega_tau_thz", "a_meters"}, "material.physical_units")
-            omega_p_thz = _as_number(
-                _require(physical, "omega_p_thz", "material.physical_units"), "material.physical_units.omega_p_thz"
-            )
-            omega_tau_thz = _as_number(physical.get("omega_tau_thz", 0.0), "material.physical_units.omega_tau_thz")
-            a_meters = _as_number(
-                _require(physical, "a_meters", "material.physical_units"), "material.physical_units.a_meters"
-            )
-            try:
-                return normalize_physical_drude(
-                    omega_p=2.0 * math.pi * omega_p_thz * 1e12,
-                    omega_tau=2.0 * math.pi * omega_tau_thz * 1e12,
-                    a=a_meters,
-                )
-            except ValueError as exc:
-                raise ConfigError(f"'material.physical_units': {exc}") from exc
-        try:
-            return Drude(
-                nu_p=_as_number(_require(raw, "nu_p", "material"), "material.nu_p"),
-                nu_tau=_as_number(raw.get("nu_tau", 0.0), "material.nu_tau"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"'material': {exc}") from exc
+        return _build("material", Constant, eps=complex(eps_re, eps_im))
     if variant == "lossy_drude":
-        _reject_unknown(raw, {"variant", "nu_p", "gamma"}, "material")
-        try:
-            return LossyDrude(
-                nu_p=_as_number(_require(raw, "nu_p", "material"), "material.nu_p"),
-                gamma=_as_number(raw.get("gamma", 0.0), "material.gamma"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"'material': {exc}") from exc
-    raise ConfigError(f"'material.variant' must be one of constant/drude/lossy_drude, got {variant!r}")
+        return _build(
+            "material",
+            LossyDrude,
+            nu_p=_as_number(_require(raw, "nu_p", "material"), "material.nu_p"),
+            gamma=_as_number(raw.get("gamma", 0.0), "material.gamma"),
+        )
+    if raw.get("physical_units") is None:
+        return _build(
+            "material",
+            Drude,
+            nu_p=_as_number(_require(raw, "nu_p", "material"), "material.nu_p"),
+            nu_tau=_as_number(raw.get("nu_tau", 0.0), "material.nu_tau"),
+        )
+    if "nu_p" in raw or "nu_tau" in raw:
+        raise ConfigError("'material' takes either normalized parameters or 'physical_units', not both")
+    where = "material.physical_units"
+    physical = _section(raw["physical_units"], where, frozenset({"omega_p_thz", "omega_tau_thz", "a_meters"}))
+    omega_p_thz = _as_number(_require(physical, "omega_p_thz", where), f"{where}.omega_p_thz")
+    omega_tau_thz = _as_number(physical.get("omega_tau_thz", 0.0), f"{where}.omega_tau_thz")
+    a_meters = _as_number(_require(physical, "a_meters", where), f"{where}.a_meters")
+    return _build(
+        where,
+        normalize_physical_drude,
+        omega_p=2.0 * math.pi * omega_p_thz * 1e12,
+        omega_tau=2.0 * math.pi * omega_tau_thz * 1e12,
+        a=a_meters,
+    )
 
 
-def _parse_window(raw: dict | None) -> Window:
-    if raw is None:
-        return DEFAULT_WINDOW
-    if not isinstance(raw, dict):
-        raise ConfigError("'window' must be an object")
-    _reject_unknown(raw, {"re_min", "re_max", "im_min", "im_max"}, "window")
-    values = {
-        "re_min": DEFAULT_WINDOW.re_min,
-        "re_max": DEFAULT_WINDOW.re_max,
-        "im_min": DEFAULT_WINDOW.im_min,
-        "im_max": DEFAULT_WINDOW.im_max,
-    }
-    for key in raw:
-        values[key] = _as_number(raw[key], f"window.{key}")
-    try:
-        return Window(**values)
-    except ValueError as exc:
-        raise ConfigError(f"'window' invalid: {exc}") from exc
+def _parse_window(value) -> Window:
+    raw = _section(value, "window", frozenset({"re_min", "re_max", "im_min", "im_max"}))
+    values = asdict(DEFAULT_WINDOW) | {key: _as_number(item, f"window.{key}") for key, item in raw.items()}
+    return _build("window", Window, **values)
 
 
-def _parse_sim(raw: dict | None) -> SimConfig:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("'sim' must be an object")
-    _reject_unknown(raw, {"delta0", "seed", "dedup_tol"}, "sim")
-    kwargs = {}
-    for key in ("delta0", "dedup_tol"):
-        if key in raw:
-            kwargs[key] = _as_number(raw[key], f"sim.{key}")
-    if "seed" in raw:
-        kwargs["seed"] = _as_int(raw["seed"], "sim.seed")
-    try:
-        return SimConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"'sim' invalid: {exc}") from exc
+def _parse_sim(value) -> SimConfig:
+    raw = _section(value, "sim", frozenset({"delta0", "seed", "dedup_tol"}))
+    kwargs = {key: (_as_int if key == "seed" else _as_number)(item, f"sim.{key}") for key, item in raw.items()}
+    return _build("sim", SimConfig, **kwargs)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate a configuration dictionary and fill defaults."""
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be an object")
-    allowed = {"polarization", "geometry", "material", "window", "sim", "path", "outputs"}
-    _reject_unknown(raw, allowed, "")
+    raw = _section(raw, "", _ROOT_KEYS)
 
     polarization = _require(raw, "polarization", "")
     if polarization not in ("TE", "TM"):
@@ -204,36 +188,21 @@ def config_from_dict(raw: dict) -> RunConfig:
     window = _parse_window(raw.get("window"))
     sim_cfg = _parse_sim(raw.get("sim"))
 
-    path_raw = raw.get("path") or {}
-    if not isinstance(path_raw, dict):
-        raise ConfigError("'path' must be an object")
-    _reject_unknown(path_raw, {"nk"}, "path")
-    nk = _as_int(path_raw.get("nk", DEFAULT_NK), "path.nk")
+    path = _section(raw.get("path"), "path", frozenset({"nk"}))
+    nk = _as_int(path.get("nk", DEFAULT_NK), "path.nk")
     if nk < 1:
         raise ConfigError(f"'path.nk' must be >= 1, got {nk}")
 
-    out_raw = raw.get("outputs") or {}
-    if not isinstance(out_raw, dict):
-        raise ConfigError("'outputs' must be an object")
-    _reject_unknown(out_raw, {"csv_path", "svg_path", "meta_path"}, "outputs")
-    outputs = OutputPaths(
-        csv_path=str(out_raw.get("csv_path", OutputPaths.csv_path)),
-        svg_path=str(out_raw.get("svg_path", OutputPaths.svg_path)),
-        meta_path=str(out_raw.get("meta_path", OutputPaths.meta_path)),
-    )
-
-    models: dict[int, PermittivityModel] = {0: Constant(eps=1.0 + 0.0j), 1: disc_model}
-    cfg = RunConfig(
+    outputs = _section(raw.get("outputs"), "outputs", frozenset({"csv_path", "svg_path", "meta_path"}))
+    return RunConfig(
         polarization=polarization,
         geometry=geometry,
-        models=models,
+        models={0: Constant(eps=1.0 + 0.0j), 1: disc_model},
         window=window,
         sim=sim_cfg,
         nk=nk,
-        outputs=outputs,
+        outputs=OutputPaths(**{key: _as_path(value, f"outputs.{key}") for key, value in outputs.items()}),
     )
-    cfg.resolved = resolved_dict(cfg)
-    return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -273,5 +242,5 @@ def resolved_dict(cfg: RunConfig) -> dict:
 
 def config_sha256(cfg: RunConfig) -> str:
     """Hash of the canonical resolved configuration."""
-    payload = json.dumps(cfg.resolved or resolved_dict(cfg), sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(resolved_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -47,25 +47,13 @@ def write_bands_csv(diagram: BandDiagram, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _y_range(diagram: BandDiagram) -> tuple[float, float]:
-    window = diagram.provenance.get("window") if diagram.provenance else None
-    if isinstance(window, dict) and "re_min" in window and "re_max" in window:
-        return float(window["re_min"]), float(window["re_max"])
-    values = [c.nu.real for p in diagram.points for c in p.eigenpairs]
-    if not values:
-        return 0.0, 1.0
-    lo, hi = min(values), max(values)
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
-    return lo, hi
-
-
 def emit_svg(diagram: BandDiagram, path: str | Path) -> None:
-    """Scatter plot of Re nu against path arclength as a standalone SVG."""
+    """Scatter plot of Re nu against path arclength as a standalone SVG; the
+    y-axis spans the real range of the diagram's search window."""
     total = diagram.points[-1].arclength if diagram.points else math.pi * (2.0 + math.sqrt(2.0))
     if total <= 0:
         total = 1.0
-    y_lo, y_hi = _y_range(diagram)
+    y_lo, y_hi = diagram.window.re_min, diagram.window.re_max
 
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

@@ -27,7 +27,9 @@ ABS_CAP = 1e12
 
 
 class PermittivityPoleError(ArithmeticError):
-    """Permittivity evaluated exactly at a pole of the model."""
+    """Permittivity unusable at the requested frequency: at a pole of the
+    model, or (where the TM operator divides by it) outside [ABS_FLOOR,
+    ABS_CAP] next to a zero or a pole."""
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,11 @@ rank and in the pencil.  ``sweep.solve_at_k`` therefore keeps a start value
 only if it refines to a point inside its own square; a neighbouring square
 owns the others.
 
-Most of the search's cost is one sparse LU factorization per quadrature node,
-and many nodes recur, so each ``sim_h`` run keeps a ``SolveMemo`` of the
-solutions u(z) = T(z)^-1 V by contour point and factorizes a point once:
+Every quadrature node costs an LU factorization of T(z) and a block solve;
+above 96 unknowns (SuperLU) the factorizations are the largest share of the
+search's time, below it (LAPACK) they are about a quarter.  Many nodes
+recur, so each ``sim_h`` run keeps a ``SolveMemo`` of the solutions
+u(z) = T(z)^-1 V by contour point and factorizes a point once:
 
 - Corners.  On the first attempt the circle circumscribes the square, so
   the nodes j = 2, 6, 10, 14 are the square's corners; they are placed
@@ -80,7 +82,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .assembly import PermittivityBoundsError
 from .materials import PermittivityPoleError
 from .sparse import SingularMatrixError, factorize, frobenius_norm, solve
 
@@ -313,7 +314,7 @@ def indicator(
                     weight *= phase
                 # ||u||_2^2 is the largest eigenvalue of the small Gram matrix
                 largest = max(largest, float(np.linalg.eigvalsh(u.conj().T @ u)[-1]))
-        except (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError) as exc:
+        except (SingularMatrixError, PermittivityPoleError) as exc:
             last_error = str(exc)
             continue
         if moments is not None:

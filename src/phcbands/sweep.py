@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .assembly import OperatorFamily, PermittivityBoundsError, assemble_family
+from .assembly import OperatorFamily, assemble_family
 from .materials import Constant, Drude, LossyDrude, PermittivityModel, PermittivityPoleError
 from .mesh import Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
 from .sim import EigenCandidate, SearchRegion, SimConfig, dedup, refine_eigenpair, sim_h
@@ -128,7 +128,7 @@ def solve_at_k(
     for start in result.candidates:
         try:
             rr = refine_eigenpair(start.nu, fam)
-        except (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError) as exc:
+        except (SingularMatrixError, PermittivityPoleError) as exc:
             warnings.append(f"refinement from nu = {start.nu!r} failed: {exc}")
             continue
         if not (start.tile.contains(rr.nu) and window.contains(rr.nu)):
@@ -151,7 +151,11 @@ class KPointResult:
 
 @dataclass
 class BandDiagram:
+    """Eigenpairs along the path, the window they were searched in, and the
+    resolved configuration of the run (empty unless the caller sets it)."""
+
     points: list[KPointResult]
+    window: Window
     provenance: dict = field(default_factory=dict)
 
     def n_eigenvalues(self) -> int:
@@ -166,7 +170,6 @@ def sweep(
     window: Window,
     cfg: SimConfig,
     nk: int,
-    provenance: dict | None = None,
 ) -> BandDiagram:
     """Band diagram along Gamma -> X -> M -> Gamma.
 
@@ -185,14 +188,14 @@ def sweep(
         if k not in solved:
             try:
                 solved[k] = solve_at_k(mesh, pmap, k, polarization, models, window, cfg)
-            except (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError) as exc:
+            except (SingularMatrixError, PermittivityPoleError) as exc:
                 # keep sweeping; the point is reported empty
                 solved[k] = KSolveResult(eigenpairs=[], warnings=[f"k-point failed: {exc}"])
         res = solved[k]
         points.append(
             KPointResult(index=index, k=k, arclength=arc, eigenpairs=list(res.eigenpairs), warnings=list(res.warnings))
         )
-    return BandDiagram(points=points, provenance=provenance or {})
+    return BandDiagram(points, window)
 
 
 def _require_dense_size(n_dofs: int, cap: int, what: str) -> None:

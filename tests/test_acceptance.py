@@ -150,10 +150,7 @@ def test_criterion_4_lossy_metal_residuals_and_lowest_band(lossy_disc_x, tmp_pat
 
     # qualitative band-diagram reproduction: coarse sweep over the full
     # window, every k-point populated, artifacts consistent
-    diagram = sweep(
-        8, r, "TM", models, Window(0.05, 1.2, -0.05, 0.05), SimConfig(), nk=1,
-        provenance={"window": {"re_min": 0.05, "re_max": 1.2}},
-    )
+    diagram = sweep(8, r, "TM", models, Window(0.05, 1.2, -0.05, 0.05), SimConfig(), nk=1)
     csv_path = tmp_path / "lossy.csv"
     svg_path = tmp_path / "lossy.svg"
     write_bands_csv(diagram, csv_path)

@@ -233,6 +233,36 @@ def test_bad_numbers_are_configuration_errors(tmp_path, capsys, section, text, k
     assert err.startswith("configuration error:") and key in err
 
 
+@pytest.mark.parametrize(
+    "section,value,key",
+    [
+        ("path", 0, "'path' must be an object"),
+        ("path", [], "'path' must be an object"),
+        ("outputs", [], "'outputs' must be an object"),
+        ("outputs", {"csv_path": None}, "'outputs.csv_path' must be a non-empty string"),
+        ("outputs", {"svg_path": 5}, "'outputs.svg_path' must be a non-empty string"),
+        ("outputs", {"meta_path": ""}, "'outputs.meta_path' must be a non-empty string"),
+        ("material", {"variant": ["constant"], "eps_re": 1.0}, "'material.variant' must be one of"),
+    ],
+)
+def test_malformed_sections_fail_before_the_sweep(tmp_path, capsys, monkeypatch, section, value, key):
+    # a section that is not an object, an output path that is not a
+    # non-empty string and a variant that is not a name are configuration
+    # errors naming the key, reported before anything is solved or written
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep called")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    raw = empty_lattice_raw(2)
+    raw[section] = value
+    config = write_config(tmp_path, "cfg.json", raw)
+    assert run(["sweep", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "phcbands.cli", "--version"],

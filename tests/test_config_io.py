@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,9 @@ from phcbands.io import CSV_HEADER, emit_svg, write_bands_csv, write_metadata
 from phcbands.materials import Constant, Drude, LossyDrude
 from phcbands.mesh import filling_fraction_to_radius
 from phcbands.sim import EigenCandidate
-from phcbands.sweep import BandDiagram, KPointResult
+from phcbands.sweep import BandDiagram, KPointResult, Window
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 def minimal_raw(**overrides):
@@ -52,7 +55,11 @@ def small_diagram():
             warnings=["refinement stalled at nu = 0.5"],
         ),
     ]
-    return BandDiagram(points=points, provenance={"window": {"re_min": 0.0, "re_max": 1.0}})
+    return BandDiagram(
+        points=points,
+        window=Window(0.0, 1.0, -0.05, 0.05),
+        provenance={"window": {"re_min": 0.0, "re_max": 1.0}},
+    )
 
 
 def test_minimal_config_defaults():
@@ -66,7 +73,7 @@ def test_minimal_config_defaults():
     assert cfg.nk == DEFAULT_NK
     assert cfg.sim.delta0 == 0.01
     assert cfg.outputs.csv_path == "bands.csv"
-    assert cfg.resolved["geometry"] == {"n": 8, "r": 0.3}
+    assert resolved_dict(cfg)["geometry"] == {"n": 8, "r": 0.3}
 
 
 def test_filling_fraction_geometry():
@@ -89,8 +96,9 @@ def test_material_variants():
     assert drude.models[1] == Drude(nu_p=1.0, nu_tau=0.01)
     lossy = config_from_dict(minimal_raw(material={"variant": "lossy_drude", "nu_p": 1.0, "gamma": 0.01}))
     assert lossy.models[1] == LossyDrude(nu_p=1.0, gamma=0.01)
-    with pytest.raises(ConfigError):
-        config_from_dict(minimal_raw(material={"variant": "metal"}))
+    for variant in ("metal", ["constant"]):
+        with pytest.raises(ConfigError, match="'material.variant' must be one of"):
+            config_from_dict(minimal_raw(material={"variant": variant, "eps_re": 8.9}))
     with pytest.raises(ConfigError):
         config_from_dict(minimal_raw(material={"variant": "constant"}))  # eps_re missing
     with pytest.raises(ConfigError):
@@ -113,6 +121,8 @@ def test_physical_unit_conversion():
         config_from_dict(minimal_raw(material=conflicting))
     with pytest.raises(ConfigError):
         config_from_dict(minimal_raw(material={"variant": "drude", "physical_units": {"omega_p_thz": 1914.0}}))
+    with pytest.raises(ConfigError, match="'material.physical_units' must be an object"):
+        config_from_dict(minimal_raw(material={"variant": "drude", "physical_units": [1914.0, 8.34, 1e-7]}))
 
 
 def test_unknown_keys_are_named():
@@ -124,6 +134,23 @@ def test_unknown_keys_are_named():
         config_from_dict(minimal_raw(sim={"bogus": 1}))
     with pytest.raises(ConfigError, match="window.foo"):
         config_from_dict(minimal_raw(window={"foo": 1}))
+    # each material variant takes only its own keys
+    with pytest.raises(ConfigError, match="material.gamma"):
+        config_from_dict(minimal_raw(material={"variant": "drude", "nu_p": 1.0, "gamma": 0.01}))
+    with pytest.raises(ConfigError, match="material.physical_units"):
+        config_from_dict(minimal_raw(material={"variant": "lossy_drude", "nu_p": 1.0, "physical_units": {}}))
+
+
+@pytest.mark.parametrize("section", ["geometry", "material", "window", "sim", "path", "outputs"])
+@pytest.mark.parametrize("value", [0, []])
+def test_sections_must_be_objects(section, value):
+    with pytest.raises(ConfigError, match=f"'{section}' must be an object"):
+        config_from_dict(minimal_raw(**{section: value}))
+
+
+def test_optional_sections_may_be_null():
+    cfg = config_from_dict(minimal_raw(window=None, sim=None, path=None, outputs=None))
+    assert cfg == config_from_dict(minimal_raw())
 
 
 def test_type_checks_reject_booleans():
@@ -162,6 +189,20 @@ def test_config_hash_stable_and_sensitive():
     assert config_sha256(reseeded) != config_sha256(cfg)
 
 
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("drude-sweep-n8", "f3c8b26e697c9777caf9be435c588e066e3e0f6188a1d3b927a833513afeac77"),
+        ("dielectric-m-n16", "2cdca57bd60a19942161a27fe28960e265579d5d69b7e93fd86eac343eb73b48"),
+        ("disc-x-n24", "1d8343a9451c8873fc19837dcddb89727ce2409e9dc16c2b020e40111bc93d45"),
+    ],
+)
+def test_config_hash_of_benchmark_configs_is_pinned(name, digest):
+    # bands_meta.json records this hash, so a change to the resolved
+    # dictionary or its serialization shows here
+    assert config_sha256(load_config(BENCH_CONFIGS / f"{name}.json")) == digest
+
+
 def test_resolved_dict_is_canonical():
     cfg = config_from_dict(minimal_raw())
     resolved = resolved_dict(cfg)
@@ -170,7 +211,7 @@ def test_resolved_dict_is_canonical():
     assert resolved["sim"] == {"delta0": 0.01, "seed": 0, "dedup_tol": 2e-4}
     # the sim schema keys are exactly the SimConfig fields
     custom = {"delta0": 0.02, "seed": 3, "dedup_tol": 3e-4}
-    assert config_from_dict(minimal_raw(sim=custom)).resolved["sim"] == custom
+    assert resolved_dict(config_from_dict(minimal_raw(sim=custom)))["sim"] == custom
     json.dumps(resolved)  # must be JSON-serializable as-is
 
 
@@ -223,7 +264,7 @@ def test_svg_wellformed_and_marker_count(tmp_path):
 
 def test_svg_window_clips_markers(tmp_path):
     diagram = small_diagram()
-    diagram.provenance = {"window": {"re_min": 0.4, "re_max": 0.6}}
+    diagram.window = Window(0.4, 0.6, -0.05, 0.05)
     path = tmp_path / "clipped.svg"
     emit_svg(diagram, path)
     root = ET.fromstring(path.read_text(encoding="utf-8"))
@@ -233,7 +274,7 @@ def test_svg_window_clips_markers(tmp_path):
 
 def test_svg_empty_diagram(tmp_path):
     path = tmp_path / "empty.svg"
-    emit_svg(BandDiagram(points=[]), path)
+    emit_svg(BandDiagram(points=[], window=DEFAULT_WINDOW), path)
     root = ET.fromstring(path.read_text(encoding="utf-8"))
     ns = root.tag[: -len("svg")]
     assert root.findall(f"{ns}circle") == []

@@ -10,8 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 import phcbands.sim
-from phcbands.assembly import PermittivityBoundsError
-from phcbands.materials import Constant, Drude, LossyDrude
+from phcbands.materials import Constant, Drude, LossyDrude, PermittivityPoleError
 from phcbands.sim import (
     ContourMoments,
     EigenCandidate,
@@ -82,7 +81,7 @@ class FlakyFamily:
 
     def t_matrix(self, nu):
         if abs(complex(nu) - self.trigger) < 1e-9:
-            raise PermittivityBoundsError("permittivity out of bounds")
+            raise PermittivityPoleError("permittivity out of bounds")
         return sp.csr_matrix(np.array([[complex(nu) - self.pole]]))
 
 

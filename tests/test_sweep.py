@@ -8,7 +8,9 @@ import pytest
 import scipy.linalg
 
 import phcbands.sweep
-from phcbands.assembly import PermittivityBoundsError, assemble_family
+from phcbands.assembly import assemble_family
+from phcbands.cli import diagram_from_config
+from phcbands.config import config_from_dict, resolved_dict
 from phcbands.materials import Constant, Drude, LossyDrude, PermittivityPoleError, normalize_physical_drude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
 from phcbands.sim import SearchRegion, SimConfig, StartValue
@@ -180,7 +182,7 @@ def test_solve_at_k_drops_a_candidate_whose_refinement_fails(family_factory, mon
     mesh, pmap, _ = family_factory(8, 0.0, X)
     win = Window(0.3, 0.7, -0.05, 0.05)
     real_refine = phcbands.sweep.refine_eigenpair
-    for error in (SingularMatrixError, PermittivityBoundsError, PermittivityPoleError):
+    for error in (SingularMatrixError, PermittivityPoleError):
 
         def refine(nu0, fam):
             if abs(nu0 - 0.5) < 1e-3:
@@ -245,10 +247,21 @@ def test_solve_at_k_drops_a_start_value_that_leaves_its_square(family_factory, m
     ]
 
 
-def test_sweep_attaches_provenance():
-    prov = {"window": {"re_min": 0.4, "re_max": 0.6}}
-    diagram = sweep(1, 0.0, "TE", {0: Constant(1.0)}, Window(0.4, 0.6, -0.05, 0.05), SimConfig(), nk=1, provenance=prov)
-    assert diagram.provenance == prov
+def test_diagram_from_config_attaches_provenance():
+    # the sweep carries its window; the resolved configuration is attached
+    # once, by the caller that holds it
+    raw = {
+        "polarization": "TE",
+        "geometry": {"n": 1, "r": 0.0},
+        "material": {"variant": "constant", "eps_re": 1.0},
+        "window": {"re_min": 0.4, "re_max": 0.6},
+        "path": {"nk": 1},
+    }
+    cfg = config_from_dict(raw)
+    diagram = diagram_from_config(cfg)
+    assert diagram.window == cfg.window == Window(0.4, 0.6, -0.05, 0.05)
+    assert diagram.provenance == resolved_dict(cfg)
+    assert sweep(1, 0.0, "TE", cfg.models, cfg.window, cfg.sim, nk=1).provenance == {}
 
 
 def test_dense_oracle_empty_lattice(family_factory):
