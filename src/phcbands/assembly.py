@@ -16,9 +16,8 @@ frequency sweeps then reduce to scalar linear combinations.
 
 All matrices of one family share a single CSC sparsity pattern, the set of
 (row, col) pairs the elements touch, so T(nu) is a linear combination of
-their ``data`` arrays and never a sum of sparse matrices.  The pattern is
-CSC because that is what SuperLU factors, so T(nu) reaches the
-factorization without a format conversion.  Each region matrix is one
+their ``data`` arrays and never a sum of sparse matrices; ``sparse``
+scatters that ``data`` straight into band storage.  Each region matrix is one
 scatter-add of its element entries into their slots of the pattern, in
 triangle order, with no intermediate matrix; entries a region does not
 touch hold zero.  So every sum is fixed by the mesh alone.  The combination
@@ -55,8 +54,7 @@ class OperatorFamily:
     These are the matrices ``build_T`` and the oracles read.  Every matrix
     is canonical complex128 CSC on the family's one shared pattern (the
     same ``indices`` and ``indptr`` memory), so building the operator at a
-    frequency costs one combination of ``data`` arrays, and the result is
-    in the format SuperLU factors.
+    frequency costs one combination of ``data`` arrays.
     """
 
     polarization: str

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -77,10 +78,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    # a missing output directory is reported before the sweep, not after it
-    for path in (cfg.outputs.csv_path, cfg.outputs.svg_path, cfg.outputs.meta_path):
+    # an output path that cannot be a file is reported before the sweep,
+    # not after it
+    for key, path in asdict(cfg.outputs).items():
         if not Path(path).parent.is_dir():
             raise ConfigError(f"output directory of {path!r} does not exist")
+        if Path(path).is_dir():
+            raise ConfigError(f"'outputs.{key}' is a directory: {path!r}")
     diagram = diagram_from_config(cfg)
     write_bands_csv(diagram, cfg.outputs.csv_path)
     emit_svg(diagram, cfg.outputs.svg_path)

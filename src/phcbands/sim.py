@@ -34,10 +34,9 @@ rank and in the pencil.  ``sweep.solve_at_k`` therefore keeps a start value
 only if it refines to a point inside its own square; a neighbouring square
 owns the others.
 
-Every quadrature node costs an LU factorization of T(z) and a block solve;
-above 96 unknowns (SuperLU) the factorizations are the largest share of the
-search's time, below it (LAPACK) they are about a quarter.  Many nodes
-recur, so each ``sim_h`` run keeps a ``SolveMemo`` of the solutions
+Every quadrature node costs a banded LU factorization of T(z) and a block
+solve, together the largest share of the search's time.  Many nodes recur,
+so each ``sim_h`` run keeps a ``SolveMemo`` of the solutions
 u(z) = T(z)^-1 V by contour point and factorizes a point once:
 
 - Corners.  On the first attempt the circle circumscribes the square, so

@@ -1,134 +1,129 @@
 """Direct LU solves of complex sparse matrices.
 
-This module builds no matrix: ``assembly`` scatters the element entries of
-each operator straight onto its CSC pattern, summed in triangle order, with
-no CSR or triplet intermediate.  ``factorize`` owns every factorization and
-takes one of two paths.  A square matrix of at most ``_DENSE_MAX_DOFS`` rows
-is densified and factored by LAPACK ``zgetrf``: at that size SuperLU's
-symbolic analysis and bookkeeping cost more than the arithmetic it saves.
-Larger matrices go through SuperLU, which factors CSC, so a complex128 CSC
-matrix is taken as it is and anything else is converted.  Both paths return
-an object with SuperLU's ``shape`` and ``solve(b, trans)``, and ``solve`` is
-the one place right-hand sides reach it.  This module is the only place the
-solver touches a sparse or dense LU backend, so everything downstream sees a
-fixed, deterministic contract: a factorization whose smallest pivot falls
-below ``PIVOT_RATIO_FLOOR`` times the largest is reported as singular
-instead of silently producing garbage.
+``factorize`` owns every factorization, and there is one path, a banded LU.
+A reverse Cuthill-McKee ordering (Cuthill and McKee, Proc. ACM 1969) packs
+the pattern into a narrow band about the diagonal; LAPACK ``zgbtrf`` factors
+the reordered matrix in band storage with partial pivoting, and ``zgbtrs``
+solves a whole block of right-hand sides in one call, with the same bits
+under any number of BLAS threads.  The ordering depends on the pattern
+alone, and a family's operators share one, so its ``BandLayout`` is built
+once; a factorization is then one scatter of ``data`` and one ``zgbtrf``.
+Per contour point (build T(nu), factorize, a 12-column solve, one thread)
+on the TM lossy disc this took 0.28 / 1.53 / 5.2 / 14.5 / 46.5 ms at
+n = 8 / 16 / 24 / 32 / 48, against 0.44 / 3.66 / 9.0 / 16.8 / 46.0 ms for a
+dense LU up to 96 unknowns and SuperLU above.  That is the measured range:
+n = 48 (2,368 unknowns) is a tie, and larger meshes may favour a
+fill-reducing sparse LU.  A factorization whose smallest pivot falls below
+``PIVOT_RATIO_FLOOR`` times the largest is reported as singular.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import ztrsv
-from scipy.linalg.lapack import zgetrf
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 PIVOT_RATIO_FLOOR = 1e-14
-
-# Largest order factored densely.  Per contour point (build, factorize, a
-# 12-column solve) the dense path wins up to ~83 DOFs and loses at 104 under
-# two OpenBLAS threads: OpenBLAS threads zgetrf once rows x columns reaches
-# 10,000, and below that its result does not depend on the thread count.
-_DENSE_MAX_DOFS = 96
 
 
 class SingularMatrixError(RuntimeError):
     """Matrix is exactly or numerically singular."""
 
 
-class DenseLU:
-    """LAPACK LU factors (``zgetrf``) of a small dense matrix, with the
-    ``shape`` and ``solve(b, trans)`` of SuperLU's factor object.
+class BandLayout(NamedTuple):
+    """Band storage of the CSC pattern ``indptr``, ``indices``: row and
+    column i of the reordered matrix are ``perm[i]`` of the original, with
+    ``kl`` sub- and ``ku`` superdiagonals, and CSC entry p lands at
+    ``flat[p]`` of the 2 kl + ku + 1 band rows raveled column by column."""
 
-    ``solve`` applies the row interchanges and calls the two triangular
-    solves itself rather than ``zgetrs``: OpenBLAS's ``zgetrs`` takes a
-    different route with one thread than with several, so its last bits
-    would depend on the BLAS thread count, and ``ztrsv`` does not.
-    """
-
-    __slots__ = ("lu", "perm", "shape")
-
-    def __init__(self, lu: np.ndarray, piv: np.ndarray):
-        # zgetrf's sequential row swaps as one permutation: P^T b = b[perm]
-        perm = list(range(lu.shape[0]))
-        for i, p in enumerate(piv.tolist()):
-            perm[i], perm[p] = perm[p], perm[i]
-        self.lu = lu
-        self.perm = np.array(perm)
-        self.shape = lu.shape
-
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve A x = b, or A^H x = b with ``trans="H"``, for a vector b."""
-        if trans == "N":  # L U x = P^T b
-            y = ztrsv(self.lu, b[self.perm], overwrite_x=1, lower=1, diag=1)
-            return ztrsv(self.lu, y, overwrite_x=1)
-        if trans == "H":  # U^H L^H P^T x = b
-            y = ztrsv(self.lu, b, trans=2)
-            y = ztrsv(self.lu, y, overwrite_x=1, lower=1, trans=2, diag=1)
-            x = np.empty_like(y)
-            x[self.perm] = y
-            return x
-        raise ValueError(f"trans must be 'N' or 'H', got {trans!r}")
+    indptr: np.ndarray
+    indices: np.ndarray
+    perm: np.ndarray
+    kl: int
+    ku: int
+    flat: np.ndarray
 
 
-def factorize(mat: sp.spmatrix) -> SuperLU | DenseLU:
-    """LU-factorize a square sparse matrix.
+class BandLU(NamedTuple):
+    """``zgbtrf`` factors of the reordered matrix, in band storage."""
 
-    A matrix of at most ``_DENSE_MAX_DOFS`` rows is densified and factored
-    by LAPACK ``zgetrf`` into a ``DenseLU``; a larger one by SuperLU.
-    Either way, raises SingularMatrixError for exactly singular input and
-    for pivots (the diagonal of U) smaller than PIVOT_RATIO_FLOOR times the
-    largest pivot.
-    """
+    layout: BandLayout
+    band: np.ndarray
+    ipiv: np.ndarray
+
+
+def band_layout(csc: sp.csc_matrix) -> BandLayout:
+    """Reverse Cuthill-McKee ordering of a square CSC pattern and the band
+    storage place of each of its entries."""
+    n = csc.shape[0]
+    indptr, indices = csc.indptr.copy(), csc.indices.copy()
+    pattern = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=csc.shape)
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=False).astype(np.intp)
+    position = np.empty(n, dtype=np.intp)
+    position[perm] = np.arange(n)
+    row = position[indices]
+    col = position[np.repeat(np.arange(n), np.diff(indptr))]
+    kl, ku = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
+    # A(i, j) sits in band row kl + ku + i - j of column j
+    flat = (kl + ku + row - col) + col * (2 * kl + ku + 1)
+    return BandLayout(indptr, indices, perm, kl, ku, flat)
+
+
+# the layout of the last pattern factorized; a family's operators share it
+_last_layout: BandLayout | None = None
+
+
+def factorize(mat: sp.spmatrix) -> BandLU:
+    """LU-factorize a square sparse matrix.  Raises SingularMatrixError for
+    exactly singular input and for pivots (the diagonal of U) smaller than
+    PIVOT_RATIO_FLOOR times the largest pivot."""
+    global _last_layout
     n_rows, n_cols = mat.shape
     if n_rows != n_cols:
         raise ValueError(f"factorize needs a square matrix, got {mat.shape}")
+    if n_rows == 0:
+        raise SingularMatrixError("empty matrix")
     csc = sp.csc_matrix(mat, dtype=np.complex128)
-    if 0 < n_rows <= _DENSE_MAX_DOFS:
-        # an exactly zero pivot (info > 0) stays 0 on U's diagonal, which
-        # the pivot check below rejects
-        lu_data, piv, _ = zgetrf(csc.toarray(order="F"), overwrite_a=True)
-        lu = DenseLU(lu_data, piv)
-        pivots = np.abs(lu_data.diagonal())
-    else:
-        try:
-            lu = splu(csc)
-        except RuntimeError as exc:
-            raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-        pivots = np.abs(lu.U.diagonal())
-    max_pivot = float(pivots.max()) if pivots.size else 0.0
-    min_pivot = float(pivots.min()) if pivots.size else 0.0
+    if not csc.has_canonical_format:
+        csc = csc.copy()
+        csc.sum_duplicates()
+    layout = _last_layout
+    if layout is None or not (np.array_equal(layout.indptr, csc.indptr) and np.array_equal(layout.indices, csc.indices)):
+        layout = _last_layout = band_layout(csc)
+    rows = 2 * layout.kl + layout.ku + 1
+    band = np.zeros(n_rows * rows, dtype=np.complex128)
+    band[layout.flat] = csc.data
+    # the transpose is LAPACK's (rows, n) band array; an exactly zero pivot
+    # (info > 0) stays 0 on U's diagonal, band row kl + ku, and is rejected
+    factors, ipiv, _ = zgbtrf(band.reshape(n_rows, rows).T, layout.kl, layout.ku, overwrite_ab=1)
+    pivots = np.abs(factors[layout.kl + layout.ku])
+    max_pivot, min_pivot = float(pivots.max()), float(pivots.min())
     if max_pivot == 0.0 or min_pivot <= PIVOT_RATIO_FLOOR * max_pivot:
         raise SingularMatrixError(
             f"numerically singular matrix: pivot ratio {min_pivot:.3e} / {max_pivot:.3e}"
         )
-    return lu
+    return BandLU(layout, factors, ipiv)
 
 
-def solve(lu: SuperLU | DenseLU, b: np.ndarray, trans: str = "N") -> np.ndarray:
-    """Solve A x = b for a previously factorized A.
-
-    ``b`` is a vector of length n or an (n, p) block of right-hand sides.
-    A block is solved one column at a time on either kind of LU, so each
-    column equals its own vector solve bit for bit.  A multi-column solve
-    hands the block to the threaded BLAS: at 274 DOFs under two OpenBLAS
-    threads SuperLU's 12-column solve was itself ~16 % faster than the
-    column loop (0.84 against 1.00 ms per contour point), but the threads
-    it woke slowed the Hankel SVDs that follow (median 1.6 to 2.9 ms) and
-    about doubled a dielectric-m-n16 solve end to end.
-    With ``trans="H"`` the same factors solve the conjugate-transpose system
-    A^H x = b instead, which costs one more pair of triangular solves and no
-    factorization.
-    """
+def solve(lu: BandLU, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Solve A x = b, or A^H x = b with ``trans="H"``, for a factorized A.
+    ``b`` is a vector of length n or an (n, p) block of right-hand sides,
+    solved in one ``zgbtrs`` call; each column equals its own vector solve
+    bit for bit."""
     if trans not in ("N", "H"):
         raise ValueError(f"trans must be 'N' or 'H', got {trans!r}")
     b = np.asarray(b, dtype=np.complex128)
-    if b.ndim not in (1, 2) or b.shape[0] != lu.shape[0]:
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({lu.shape[0]},) or ({lu.shape[0]}, p)")
-    if b.ndim == 1:
-        return lu.solve(b, trans=trans)
-    return np.column_stack([lu.solve(column, trans=trans) for column in b.T])
+    n, perm = lu.band.shape[1], lu.layout.perm
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},) or ({n}, p)")
+    rhs = np.asfortranarray(b[perm].reshape(n, -1))
+    y, _ = zgbtrs(lu.band, lu.layout.kl, lu.layout.ku, rhs, lu.ipiv, trans=2 if trans == "H" else 0, overwrite_b=1)
+    x = np.empty_like(y)
+    x[perm] = y
+    return x.reshape(b.shape)
 
 
 def frobenius_norm(mat: sp.spmatrix) -> float:

@@ -155,6 +155,21 @@ def test_sweep_unwritable_output_is_configuration_error(tmp_path, capsys, monkey
         assert f"configuration error: output directory of {missing!r} does not exist" in capsys.readouterr().err
 
 
+def test_sweep_output_path_that_is_a_directory_is_configuration_error(tmp_path, capsys, monkeypatch):
+    # an existing directory is rejected before any solving, and nothing is written
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep called")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    for key in ("csv_path", "svg_path", "meta_path"):
+        for path in (".", str(tmp_path)):
+            config = write_config(tmp_path, "cfg.json", empty_lattice_raw(2, outputs={key: path}))
+            assert run(["sweep", "--config", config]) == 1
+            assert f"configuration error: 'outputs.{key}' is a directory: {path!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_mesh_unwritable_output_is_configuration_error(tmp_path, capsys):
     config = write_config(tmp_path, "cfg.json", empty_lattice_raw(1))
     missing = str(tmp_path / "no_such_dir" / "mesh.txt")
