@@ -16,8 +16,11 @@ frequency sweeps then reduce to scalar linear combinations.
 
 All matrices of one family share a single CSC sparsity pattern, the set of
 (row, col) pairs the elements touch, so T(nu) is a linear combination of
-their ``data`` arrays and never a sum of sparse matrices; ``sparse``
-scatters that ``data`` straight into band storage.  Each region matrix is one
+their ``data`` arrays and never a sum of sparse matrices.  ``build_T``
+returns that ``data``; ``sparse.factorize`` scatters it straight into band
+storage along the family's ``BandLayout``, which ``assemble_family`` builds
+once, so no sparse matrix object is made per frequency unless ``t_matrix``
+asks for one.  Each region matrix is one
 scatter-add of its element entries into their slots of the pattern, in
 triangle order, with no intermediate matrix; entries a region does not
 touch hold zero.  So every sum is fixed by the mesh alone.  The combination
@@ -36,6 +39,7 @@ import scipy.sparse as sp
 
 from .materials import ABS_CAP, ABS_FLOOR, PermittivityModel, PermittivityPoleError, eval_eps, is_conjugate_symmetric
 from .mesh import Mesh, PeriodicMap
+from .sparse import BandLayout, band_layout
 
 _BZ_TOL = 1e-12
 
@@ -54,7 +58,10 @@ class OperatorFamily:
     These are the matrices ``build_T`` and the oracles read.  Every matrix
     is canonical complex128 CSC on the family's one shared pattern (the
     same ``indices`` and ``indptr`` memory), so building the operator at a
-    frequency costs one combination of ``data`` arrays.
+    frequency costs one combination of ``data`` arrays.  ``layout`` is that
+    pattern's band storage, built once with the family: ``t_data`` gives
+    T(nu)'s entries for ``sparse.factorize`` on it, ``t_matrix`` the same
+    entries as a CSC matrix.
     """
 
     polarization: str
@@ -64,6 +71,7 @@ class OperatorFamily:
     momentum_form: dict[int, sp.csc_matrix] = field(repr=False)
     momentum_form_total: sp.csc_matrix = field(repr=False)
     mass_total: sp.csc_matrix = field(repr=False)
+    layout: BandLayout = field(repr=False)
 
     @property
     def regions(self) -> list[int]:
@@ -75,8 +83,11 @@ class OperatorFamily:
         conjugate-symmetric, and the momentum forms are Hermitian for real k."""
         return all(is_conjugate_symmetric(model) for model in self.models.values())
 
-    def t_matrix(self, nu: complex) -> sp.csc_matrix:
+    def t_data(self, nu: complex) -> np.ndarray:
         return build_T(self, nu)
+
+    def t_matrix(self, nu: complex) -> sp.csc_matrix:
+        return _with_pattern(self.mass_total, build_T(self, nu))
 
 
 def _element_geometry(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,6 +191,7 @@ def assemble_family(
         momentum_form=momentum_form,
         momentum_form_total=region_sum(momentum_form),
         mass_total=region_sum(mass),
+        layout=band_layout(pattern),
     )
 
 
@@ -197,8 +209,9 @@ def _linear_combination(coeffs: list[complex], datas: list[np.ndarray]) -> np.nd
     return acc
 
 
-def build_T(fam: OperatorFamily, nu: complex) -> sp.csc_matrix:
-    """Operator matrix at normalized frequency ``nu``.
+def build_T(fam: OperatorFamily, nu: complex) -> np.ndarray:
+    """Entries of the operator matrix at normalized frequency ``nu``, as
+    the ``data`` of a CSC matrix on the family's shared pattern.
 
     TE:  K(k) - (2 pi nu)^2 sum_rho eps_rho(nu) M_rho
     TM:  sum_rho eps_rho(nu)^-1 K_rho(k) - (2 pi nu)^2 M
@@ -227,5 +240,5 @@ def build_T(fam: OperatorFamily, nu: complex) -> sp.csc_matrix:
             datas.append(fam.momentum_form[region].data)
         coeffs.append(-scale)
         datas.append(fam.mass_total.data)
-    return _with_pattern(fam.mass_total, _linear_combination(coeffs, datas))
+    return _linear_combination(coeffs, datas)
 

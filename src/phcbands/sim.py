@@ -4,27 +4,29 @@ The solver never forms eigenvectors of a linearization.  The window is tiled
 with squares; for each square Omega, with circumscribing circle of radius R
 about its centre c, the trapezoid rule on m0 = 16 nodes
 z_j = c + R exp(i theta_j), theta_j = 2 pi j / m0, gives the scaled moments
-of the resolvent applied to a seeded probe block V with p columns,
+of the resolvent between a seeded probe block V and a seeded left block W,
+each with p columns,
 
-    A_q = (R / m0) * sum_j exp(i theta_j) ((z_j - c) / R)^q T(z_j)^-1 V,
+    A_q = (R / m0) * sum_j exp(i theta_j) ((z_j - c) / R)^q W^H T(z_j)^-1 V,
 
-for q = 0 .. 3.  ||A_0 g|| for one probe column g is the paper's spectral
-indicator.  Every eigenvalue lambda inside the circle contributes
-((lambda - c) / R)^q times a fixed rank-one term to A_q, so the block Hankel
-matrices
+for q = 0 .. 3, each p x p (Sakurai and Sugiura, J. Comput. Appl. Math.
+159, 2003).  ||A_0 g|| for one probe column g, taken without W, is the
+paper's spectral indicator.  Every eigenvalue lambda inside the circle
+contributes ((lambda - c) / R)^q times a fixed rank-one term to A_q, so the
+2p x 2p block Hankel matrices
 
     H0 = [[A0, A1], [A1, A2]],   H1 = [[A1, A2], [A2, A3]]
 
 factor as X Y and X L Y with L the diagonal (or Jordan) matrix of scaled
 eigenvalues (Beyn, Linear Algebra Appl. 436, 2012).  The rank of H0 counts
 the eigenvalues the circle sees: its singular values above 1e-6 times
-max_j ||R T(z_j)^-1 V||_2, a threshold relative to the quadrature summands
-and so free of any scale of T (the normalized indicator of Huang, Struthers,
-Sun and Zhang, J. Comput. Phys. 327, 2016).  A square of rank 0 holds
-nothing.  One whose rank comes within one of the block's capacity 2p is
-split into quarters, down to side 0.0125; otherwise the eigenvalues of the
-projected pencil U^H H1 W S^-1 (from the truncated SVD H0 = U S W^H) that
-lie inside the circle are its start values.  Hankel order 2 rather than the
+max_j ||R W^H T(z_j)^-1 V||_2, a threshold relative to the quadrature
+summands and so free of any scale of T (the normalized indicator of Huang,
+Struthers, Sun and Zhang, J. Comput. Phys. 327, 2016).  A square of rank 0
+holds nothing.  One whose rank comes within one of the block's capacity 2p
+is split into quarters, down to side 0.0125; otherwise the eigenvalues of
+the projected pencil U^H H1 Q S^-1 (from the truncated SVD H0 = U S Q^H)
+that lie inside the circle are its start values.  Hankel order 2 rather than the
 plain A0/A1 pencil is what finds a double root whose 1/(z - lambda) residue
 vanishes, such as nu = 0 at Gamma, where T(nu) = K - 4 pi^2 nu^2 M.
 
@@ -32,12 +34,17 @@ An eigenvalue near but outside the circle leaks into the moments through
 the quadrature, at (R / d)^(m0 - q) for distance d, and so shows up in the
 rank and in the pencil.  ``sweep.solve_at_k`` therefore keeps a start value
 only if it refines to a point inside its own square; a neighbouring square
-owns the others.
+owns the others.  W mixes such a leak into the kept pencil at first order,
+so a start value can sit ~1e-8 from its eigenvalue; refinement removes
+that.
 
-Every quadrature node costs a banded LU factorization of T(z) and a block
-solve, together the largest share of the search's time.  Many nodes recur,
-so each ``sim_h`` run keeps a ``SolveMemo`` of the solutions
-u(z) = T(z)^-1 V by contour point and factorizes a point once:
+Every quadrature node costs a banded LU factorization of T(z) on the
+family's band layout, a block solve for u(z) = T(z)^-1 V and p x p work:
+W^H u, its norm and the moment sums.  Nothing of size n is kept but u's
+first column, for the indicator.  Many nodes recur, so each ``sim_h`` run
+keeps a ``SolveMemo`` of these ``NodeSolve``s (W^H u, that column and the
+norm: n + p^2 numbers, not the n p of u) by contour point and factorizes a
+point once:
 
 - Corners.  On the first attempt the circle circumscribes the square, so
   the nodes j = 2, 6, 10, 14 are the square's corners; they are placed
@@ -61,15 +68,25 @@ only while a later square asks for it or it sits on a square's corner, and
 computes a mirror solution only for a point some square still asks for.
 Retried contours move off the square and neither use nor fill the memo.
 
+Every BLAS call of the search is the banded LU, whose bits do not depend
+on the thread count (see ``sparse``), or a product with at most 2p x 2p
+outputs: W^H u, the Gram matrix of its norm, the Hankel SVD.  Start values
+and refined eigenvalues come out the same under one and two OpenBLAS
+threads at 274, 596 and 1,094 unknowns (a test covers 274), and no call
+is large enough to wake numpy's thread pool, whose spinning workers would
+compete with a threaded ``zgbtrf`` for the cores.
+
 The paper's bisection was tuned by an indicator threshold delta0 and a
 terminal square size beta0.  The block moments decide by rank instead, so
 the node count, the retries, the split rule and the key quantum are fixed
 constants here; ``SimConfig.delta0`` still parses but decides nothing.
 
-Any object with ``t_matrix(nu) -> sparse matrix`` and ``n_dofs`` works as the
-operator family, so the machinery is testable on scalar problems.  A family
-may also set ``conjugate_symmetric``; without it, no mirror solutions are
-used.
+Any object with ``n_dofs``, ``layout`` (the ``sparse.BandLayout`` of its
+pattern), ``t_data(nu)`` (T(nu)'s CSC entries on that pattern, which the
+search factorizes) and ``t_matrix(nu)`` (the same as a sparse matrix, for
+refinement's products and residuals) works as the operator family, so the
+machinery is testable on scalar problems.  A family may also set
+``conjugate_symmetric``; without it, no mirror solutions are used.
 """
 
 from __future__ import annotations
@@ -92,6 +109,7 @@ _REFINE_SEED = 160923  # fixed start vector seed so refinement is reproducible
 _KEY_QUANTUM = 2.0**-24 * 1e-4  # memo key resolution
 _PROBE_COLUMNS = 12  # p, the probe block's width (at most n_dofs)
 _HANKEL_ORDER = 2  # H0 is order x order blocks of A_0 .. A_{2 order - 2}
+_LEFT_SEED_OFFSET = 7919  # the left block W is drawn from seed + this
 _RANK_FACTOR = 1e-6  # rank threshold, relative to the largest quadrature summand
 _MIN_SIDE = 0.0125  # squares are split no finer than this
 _TILE_SLACK = 1e-9  # a refined value may leave its closed square by this much
@@ -166,9 +184,10 @@ class StartValue:
 
 @dataclass
 class ContourMoments:
-    """Filled in by ``indicator``: the scaled moments A_0 .. A_{2 order - 1}
-    stacked on the first axis, the radius of the circle they were taken on,
-    and the rank scale max_j ||radius T(z_j)^-1 V||_2."""
+    """Filled in by ``indicator``: the left-projected scaled moments
+    W^H A_0 .. W^H A_{2 order - 1}, p x p each, stacked on the first axis,
+    the radius of the circle they were taken on, and the rank scale
+    max_j ||radius W^H T(z_j)^-1 V||_2."""
 
     blocks: np.ndarray | None = None
     radius: float = 0.0
@@ -202,6 +221,26 @@ def random_probe(n_dofs: int, seed: int, columns: int | None = None) -> np.ndarr
     return g / np.linalg.norm(g, axis=0 if columns is not None else None)
 
 
+def left_block(n_dofs: int, columns: int, seed: int) -> np.ndarray:
+    """W^H for the left block W of the moments: the (n_dofs, columns) probe
+    block of seed + 7919, conjugate-transposed."""
+    return random_probe(n_dofs, seed + _LEFT_SEED_OFFSET, columns=columns).conj().T
+
+
+class NodeSolve:
+    """What the moments keep of u = T(z)^-1 V at one contour point: the
+    p x p block W^H u, u's first column (the paper's indicator reads only
+    that one), and ||W^H u||_2^2."""
+
+    __slots__ = ("projected", "first", "norm_sq")
+
+    def __init__(self, left_h: np.ndarray, u: np.ndarray):
+        self.projected = left_h @ u
+        self.first = u[:, 0].copy()
+        # the largest eigenvalue of the p x p Gram matrix
+        self.norm_sq = float(np.linalg.eigvalsh(self.projected.conj().T @ self.projected)[-1])
+
+
 def contour_nodes(region: SearchRegion, radius: float) -> list[tuple[complex, complex, bool]]:
     """(phase, point, corner) of the 16 trapezoid nodes on the circle of
     ``radius`` about the region's centre.
@@ -225,14 +264,16 @@ def contour_nodes(region: SearchRegion, radius: float) -> list[tuple[complex, co
 
 
 class SolveMemo:
-    """Solutions u(z) = T(z)^-1 V at contour points, shared by the squares of
-    one ``sim_h`` run (see the module docstring for what is shared and why).
-    V is the probe block."""
+    """``NodeSolve``s of u(z) = T(z)^-1 V at contour points, shared by the
+    squares of one ``sim_h`` run (see the module docstring for what is
+    shared and why).  V is the probe block and ``left_h`` the W^H of
+    ``left_block`` that projects every solution."""
 
-    def __init__(self, fam, probe: np.ndarray):
+    def __init__(self, fam, probe: np.ndarray, left_h: np.ndarray):
         self.probe = probe
+        self.left_h = left_h
         self.mirror = bool(getattr(fam, "conjugate_symmetric", False))
-        self._u: dict[tuple[int, int], np.ndarray] = {}
+        self._solved: dict[tuple[int, int], NodeSolve] = {}
         self._wanted: Counter = Counter()
 
     def _key(self, z: complex) -> tuple[int, int]:
@@ -244,36 +285,36 @@ class SolveMemo:
         self._wanted = Counter(
             self._key(point) for region in level for _, point, _ in contour_nodes(region, region.radius)
         )
-        self._u = {key: u for key, u in self._u.items() if key in self._wanted}
+        self._solved = {key: node for key, node in self._solved.items() if key in self._wanted}
 
-    def take(self, point: complex, corner: bool) -> np.ndarray | None:
+    def take(self, point: complex, corner: bool) -> NodeSolve | None:
         """The stored solution at ``point``, or None; either way the caller's
         claim on the point is spent.  A solution no later square asks for is
         dropped unless it sits on the caller's corner."""
         key = self._key(point)
         self._wanted[key] -= 1
-        u = self._u.get(key)
-        if u is not None and not corner and self._wanted[key] <= 0:
-            del self._u[key]
-        return u
+        node = self._solved.get(key)
+        if node is not None and not corner and self._wanted[key] <= 0:
+            del self._solved[key]
+        return node
 
-    def store(self, point: complex, corner: bool, u: np.ndarray, lu) -> None:
+    def store(self, point: complex, corner: bool, node: NodeSolve, lu) -> None:
         """Keep a fresh solution, and from its LU the mirror point's solution,
         where a square will ask for them."""
         key = self._key(point)
         if corner or self._wanted[key] > 0:
-            self._u[key] = u
+            self._solved[key] = node
         if self.mirror and point.imag != 0.0:
             mirror = self._key(point.conjugate())
-            if self._wanted[mirror] > 0 and mirror not in self._u:
-                self._u[mirror] = solve(lu, self.probe, trans="H")
+            if self._wanted[mirror] > 0 and mirror not in self._solved:
+                self._solved[mirror] = NodeSolve(self.left_h, solve(lu, self.probe, trans="H"))
 
 
 def indicator(
     region: SearchRegion,
     fam,
     probe: np.ndarray,
-    cfg: SimConfig,  # unread; bench/tracing.py reads cfg.delta0 from this argument
+    cfg: SimConfig,
     memo: SolveMemo | None = None,
     moments: ContourMoments | None = None,
 ) -> float:
@@ -281,14 +322,16 @@ def indicator(
     spectral indicator, for the first column g of the (n_dofs, p) probe
     block.
 
-    Every call forms the block moments A_0 .. A_3 and the rank scale;
-    given ``moments``, it is filled with them and the radius of the circle
-    used (see ``ContourMoments``).  A factorization failure at a quadrature
+    Every call forms the left-projected block moments W^H A_0 .. W^H A_3,
+    with W^H from ``left_block`` of cfg.seed, and the rank scale; given
+    ``moments``, it is filled with them and the radius of the circle used
+    (see ``ContourMoments``).  A factorization failure at a quadrature
     point (an eigenvalue or a permittivity pole sitting on the circle) grows
     the contour radius by 5 % and retries, up to 3 times;
-    after that IndicatorError.  ``memo``, built for the same family and
-    probe, is consulted and filled on the first attempt only.
+    after that IndicatorError.  ``memo``, built for the same family, probe
+    and W^H, is consulted and filled on the first attempt only.
     """
+    left_h = memo.left_h if memo is not None else left_block(fam.n_dofs, probe.shape[1], cfg.seed)
     base_radius = region.radius
     # only the message is kept: a kept exception's traceback holds this frame
     # (a reference cycle) and factorize's rejected LU until a full garbage
@@ -298,21 +341,22 @@ def indicator(
         radius = base_radius * _RETRY_SCALE**attempt
         shared = memo if attempt == 0 else None
         try:
-            sums = np.zeros((2 * _HANKEL_ORDER,) + probe.shape, dtype=np.complex128)
+            sums = np.zeros((2 * _HANKEL_ORDER, left_h.shape[0], probe.shape[1]), dtype=np.complex128)
+            first = np.zeros(fam.n_dofs, dtype=np.complex128)
             largest = 0.0
             for phase, point, corner in contour_nodes(region, radius):
-                u = shared.take(point, corner) if shared is not None else None
-                if u is None:
-                    fact = factorize(fam.t_matrix(point))
-                    u = solve(fact, probe)
+                node = shared.take(point, corner) if shared is not None else None
+                if node is None:
+                    fact = factorize(fam.layout, fam.t_data(point))
+                    node = NodeSolve(left_h, solve(fact, probe))
                     if shared is not None:
-                        shared.store(point, corner, u, fact)
+                        shared.store(point, corner, node, fact)
+                first += phase * node.first
                 weight = phase
                 for q in range(2 * _HANKEL_ORDER):
-                    sums[q] += weight * u
+                    sums[q] += weight * node.projected
                     weight *= phase
-                # ||u||_2^2 is the largest eigenvalue of the small Gram matrix
-                largest = max(largest, float(np.linalg.eigvalsh(u.conj().T @ u)[-1]))
+                largest = max(largest, node.norm_sq)
         except (SingularMatrixError, PermittivityPoleError) as exc:
             last_error = str(exc)
             continue
@@ -320,7 +364,7 @@ def indicator(
             moments.blocks = sums * (radius / _NODES)
             moments.radius = radius
             moments.scale = radius * math.sqrt(largest)
-        return float(np.linalg.norm(sums[0][:, 0]) * radius / _NODES)
+        return float(np.linalg.norm(first) * radius / _NODES)
     raise IndicatorError(
         f"indicator failed for region centred at {region.center!r} "
         f"after {_MAX_RETRIES} retries: {last_error}"
@@ -368,7 +412,7 @@ def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimRe
     columns = min(_PROBE_COLUMNS, fam.n_dofs)
     probe = random_probe(fam.n_dofs, cfg.seed, columns=columns)
     capacity = _HANKEL_ORDER * columns
-    memo = SolveMemo(fam, probe)
+    memo = SolveMemo(fam, probe, left_block(fam.n_dofs, columns, cfg.seed))
     level = list(initial_regions)
     starts: list[StartValue] = []
     failures: list[str] = []
@@ -432,11 +476,11 @@ def _residual(t_mat, v: np.ndarray) -> float:
 
 
 def _inverse_iterate(fam, nu: complex, t_nu, rhs: np.ndarray) -> np.ndarray:
-    """Solve T(nu) w = rhs, given t_nu = T(nu).  When nu sits exactly on an
-    eigenvalue the factorization is singular; the solve shift (and only the
-    shift) is then nudged off the eigenvalue, which turns the solve into a
-    sharp inverse iteration step."""
-    t_shift = t_nu
+    """Solve T(nu) w = rhs, given t_nu = T(nu) on the family's pattern.
+    When nu sits exactly on an eigenvalue the factorization is singular; the
+    solve shift (and only the shift) is then nudged off the eigenvalue,
+    which turns the solve into a sharp inverse iteration step."""
+    data = t_nu.data
     jitter = 1e-13 * max(1.0, abs(nu))
     last_error = ""  # the message only, as in indicator
     # escalate up to percent-scale standoff: near a defective root the
@@ -444,10 +488,10 @@ def _inverse_iterate(fam, nu: complex, t_nu, rhs: np.ndarray) -> np.ndarray:
     # eps-scale nudges leave the factorization singular
     for attempt in range(12):
         if attempt:
-            t_shift = fam.t_matrix(nu + jitter * (1.0 + 1.0j))
+            data = fam.t_data(nu + jitter * (1.0 + 1.0j))
             jitter *= 10.0
         try:
-            return solve(factorize(t_shift), rhs)
+            return solve(factorize(fam.layout, data), rhs)
         except SingularMatrixError as exc:
             last_error = str(exc)
     raise SingularMatrixError(last_error)

@@ -6,13 +6,18 @@ the pattern into a narrow band about the diagonal; LAPACK ``zgbtrf`` factors
 the reordered matrix in band storage with partial pivoting, and ``zgbtrs``
 solves a whole block of right-hand sides in one call, with the same bits
 under any number of BLAS threads.  The ordering depends on the pattern
-alone, and a family's operators share one, so its ``BandLayout`` is built
-once; a factorization is then one scatter of ``data`` and one ``zgbtrf``.
-Per contour point (build T(nu), factorize, a 12-column solve, one thread)
-on the TM lossy disc this took 0.28 / 1.53 / 5.2 / 14.5 / 46.5 ms at
-n = 8 / 16 / 24 / 32 / 48, against 0.44 / 3.66 / 9.0 / 16.8 / 46.0 ms for a
-dense LU up to 96 unknowns and SuperLU above.  That is the measured range:
-n = 48 (2,368 unknowns) is a tie, and larger meshes may favour a
+alone, and a family's operators share one, so ``assembly.assemble_family``
+builds the family's ``BandLayout`` once and keeps it on the family.  A
+factorization takes that layout and the ``data`` of T(nu) on its pattern,
+as ``assembly.build_T`` returns it: one scatter into band storage and one
+``zgbtrf``, with no sparse matrix object built or checked per call.  Per
+contour point (T(nu)'s data, factorize, a 12-column solve and its 12 x 12
+projection; one thread, best of three 16-node circles on a shared two-core
+Intel Xeon) on the TM lossy disc this takes 0.17 / 0.86 / 2.7 / 9.7 / 30 ms
+at n = 8 / 16 / 24 / 32 / 48 (74 to 2,368 unknowns).  Measured the same
+way, a dense LU up to 96 unknowns and SuperLU above took 0.44 / 3.66 /
+9.0 / 16.8 / 46.0 ms against the banded LU's 0.28 / 1.53 / 5.2 / 14.5 /
+46.5 ms at the time: n = 48 is a tie, and larger meshes may favour a
 fill-reducing sparse LU.  A factorization whose smallest pivot falls below
 ``PIVOT_RATIO_FLOOR`` times the largest is reported as singular.
 """
@@ -34,13 +39,11 @@ class SingularMatrixError(RuntimeError):
 
 
 class BandLayout(NamedTuple):
-    """Band storage of the CSC pattern ``indptr``, ``indices``: row and
-    column i of the reordered matrix are ``perm[i]`` of the original, with
-    ``kl`` sub- and ``ku`` superdiagonals, and CSC entry p lands at
-    ``flat[p]`` of the 2 kl + ku + 1 band rows raveled column by column."""
+    """Band storage of a CSC pattern: row and column i of the reordered
+    matrix are ``perm[i]`` of the original, with ``kl`` sub- and ``ku``
+    superdiagonals, and CSC entry p lands at ``flat[p]`` of the
+    2 kl + ku + 1 band rows raveled column by column."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
     perm: np.ndarray
     kl: int
     ku: int
@@ -55,13 +58,19 @@ class BandLU(NamedTuple):
     ipiv: np.ndarray
 
 
-def band_layout(csc: sp.csc_matrix) -> BandLayout:
-    """Reverse Cuthill-McKee ordering of a square CSC pattern and the band
-    storage place of each of its entries."""
-    n = csc.shape[0]
-    indptr, indices = csc.indptr.copy(), csc.indices.copy()
-    pattern = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=csc.shape)
-    perm = reverse_cuthill_mckee(pattern, symmetric_mode=False).astype(np.intp)
+def band_layout(pattern: sp.spmatrix) -> BandLayout:
+    """Reverse Cuthill-McKee ordering of a nonempty square canonical CSC
+    pattern (sorted indices, no duplicates) and the band storage place of
+    each of its entries."""
+    n, n_cols = pattern.shape
+    if n != n_cols or n == 0:
+        raise ValueError(f"band layout needs a nonempty square pattern, got {pattern.shape}")
+    csc = sp.csc_matrix(pattern)
+    if not csc.has_canonical_format:
+        raise ValueError("band layout needs a canonical CSC pattern (sorted indices, no duplicates)")
+    indptr, indices = csc.indptr, csc.indices
+    ones = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=csc.shape)
+    perm = reverse_cuthill_mckee(ones, symmetric_mode=False).astype(np.intp)
     position = np.empty(n, dtype=np.intp)
     position[perm] = np.arange(n)
     row = position[indices]
@@ -69,36 +78,23 @@ def band_layout(csc: sp.csc_matrix) -> BandLayout:
     kl, ku = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
     # A(i, j) sits in band row kl + ku + i - j of column j
     flat = (kl + ku + row - col) + col * (2 * kl + ku + 1)
-    return BandLayout(indptr, indices, perm, kl, ku, flat)
+    return BandLayout(perm, kl, ku, flat)
 
 
-# the layout of the last pattern factorized; a family's operators share it
-_last_layout: BandLayout | None = None
-
-
-def factorize(mat: sp.spmatrix) -> BandLU:
-    """LU-factorize a square sparse matrix.  Raises SingularMatrixError for
-    exactly singular input and for pivots (the diagonal of U) smaller than
-    PIVOT_RATIO_FLOOR times the largest pivot."""
-    global _last_layout
-    n_rows, n_cols = mat.shape
-    if n_rows != n_cols:
-        raise ValueError(f"factorize needs a square matrix, got {mat.shape}")
-    if n_rows == 0:
-        raise SingularMatrixError("empty matrix")
-    csc = sp.csc_matrix(mat, dtype=np.complex128)
-    if not csc.has_canonical_format:
-        csc = csc.copy()
-        csc.sum_duplicates()
-    layout = _last_layout
-    if layout is None or not (np.array_equal(layout.indptr, csc.indptr) and np.array_equal(layout.indices, csc.indices)):
-        layout = _last_layout = band_layout(csc)
+def factorize(layout: BandLayout, data: np.ndarray) -> BandLU:
+    """LU-factorize the matrix with CSC entries ``data`` on ``layout``'s
+    pattern.  Raises SingularMatrixError for exactly singular input and for
+    pivots (the diagonal of U) smaller than PIVOT_RATIO_FLOOR times the
+    largest pivot."""
+    n = layout.perm.size
+    if data.shape != layout.flat.shape:
+        raise ValueError(f"data has shape {data.shape}, the pattern {layout.flat.shape}")
     rows = 2 * layout.kl + layout.ku + 1
-    band = np.zeros(n_rows * rows, dtype=np.complex128)
-    band[layout.flat] = csc.data
+    band = np.zeros(n * rows, dtype=np.complex128)
+    band[layout.flat] = data
     # the transpose is LAPACK's (rows, n) band array; an exactly zero pivot
     # (info > 0) stays 0 on U's diagonal, band row kl + ku, and is rejected
-    factors, ipiv, _ = zgbtrf(band.reshape(n_rows, rows).T, layout.kl, layout.ku, overwrite_ab=1)
+    factors, ipiv, _ = zgbtrf(band.reshape(n, rows).T, layout.kl, layout.ku, overwrite_ab=1)
     pivots = np.abs(factors[layout.kl + layout.ku])
     max_pivot, min_pivot = float(pivots.max()), float(pivots.min())
     if max_pivot == 0.0 or min_pivot <= PIVOT_RATIO_FLOOR * max_pivot:

@@ -3,21 +3,41 @@ analytic empty-lattice reference spectrum, and an independent element-by-
 element assembly of the operator and of its region matrices."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import phcbands
 from phcbands.assembly import assemble_family
 from phcbands.materials import Constant, PermittivityModel, eval_eps
 from phcbands.mesh import Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
+from phcbands.sparse import band_layout
 
 GAMMA = (0.0, 0.0)
 X = (math.pi, 0.0)
 M = (math.pi, math.pi)
 
 
-class DiagonalFamily:
+class PatternFamily:
+    """Operator family on a fixed CSC pattern, as the search reads one: a
+    subclass gives ``t_data(nu)``, the entries of T(nu) on ``pattern``, and
+    the band layout is built once, as ``assemble_family`` builds it."""
+
+    def __init__(self, pattern):
+        self.pattern = sp.csc_matrix(pattern, dtype=np.complex128)
+        self.n_dofs = self.pattern.shape[0]
+        self.layout = band_layout(self.pattern)
+
+    def t_matrix(self, nu):
+        return sp.csc_matrix((self.t_data(nu), self.pattern.indices, self.pattern.indptr), shape=self.pattern.shape)
+
+
+class DiagonalFamily(PatternFamily):
     """Operator family with T(nu) = diag(nu - poles).
 
     The spectrum is exactly the pole list, which makes the search and
@@ -25,21 +45,35 @@ class DiagonalFamily:
     """
 
     def __init__(self, poles):
-        self.poles = [complex(p) for p in poles]
-        self.n_dofs = len(self.poles)
+        self.poles = np.array([complex(p) for p in poles])
+        super().__init__(sp.identity(len(self.poles), format="csc"))
 
-    def t_matrix(self, nu):
-        return sp.csr_matrix(np.diag([complex(nu) - p for p in self.poles]))
+    def t_data(self, nu):
+        return complex(nu) - self.poles
 
 
-class SingularFamily:
-    """Family whose matrix is singular at every frequency."""
+class SingularFamily(PatternFamily):
+    """Family whose matrix is singular at every frequency: no entries."""
 
     def __init__(self, n_dofs=2):
-        self.n_dofs = n_dofs
+        super().__init__(sp.csc_matrix((n_dofs, n_dofs)))
 
-    def t_matrix(self, nu):
-        return sp.csr_matrix((self.n_dofs, self.n_dofs), dtype=np.complex128)
+    def t_data(self, nu):
+        return np.zeros(0, dtype=np.complex128)
+
+
+def stdout_under_blas_threads(script: str) -> list[str]:
+    """Standard output of ``python -c script`` under one and under two
+    OpenBLAS threads, each in a fresh interpreter (the thread count is read
+    once, when numpy and scipy load)."""
+    src = str(Path(phcbands.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout.strip())
+    return outputs
 
 
 def plane_wave_values(k, lo, hi, mmax=3):

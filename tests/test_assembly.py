@@ -209,7 +209,7 @@ def test_build_T_matches_direct_assembly(pol):
     models = {0: Constant(1.0), 1: Drude(1.0, 0.01)}
     fam = assemble_family(mesh, pmap, (1.0, 0.5), pol, models)
     nu = 0.37 + 0.01j
-    production = build_T(fam, nu).toarray()
+    production = fam.t_matrix(nu).toarray()
     reference = direct_assembly_check(mesh, pmap, (1.0, 0.5), pol, models, nu).toarray()
     rel = np.linalg.norm(production - reference) / np.linalg.norm(production)
     assert rel <= 1e-12
@@ -257,9 +257,10 @@ def test_region_data_summed_in_triangle_order():
 @pytest.mark.parametrize("pol", ["TE", "TM"])
 @pytest.mark.parametrize("k", [GAMMA, (1.1, -0.7)])
 def test_build_T_on_fixed_pattern(family_factory, pol, k):
-    # every matrix of the family and every T(nu) is CSC on one shared pattern, and
-    # T(nu) holds exactly (not just to roundoff) the documented formula
-    # evaluated densely in its documented term order
+    # every matrix of the family and every T(nu) is CSC on one shared pattern,
+    # build_T gives exactly T(nu)'s entries on it, and T(nu) holds exactly
+    # (not just to roundoff) the documented formula evaluated densely in its
+    # documented term order
     models = {0: Constant(1.0), 1: Drude(1.0, 0.01)}
     _, _, fam = family_factory(4, 0.3, k, pol, models)
     pattern = fam.mass_total
@@ -273,7 +274,8 @@ def test_build_T_on_fixed_pattern(family_factory, pol, k):
     assert np.array_equal(fam.mass_total.toarray(), mass_total)
 
     for nu in (0.37 + 0.01j, 0.05 - 0.02j, 0.61, 0.9 + 0.03j):
-        t = build_T(fam, nu)
+        t = fam.t_matrix(nu)
+        assert np.array_equal(t.data, build_T(fam, nu))
         for mat in [pattern] + shared + [t]:
             assert mat.format == "csc"
             assert np.array_equal(mat.indptr, pattern.indptr)
@@ -295,7 +297,7 @@ def test_direct_assembly_degenerate_split():
     fam = assemble_family(mesh, pmap, (0.5, 0.25), "TE", models)
     nu = 0.4
     expected = fam.momentum_form_total.toarray() - (2.0 * math.pi * nu) ** 2 * fam.mass_total.toarray()
-    assert np.abs(build_T(fam, nu).toarray() - expected).max() <= 1e-13
+    assert np.abs(fam.t_matrix(nu).toarray() - expected).max() <= 1e-13
     direct = direct_assembly_check(mesh, pmap, (0.5, 0.25), "TE", models, nu).toarray()
     assert np.abs(direct - expected).max() <= 1e-12
 

@@ -1,33 +1,36 @@
 """Sparse LU solve contracts."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import phcbands
-from conftest import X
+import phcbands.assembly
+import phcbands.sim
+from conftest import X, stdout_under_blas_threads
 from phcbands import sparse
 from phcbands.materials import Constant, Drude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
 from phcbands.sim import SimConfig
-from phcbands.sparse import PIVOT_RATIO_FLOOR, SingularMatrixError, factorize, frobenius_norm, solve
+from phcbands.sparse import PIVOT_RATIO_FLOOR, SingularMatrixError, band_layout, factorize, frobenius_norm, solve
 from phcbands.sweep import Window, solve_at_k
+
+
+def _lu(mat):
+    """LU of ``mat`` on a band layout of its own pattern, as a family's
+    operators are factorized on the family's layout."""
+    csc = sp.csc_matrix(mat, dtype=np.complex128)
+    return factorize(band_layout(csc), csc.data)
 
 
 def test_factorize_identity_and_diagonal():
     eye = sp.identity(3, dtype=np.complex128, format="csr")
     b = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
-    assert solve(factorize(eye), b) == pytest.approx(b)
+    assert solve(_lu(eye), b) == pytest.approx(b)
     diag = sp.diags([2.0, 4.0j]).tocsr()
-    x = solve(factorize(diag), np.array([2.0, 4.0j]))
+    x = solve(_lu(diag), np.array([2.0, 4.0j]))
     assert x == pytest.approx(np.array([1.0, 1.0]))
     csc = sp.csc_matrix(np.array([[1.0j, 2.0], [0.0, 3.0 - 1.0j]]))
-    x = solve(factorize(csc), np.array([2.0 + 1.0j, 3.0 - 1.0j]))
+    x = solve(_lu(csc), np.array([2.0 + 1.0j, 3.0 - 1.0j]))
     assert x == pytest.approx(np.array([1.0, 1.0]))
 
 
@@ -36,7 +39,7 @@ def test_solve_conjugate_transpose_with_same_factors():
     b = np.array([1.0, 2.0j, -1.0 + 1.0j])
     # the reversed rows make partial pivoting swap rows
     for mat in (sp.csc_matrix(dense), sp.csc_matrix(dense[::-1])):
-        lu = factorize(mat)
+        lu = _lu(mat)
         x = solve(lu, b, trans="H")
         assert np.abs(mat.toarray().conj().T @ x - b).max() <= 1e-14
         x = solve(lu, b, trans="N")
@@ -56,7 +59,7 @@ def test_block_solve_equals_column_solves(trans):
     dense[np.abs(dense) < 1.0] = 0.0
     dense += 10.0 * np.eye(n)
     block = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
-    lu = factorize(sp.csc_matrix(dense))
+    lu = _lu(sp.csc_matrix(dense))
     x = solve(lu, block, trans=trans)
     assert x.shape == (n, p)
     for j in range(p):
@@ -72,19 +75,25 @@ def test_block_solve_equals_column_solves(trans):
 @pytest.mark.filterwarnings("error")
 def test_factorize_singular_cases():
     with pytest.raises(SingularMatrixError):
-        factorize(sp.csr_matrix((2, 2), dtype=np.complex128))
+        _lu(sp.csr_matrix((2, 2), dtype=np.complex128))
     # exactly singular with nonzero entries: a zero pivot, and no warning
     with pytest.raises(SingularMatrixError):
-        factorize(sp.csr_matrix(np.array([[1.0, 2.0j], [0.5, 1.0j]])))
+        _lu(sp.csr_matrix(np.array([[1.0, 2.0j], [0.5, 1.0j]])))
     # pivot ratio below the floor counts as singular even when the LU exists
     bad = sp.diags([1.0, 0.5 * PIVOT_RATIO_FLOOR]).tocsr()
     with pytest.raises(SingularMatrixError):
-        factorize(bad)
+        _lu(bad)
 
 
 def test_factorize_requires_square():
+    # a layout exists only for a nonempty square pattern, and factorize
+    # takes data of its pattern's size only
+    for shape in ((2, 3), (0, 0)):
+        with pytest.raises(ValueError):
+            band_layout(sp.csr_matrix(shape, dtype=np.complex128))
+    layout = band_layout(sp.identity(2, format="csc"))
     with pytest.raises(ValueError):
-        factorize(sp.csr_matrix((2, 3), dtype=np.complex128))
+        factorize(layout, np.ones(3, dtype=np.complex128))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -96,41 +105,48 @@ def test_solve_residual_on_random_systems(seed):
     dense += 20.0 * np.eye(n)  # diagonally dominant, well conditioned
     mat = sp.csr_matrix(dense)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = solve(factorize(mat), b)
+    x = solve(_lu(mat), b)
     assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
 def test_solve_rejects_wrong_length():
-    fact = factorize(sp.identity(2, dtype=np.complex128, format="csr"))
+    fact = _lu(sp.identity(2, dtype=np.complex128, format="csr"))
     with pytest.raises(ValueError):
         solve(fact, np.ones(3, dtype=np.complex128))
 
 
-def test_duplicate_entries_are_summed():
-    # a non-canonical CSC input: entry (0, 0) stored twice
+def test_layout_rejects_duplicate_entries():
+    # a non-canonical CSC pattern, entry (0, 0) stored twice, has no band
+    # layout: the scatter of its data would keep one of the two entries
     mat = sp.csc_matrix((np.array([1.0, 2.0, 4.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2))
-    x = solve(factorize(mat), np.array([3.0, 4.0]))
-    assert x == pytest.approx(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="canonical"):
+        band_layout(mat)
 
 
 def test_layout_built_once_per_family(monkeypatch):
-    # every operator of a family shares one pattern, so one solve_at_k
-    # (search and refinement) orders and lays out the band once
-    band_layout = sparse.band_layout
-    built = []
+    # every operator of a family shares one pattern, so assemble_family
+    # orders and lays out the band once, and one solve_at_k (search and
+    # refinement) factorizes every operator on that one layout
+    built, used = [], []
 
-    def counted(csc):
-        built.append(csc.shape)
-        return band_layout(csc)
+    def counted(pattern, real=sparse.band_layout):
+        built.append(real(pattern))
+        return built[-1]
+
+    def recorded(layout, data, real=phcbands.sim.factorize):
+        used.append(layout)
+        return real(layout, data)
 
     monkeypatch.setattr(sparse, "band_layout", counted)
-    monkeypatch.setattr(sparse, "_last_layout", None)
+    monkeypatch.setattr(phcbands.assembly, "band_layout", counted)
+    monkeypatch.setattr(phcbands.sim, "factorize", recorded)
     mesh = build_unit_cell_mesh(8, filling_fraction_to_radius(0.2827))
     pmap = build_periodic_dof_map(mesh)
     models = {0: Constant(1.0), 1: Drude(1.0, 0.01)}
     result = solve_at_k(mesh, pmap, X, "TE", models, Window(0.05, 1.2, -0.05, 0.05), SimConfig())
     assert result.eigenpairs
-    assert built == [(pmap.n_dofs, pmap.n_dofs)]
+    assert [layout.perm.size for layout in built] == [pmap.n_dofs]
+    assert len(used) > 100 and all(layout is built[0] for layout in used)
 
 
 # Factors T(nu) of the n=32 TM lossy disc at X (1,094 unknowns) at four
@@ -149,7 +165,7 @@ region = SearchRegion(center=0.45 - 0.01j, side=0.1)
 probe = random_probe(fam.n_dofs, seed=0, columns=12)
 digest = hashlib.sha256()
 for _, point, _ in contour_nodes(region, region.radius)[::4]:
-    lu = factorize(fam.t_matrix(point))
+    lu = factorize(fam.layout, fam.t_data(point))
     for trans in ("N", "H"):
         digest.update(solve(lu, probe, trans=trans).tobytes())
 print(digest.hexdigest())
@@ -157,15 +173,7 @@ print(digest.hexdigest())
 
 
 def test_solves_independent_of_blas_threads():
-    src = str(Path(phcbands.__file__).resolve().parent.parent)
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-c", _HASH_SOLVES], env=env, capture_output=True, text=True, check=True
-        )
-        digests.append(proc.stdout.strip())
+    digests = stdout_under_blas_threads(_HASH_SOLVES)
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
 

@@ -25,7 +25,7 @@ from phcbands.sweep import (
     tile_window,
 )
 
-from conftest import GAMMA, M, X, plane_wave_values
+from conftest import GAMMA, M, X, plane_wave_values, stdout_under_blas_threads
 
 SQRT2 = math.sqrt(2.0)
 
@@ -245,6 +245,32 @@ def test_solve_at_k_drops_a_start_value_that_leaves_its_square(family_factory, m
         pytest.approx(0.5, abs=1e-9),
         pytest.approx(0.551961550756, abs=1e-9),
     ]
+
+
+# solve_at_k on the n=16 dielectric (eps 8.9) at M, 274 unknowns: the
+# eigenvalue count and the SHA-256 of the eigenvalues and residuals
+_HASH_DIELECTRIC_M = """
+import hashlib, math
+from phcbands import Constant, SimConfig, Window, build_periodic_dof_map, build_unit_cell_mesh, solve_at_k
+from phcbands.mesh import filling_fraction_to_radius
+mesh = build_unit_cell_mesh(16, filling_fraction_to_radius(0.2827))
+pmap = build_periodic_dof_map(mesh)
+models = {0: Constant(1.0), 1: Constant(8.9)}
+result = solve_at_k(mesh, pmap, (math.pi, math.pi), "TE", models, Window(0.05, 0.8, -0.05, 0.05), SimConfig())
+digest = hashlib.sha256()
+for pair in result.eigenpairs:
+    digest.update(repr((pair.nu, pair.residual)).encode())
+print(len(result.eigenpairs), digest.hexdigest())
+"""
+
+
+def test_solve_at_k_independent_of_blas_threads():
+    # above 96 unknowns too, every BLAS call of the search and the
+    # refinement is either thread-independent (the banded LU) or too small
+    # to thread (the p x p moments and their 2p x 2p Hankel SVD)
+    outputs = stdout_under_blas_threads(_HASH_DIELECTRIC_M)
+    assert outputs[0].startswith("6 ")
+    assert outputs[0] == outputs[1]
 
 
 def test_diagram_from_config_attaches_provenance():
