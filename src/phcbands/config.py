@@ -171,7 +171,7 @@ def _parse_window(value) -> Window:
 
 
 def _parse_sim(value) -> SimConfig:
-    raw = _section(value, "sim", frozenset({"delta0", "seed", "dedup_tol"}))
+    raw = _section(value, "sim", frozenset({"seed", "dedup_tol"}))
     kwargs = {key: (_as_int if key == "seed" else _as_number)(item, f"sim.{key}") for key, item in raw.items()}
     return _build("sim", SimConfig, **kwargs)
 

@@ -61,12 +61,12 @@ spacing of any square and far above the few units in the last place by
 which two squares' arithmetic can place the same point, so a hit is u at
 the same point formed by another route.  The conjugate-transpose solve is a
 backward-stable solve of T(conj z) u = V, as a fresh factorization would
-be.  The memo lives for one ``sim_h`` call.  At each level it counts the
-nodes that level's squares will ask for: it carries over from the level
-before only what the new level asks for, keeps a solution during the level
-only while a later square asks for it or it sits on a square's corner, and
-computes a mirror solution only for a point some square still asks for.
-Retried contours move off the square and neither use nor fill the memo.
+be.  The memo lives for one ``sim_h`` call.  At each level it records the
+nodes that level's squares will ask for, carries over from the level
+before only solutions among them, and computes a mirror solution only for
+one of them.  A level's solutions are n + p^2 numbers per node, so the
+memo keeps them all until the next level starts.  Retried contours move
+off the square and neither use nor fill the memo.
 
 Every BLAS call of the search is the banded LU, whose bits do not depend
 on the thread count (see ``sparse``), or a product with at most 2p x 2p
@@ -79,7 +79,8 @@ compete with a threaded ``zgbtrf`` for the cores.
 The paper's bisection was tuned by an indicator threshold delta0 and a
 terminal square size beta0.  The block moments decide by rank instead, so
 the node count, the retries, the split rule and the key quantum are fixed
-constants here; ``SimConfig.delta0`` still parses but decides nothing.
+constants here, and ``SimConfig.delta0`` is the paper's threshold as a
+class constant, not a setting.
 
 Any object with ``n_dofs``, ``layout`` (the ``sparse.BandLayout`` of its
 pattern), ``t_data(nu)`` (T(nu)'s CSC entries on that pattern, which the
@@ -92,9 +93,8 @@ machinery is testable on scalar problems.  A family may also set
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -148,18 +148,16 @@ class SimConfig:
     """Settings of the contour search.
 
     seed draws the probe block, and dedup_tol is the distance below which
-    refined eigenvalues are merged.  delta0, the indicator threshold of the
-    paper's bisection, still parses but decides nothing: the search
+    refined eigenvalues are merged.  delta0 is the indicator threshold of
+    the paper's bisection, a class constant and not a setting: the search
     extracts eigenvalues from block moments (see the module docstring).
     """
 
-    delta0: float = 0.01
+    delta0: ClassVar[float] = 0.01
     seed: int = 0
     dedup_tol: float = 2e-4
 
     def __post_init__(self):
-        if not (0 < self.delta0 < math.inf):
-            raise ValueError(f"delta0 must be positive and finite, got {self.delta0!r}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (1e-4 <= self.dedup_tol < math.inf):
@@ -241,25 +239,23 @@ class NodeSolve:
         self.norm_sq = float(np.linalg.eigvalsh(self.projected.conj().T @ self.projected)[-1])
 
 
-def contour_nodes(region: SearchRegion, radius: float) -> list[tuple[complex, complex, bool]]:
-    """(phase, point, corner) of the 16 trapezoid nodes on the circle of
-    ``radius`` about the region's centre.
+def contour_nodes(region: SearchRegion, radius: float) -> list[tuple[complex, complex]]:
+    """(phase, point) of the 16 trapezoid nodes on the circle of ``radius``
+    about the region's centre.
 
     On the circumscribed circle the nodes j = 2, 6, 10, 14 are the square's
-    corners; they are formed as centre + (+-side/2) + i(+-side/2) and
-    flagged ``corner``.
+    corners; they are formed as centre + (+-side/2) + i(+-side/2).
     """
     circumscribed = radius == region.radius
     half = region.side / 2.0
     nodes = []
     for j in range(_NODES):
         phase = np.exp(2j * np.pi * j / _NODES)
-        corner = circumscribed and j % 4 == 2
-        if corner:
+        if circumscribed and j % 4 == 2:
             point = region.center + complex(math.copysign(half, phase.real), math.copysign(half, phase.imag))
         else:
             point = region.center + radius * phase
-        nodes.append((phase, point, corner))
+        nodes.append((phase, point))
     return nodes
 
 
@@ -274,39 +270,28 @@ class SolveMemo:
         self.left_h = left_h
         self.mirror = bool(getattr(fam, "conjugate_symmetric", False))
         self._solved: dict[tuple[int, int], NodeSolve] = {}
-        self._wanted: Counter = Counter()
+        self._level_keys: set[tuple[int, int]] = set()
 
     def _key(self, z: complex) -> tuple[int, int]:
         return (round(z.real / _KEY_QUANTUM), round(z.imag / _KEY_QUANTUM))
 
     def start_level(self, level: Sequence[SearchRegion]) -> None:
-        """Count the first-attempt nodes of the level's squares and drop
+        """Record the first-attempt nodes of the level's squares and drop
         every solution none of them asks for."""
-        self._wanted = Counter(
-            self._key(point) for region in level for _, point, _ in contour_nodes(region, region.radius)
-        )
-        self._solved = {key: node for key, node in self._solved.items() if key in self._wanted}
+        self._level_keys = {self._key(point) for region in level for _, point in contour_nodes(region, region.radius)}
+        self._solved = {key: node for key, node in self._solved.items() if key in self._level_keys}
 
-    def take(self, point: complex, corner: bool) -> NodeSolve | None:
-        """The stored solution at ``point``, or None; either way the caller's
-        claim on the point is spent.  A solution no later square asks for is
-        dropped unless it sits on the caller's corner."""
-        key = self._key(point)
-        self._wanted[key] -= 1
-        node = self._solved.get(key)
-        if node is not None and not corner and self._wanted[key] <= 0:
-            del self._solved[key]
-        return node
+    def take(self, point: complex) -> NodeSolve | None:
+        """The stored solution at ``point``, or None."""
+        return self._solved.get(self._key(point))
 
-    def store(self, point: complex, corner: bool, node: NodeSolve, lu) -> None:
-        """Keep a fresh solution, and from its LU the mirror point's solution,
-        where a square will ask for them."""
-        key = self._key(point)
-        if corner or self._wanted[key] > 0:
-            self._solved[key] = node
+    def store(self, point: complex, node: NodeSolve, lu) -> None:
+        """Keep a fresh solution, and from its LU the mirror point's solution
+        if a square of the level asks for it."""
+        self._solved[self._key(point)] = node
         if self.mirror and point.imag != 0.0:
             mirror = self._key(point.conjugate())
-            if self._wanted[mirror] > 0 and mirror not in self._solved:
+            if mirror in self._level_keys and mirror not in self._solved:
                 self._solved[mirror] = NodeSolve(self.left_h, solve(lu, self.probe, trans="H"))
 
 
@@ -344,13 +329,13 @@ def indicator(
             sums = np.zeros((2 * _HANKEL_ORDER, left_h.shape[0], probe.shape[1]), dtype=np.complex128)
             first = np.zeros(fam.n_dofs, dtype=np.complex128)
             largest = 0.0
-            for phase, point, corner in contour_nodes(region, radius):
-                node = shared.take(point, corner) if shared is not None else None
+            for phase, point in contour_nodes(region, radius):
+                node = shared.take(point) if shared is not None else None
                 if node is None:
                     fact = factorize(fam.layout, fam.t_data(point))
                     node = NodeSolve(left_h, solve(fact, probe))
                     if shared is not None:
-                        shared.store(point, corner, node, fact)
+                        shared.store(point, node, fact)
                 first += phase * node.first
                 weight = phase
                 for q in range(2 * _HANKEL_ORDER):

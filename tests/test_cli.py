@@ -170,6 +170,26 @@ def test_sweep_output_path_that_is_a_directory_is_configuration_error(tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_sweep_output_paths_naming_one_file_are_configuration_error(tmp_path, capsys, monkeypatch):
+    # two outputs written to one file would leave only the last of them;
+    # the clash is reported before any solving, whatever the spelling
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep called")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    for outputs, first, second in (
+        ({"csv_path": "out.txt", "svg_path": "out.txt"}, "csv_path", "svg_path"),
+        ({"csv_path": "out.txt", "meta_path": str(tmp_path / "out.txt")}, "csv_path", "meta_path"),
+        ({"svg_path": "./bands.csv"}, "csv_path", "svg_path"),
+    ):
+        config = write_config(tmp_path, "cfg.json", empty_lattice_raw(2, outputs=outputs))
+        assert run(["sweep", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: 'outputs.{first}' and 'outputs.{second}' name the same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_mesh_unwritable_output_is_configuration_error(tmp_path, capsys):
     config = write_config(tmp_path, "cfg.json", empty_lattice_raw(1))
     missing = str(tmp_path / "no_such_dir" / "mesh.txt")
@@ -217,7 +237,7 @@ def test_oracle_size_cap_is_config_error(tmp_path, capsys):
     assert "limited to" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["beta0", "m0", "max_retries", "initial_side"])
+@pytest.mark.parametrize("key", ["beta0", "m0", "max_retries", "initial_side", "delta0"])
 def test_removed_sim_keys_are_unknown(tmp_path, capsys, key):
     raw = empty_lattice_raw(2)
     raw["sim"] = {"seed": 0, key: 1}
@@ -232,7 +252,7 @@ def test_removed_sim_keys_are_unknown(tmp_path, capsys, key):
         ("sim", '{"seed": -1}', "seed"),
         ("window", '{"re_max": Infinity}', "window.re_max"),
         ("sim", '{"dedup_tol": Infinity}', "sim.dedup_tol"),
-        ("sim", '{"delta0": NaN}', "sim.delta0"),
+        ("sim", '{"dedup_tol": NaN}', "sim.dedup_tol"),
     ],
 )
 def test_bad_numbers_are_configuration_errors(tmp_path, capsys, section, text, key):

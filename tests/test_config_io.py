@@ -155,7 +155,7 @@ def test_optional_sections_may_be_null():
 
 def test_type_checks_reject_booleans():
     with pytest.raises(ConfigError):
-        config_from_dict(minimal_raw(sim={"delta0": True}))
+        config_from_dict(minimal_raw(sim={"dedup_tol": True}))
     with pytest.raises(ConfigError):
         config_from_dict(minimal_raw(geometry={"n": True, "r": 0.3}))
     with pytest.raises(ConfigError):
@@ -192,9 +192,9 @@ def test_config_hash_stable_and_sensitive():
 @pytest.mark.parametrize(
     "name,digest",
     [
-        ("drude-sweep-n8", "f3c8b26e697c9777caf9be435c588e066e3e0f6188a1d3b927a833513afeac77"),
-        ("dielectric-m-n16", "2cdca57bd60a19942161a27fe28960e265579d5d69b7e93fd86eac343eb73b48"),
-        ("disc-x-n24", "1d8343a9451c8873fc19837dcddb89727ce2409e9dc16c2b020e40111bc93d45"),
+        ("drude-sweep-n8", "8cb973db4bc85eb01b0676d5fcf9b55a6fe6f674c991b79e5880c99f958e5ac3"),
+        ("dielectric-m-n16", "1c108f9ae6e68a9b88452f2bb255984bf7097ec9d5b3ce8c715f263aa590f05a"),
+        ("disc-x-n24", "582368460a15547d2f35ba03143b9e18067c95b52e37dbebc03eecbd06f578af"),
     ],
 )
 def test_config_hash_of_benchmark_configs_is_pinned(name, digest):
@@ -208,9 +208,9 @@ def test_resolved_dict_is_canonical():
     resolved = resolved_dict(cfg)
     assert set(resolved) == {"polarization", "geometry", "materials", "window", "sim", "path", "outputs"}
     assert resolved["materials"]["0"] == {"variant": "constant", "eps_re": 1.0, "eps_im": 0.0}
-    assert resolved["sim"] == {"delta0": 0.01, "seed": 0, "dedup_tol": 2e-4}
+    assert resolved["sim"] == {"seed": 0, "dedup_tol": 2e-4}
     # the sim schema keys are exactly the SimConfig fields
-    custom = {"delta0": 0.02, "seed": 3, "dedup_tol": 3e-4}
+    custom = {"seed": 3, "dedup_tol": 3e-4}
     assert resolved_dict(config_from_dict(minimal_raw(sim=custom)))["sim"] == custom
     json.dumps(resolved)  # must be JSON-serializable as-is
 

@@ -97,12 +97,13 @@ def test_region_properties_and_validation():
 
 def test_config_defaults_and_validation():
     cfg = SimConfig()
-    assert (cfg.delta0, cfg.seed, cfg.dedup_tol) == (0.01, 0, 2e-4)
+    assert (cfg.seed, cfg.dedup_tol) == (0, 2e-4)
     assert SimConfig(dedup_tol=1e-4).dedup_tol == 1e-4
+    # delta0 is the paper's threshold, a class constant and not a setting
+    assert SimConfig.delta0 == 0.01
+    with pytest.raises(TypeError):
+        SimConfig(delta0=0.01)
     for bad in (
-        {"delta0": 0.0},
-        {"delta0": math.inf},
-        {"delta0": math.nan},
         {"seed": -1},
         {"seed": 2.5},
         {"dedup_tol": 5e-5},
@@ -172,18 +173,18 @@ def test_indicator_retries_past_material_failure():
 def test_contour_nodes_place_corners_exactly():
     region = SearchRegion(center=0.45 + 0.025j, side=0.05)
     nodes = contour_nodes(region, region.radius)
-    corners = [point for _, point, corner in nodes if corner]
-    assert [j for j, (_, _, corner) in enumerate(nodes) if corner] == [2, 6, 10, 14]
+    corners = [point for _, point in nodes[2::4]]
     assert corners == [
         region.center + complex(0.025, 0.025),
         region.center + complex(-0.025, 0.025),
         region.center + complex(-0.025, -0.025),
         region.center + complex(0.025, -0.025),
     ]
-    for phase, point, _ in nodes:
+    for phase, point in nodes:
         assert abs(point - (region.center + region.radius * phase)) <= 1e-16
-    # retried (larger) circles have no corners
-    assert not any(corner for _, _, corner in contour_nodes(region, 1.05 * region.radius))
+    # retried (larger) circles place every node on the circle
+    radius = 1.05 * region.radius
+    assert all(point == region.center + radius * phase for phase, point in contour_nodes(region, radius))
 
 
 def _moments(region, fam, probe, cfg, memo=None):
@@ -208,7 +209,7 @@ def test_moments_are_left_projections(family_factory):
         value = indicator(region, fam, probe, cfg, moments=moments)
         solves = [
             (phase, solve(factorize(fam.layout, fam.t_data(point)), probe))
-            for phase, point, _ in contour_nodes(region, region.radius)
+            for phase, point in contour_nodes(region, region.radius)
         ]
         full = [region.radius / 16 * sum(phase ** (q + 1) * u for phase, u in solves) for q in range(4)]
         assert moments.blocks.shape == (4, 12, 12)
@@ -246,6 +247,40 @@ def test_memo_matches_fresh_solves(name, family_factory, monkeypatch):
     assert worst <= 1e-12
     # the memo was used: fewer than m0 fresh factorizations per shared call
     assert counter.factorizations - 16 * calls < 0.9 * 16 * calls
+
+
+@pytest.mark.parametrize("name", ["TE-drude", "TM-lossy-drude"])
+def test_memo_shares_exactly_across_splits(name, family_factory, monkeypatch):
+    # a 1-column block makes every square that sees an eigenvalue split: each
+    # level factorizes exactly its nodes that the level before did not have
+    # (a child shares its corners with its parent and its siblings); lossy
+    # families have no mirror solves
+    pol, models = MEMO_FAMILIES[name]
+    _, _, fam = family_factory(4, 0.3, X, pol, models)
+    monkeypatch.setattr(phcbands.sim, "_PROBE_COLUMNS", 1)
+    counter = SimCounter(monkeypatch)
+    counted, levels = phcbands.sim.indicator, {}
+
+    def recorded(region, *args, **kwargs):
+        levels.setdefault(region.side, []).append(region)
+        return counted(region, *args, **kwargs)
+
+    monkeypatch.setattr(phcbands.sim, "indicator", recorded)
+    assert not sim_h(MEMO_TILES, fam, SimConfig()).failures
+
+    def keys(level):
+        quantum = phcbands.sim._KEY_QUANTUM
+        points = (node[1] for region in level for node in contour_nodes(region, region.radius))
+        return {(round(z.real / quantum), round(z.imag / quantum)) for z in points}
+
+    previous, expected = set(), 0
+    for side in sorted(levels, reverse=True):
+        current = keys(levels[side])
+        expected += len(current - previous)
+        previous = current
+    assert len(levels) >= 3
+    assert counter.conjugate_solves == 0
+    assert counter.factorizations == expected
 
 
 def test_memo_mirror_halves_lossless_search(family_factory, monkeypatch):
