@@ -78,17 +78,19 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    # an output path that cannot be a file, or that names the file of
-    # another output, is reported before the sweep, not after it
-    owners: dict[Path, str] = {}
+    # an output path that cannot be a file, or that names the configuration
+    # file or the file of another output, is reported before the sweep, not
+    # after it
+    owners: dict[Path, str] = {Path(args.config).resolve(): "the configuration file"}
     for key, path in asdict(cfg.outputs).items():
         if not Path(path).parent.is_dir():
             raise ConfigError(f"output directory of {path!r} does not exist")
         if Path(path).is_dir():
             raise ConfigError(f"'outputs.{key}' is a directory: {path!r}")
-        owner = owners.setdefault(Path(path).resolve(), key)
-        if owner != key:
-            raise ConfigError(f"'outputs.{owner}' and 'outputs.{key}' name the same file: {path!r}")
+        name = f"'outputs.{key}'"
+        owner = owners.setdefault(Path(path).resolve(), name)
+        if owner != name:
+            raise ConfigError(f"{owner} and {name} name the same file: {path!r}")
     diagram = diagram_from_config(cfg)
     write_bands_csv(diagram, cfg.outputs.csv_path)
     emit_svg(diagram, cfg.outputs.svg_path)

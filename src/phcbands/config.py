@@ -171,9 +171,8 @@ def _parse_window(value) -> Window:
 
 
 def _parse_sim(value) -> SimConfig:
-    raw = _section(value, "sim", frozenset({"seed", "dedup_tol"}))
-    kwargs = {key: (_as_int if key == "seed" else _as_number)(item, f"sim.{key}") for key, item in raw.items()}
-    return _build("sim", SimConfig, **kwargs)
+    raw = _section(value, "sim", frozenset({"seed"}))
+    return _build("sim", SimConfig, **{key: _as_int(item, f"sim.{key}") for key, item in raw.items()})
 
 
 def config_from_dict(raw: dict) -> RunConfig:

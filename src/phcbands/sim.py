@@ -80,7 +80,8 @@ The paper's bisection was tuned by an indicator threshold delta0 and a
 terminal square size beta0.  The block moments decide by rank instead, so
 the node count, the retries, the split rule and the key quantum are fixed
 constants here, and ``SimConfig.delta0`` is the paper's threshold as a
-class constant, not a setting.
+class constant, not a setting.  So is ``SimConfig.dedup_tol``, the distance
+2e-4 at which ``dedup`` merges refined eigenvalues.
 
 Any object with ``n_dofs``, ``layout`` (the ``sparse.BandLayout`` of its
 pattern), ``t_data(nu)`` (T(nu)'s CSC entries on that pattern, which the
@@ -115,6 +116,7 @@ _MIN_SIDE = 0.0125  # squares are split no finer than this
 _TILE_SLACK = 1e-9  # a refined value may leave its closed square by this much
 _REFINE_TOL = 1e-9  # relative residual at which refinement counts as converged
 _REFINE_MAX_ITER = 40  # Newton steps before refinement gives up
+_DEDUP_TOL = 2e-4  # refined eigenvalues this close are merged
 
 
 class IndicatorError(RuntimeError):
@@ -145,23 +147,21 @@ class SearchRegion:
 
 @dataclass
 class SimConfig:
-    """Settings of the contour search.
+    """Settings of the contour search: seed draws the probe block.
 
-    seed draws the probe block, and dedup_tol is the distance below which
-    refined eigenvalues are merged.  delta0 is the indicator threshold of
-    the paper's bisection, a class constant and not a setting: the search
-    extracts eigenvalues from block moments (see the module docstring).
+    delta0, the indicator threshold of the paper's bisection, and dedup_tol,
+    the distance at which refined eigenvalues are merged, are class
+    constants and not settings: the search extracts eigenvalues from block
+    moments (see the module docstring).
     """
 
     delta0: ClassVar[float] = 0.01
+    dedup_tol: ClassVar[float] = _DEDUP_TOL
     seed: int = 0
-    dedup_tol: float = 2e-4
 
     def __post_init__(self):
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (1e-4 <= self.dedup_tol < math.inf):
-            raise ValueError(f"dedup_tol must be finite and >= 1e-4, got {self.dedup_tol!r}")
 
 
 @dataclass
@@ -420,15 +420,13 @@ def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimRe
     return SimResult(candidates=starts, failures=failures)
 
 
-def dedup(candidates: Sequence[EigenCandidate], tol: float) -> list[EigenCandidate]:
+def dedup(candidates: Sequence[EigenCandidate]) -> list[EigenCandidate]:
     """Merge refined candidates by single-linkage clustering with link
-    distance tol.
+    distance 2e-4.
 
     Each cluster keeps its member with the smallest residual, the first one
     on ties.  Output is sorted by real part, then imaginary part.
     """
-    if tol < 0:
-        raise ValueError(f"dedup tolerance must be nonnegative, got {tol!r}")
     items = list(candidates)
     parent = list(range(len(items)))
 
@@ -440,7 +438,7 @@ def dedup(candidates: Sequence[EigenCandidate], tol: float) -> list[EigenCandida
 
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
-            if abs(items[i].nu - items[j].nu) <= tol:
+            if abs(items[i].nu - items[j].nu) <= _DEDUP_TOL:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
@@ -512,7 +510,8 @@ def refine_eigenpair(nu0: complex, fam) -> RefineResult:
         denom = np.vdot(v, t_prime @ v)
         if denom == 0 or not (np.isfinite(numer) and np.isfinite(denom)):
             break
-        step = numer / denom
+        # a Python complex, so nu stays one and prints the same under any numpy
+        step = complex(numer / denom)
         if not np.isfinite(step):
             break
         nu = nu - step

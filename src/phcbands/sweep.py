@@ -137,7 +137,7 @@ def solve_at_k(
         if not rr.converged:
             warnings.append(f"refinement stalled at nu = {rr.nu!r} (residual {rr.residual:.3e})")
 
-    return KSolveResult(eigenpairs=dedup(refined, cfg.dedup_tol), warnings=warnings)
+    return KSolveResult(eigenpairs=dedup(refined), warnings=warnings)
 
 
 @dataclass
@@ -173,11 +173,9 @@ def sweep(
 ) -> BandDiagram:
     """Band diagram along Gamma -> X -> M -> Gamma.
 
-    A solver failure at one k-point (a singular operator, or a permittivity
-    out of bounds or at its pole) is recorded as a warning on that point and
-    the sweep continues; any other exception propagates.  k-points are
-    processed in path order, and each distinct k-point is solved once: the
-    closing Gamma repeats the first point's result.
+    k-points are processed in path order, and each distinct k-point is
+    solved once: the closing Gamma repeats the first point's result.  Each
+    point carries the warnings of its ``solve_at_k``.
     """
     mesh = build_unit_cell_mesh(n, r)
     pmap = build_periodic_dof_map(mesh)
@@ -186,11 +184,7 @@ def sweep(
     points: list[KPointResult] = []
     for index, (k, arc) in enumerate(path.points):
         if k not in solved:
-            try:
-                solved[k] = solve_at_k(mesh, pmap, k, polarization, models, window, cfg)
-            except (SingularMatrixError, PermittivityPoleError) as exc:
-                # keep sweeping; the point is reported empty
-                solved[k] = KSolveResult(eigenpairs=[], warnings=[f"k-point failed: {exc}"])
+            solved[k] = solve_at_k(mesh, pmap, k, polarization, models, window, cfg)
         res = solved[k]
         points.append(
             KPointResult(index=index, k=k, arclength=arc, eigenpairs=list(res.eigenpairs), warnings=list(res.warnings))

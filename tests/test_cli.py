@@ -7,13 +7,15 @@ import sys
 
 import pytest
 
+import phcbands.sim
 from phcbands import cli
 from phcbands.assembly import assemble_family
 from phcbands.cli import run
 from phcbands.io import CSV_HEADER
 from phcbands.materials import Constant, Drude, LossyDrude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
-from phcbands.sweep import Window, drude_polynomial_oracle
+from phcbands.sim import SimConfig
+from phcbands.sweep import Window, drude_polynomial_oracle, solve_at_k
 
 X_ARG = "3.141592653589793,0"
 
@@ -171,23 +173,51 @@ def test_sweep_output_path_that_is_a_directory_is_configuration_error(tmp_path, 
 
 
 def test_sweep_output_paths_naming_one_file_are_configuration_error(tmp_path, capsys, monkeypatch):
-    # two outputs written to one file would leave only the last of them;
-    # the clash is reported before any solving, whatever the spelling
+    # two outputs written to one file would leave only the last of them, and
+    # an output written over the configuration file would replace it; the
+    # clash is reported before any solving, whatever the spelling, and the
+    # configuration is left as it was
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep called")
 
     monkeypatch.setattr(cli, "sweep", no_sweep)
     monkeypatch.chdir(tmp_path)
-    for outputs, first, second in (
-        ({"csv_path": "out.txt", "svg_path": "out.txt"}, "csv_path", "svg_path"),
-        ({"csv_path": "out.txt", "meta_path": str(tmp_path / "out.txt")}, "csv_path", "meta_path"),
-        ({"svg_path": "./bands.csv"}, "csv_path", "svg_path"),
+    for outputs, clash in (
+        ({"csv_path": "out.txt", "svg_path": "out.txt"}, "'outputs.csv_path' and 'outputs.svg_path'"),
+        ({"csv_path": "out.txt", "meta_path": str(tmp_path / "out.txt")}, "'outputs.csv_path' and 'outputs.meta_path'"),
+        ({"svg_path": "./bands.csv"}, "'outputs.csv_path' and 'outputs.svg_path'"),
+        ({"csv_path": "cfg.json"}, "the configuration file and 'outputs.csv_path'"),
+        ({"svg_path": str(tmp_path / "cfg.json")}, "the configuration file and 'outputs.svg_path'"),
+        ({"meta_path": "./cfg.json"}, "the configuration file and 'outputs.meta_path'"),
     ):
         config = write_config(tmp_path, "cfg.json", empty_lattice_raw(2, outputs=outputs))
+        before = (tmp_path / "cfg.json").read_bytes()
         assert run(["sweep", "--config", config]) == 1
-        err = capsys.readouterr().err
-        assert f"configuration error: 'outputs.{first}' and 'outputs.{second}' name the same file" in err
+        assert f"configuration error: {clash} name the same file" in capsys.readouterr().err
+        assert (tmp_path / "cfg.json").read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_solve_prints_stalled_refinement_warnings(tmp_path, capsys, monkeypatch):
+    # with a residual target of 0 no refinement converges, so every refined
+    # start value warns; the value prints as a Python complex whatever the
+    # numpy version
+    monkeypatch.setattr(phcbands.sim, "_REFINE_TOL", 0.0)
+    raw = empty_lattice_raw(4, window={"re_min": 0.3, "re_max": 0.7, "im_min": -0.05, "im_max": 0.05})
+    mesh = build_unit_cell_mesh(4, 0.0)
+    pmap = build_periodic_dof_map(mesh)
+    result = solve_at_k(mesh, pmap, (math.pi, 0.0), "TE", {0: Constant(1.0)}, Window(**raw["window"]), SimConfig())
+    assert result.eigenpairs and result.warnings
+    for warning in result.warnings:
+        assert warning.startswith("refinement stalled at nu = (")
+    for pair in result.eigenpairs:
+        assert type(pair.nu) is complex
+
+    config = write_config(tmp_path, "cfg.json", raw)
+    assert run(["solve", "--config", config, "--k", X_ARG]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1 + len(result.eigenpairs)
+    assert captured.err.splitlines() == [f"warning: {warning}" for warning in result.warnings]
 
 
 def test_mesh_unwritable_output_is_configuration_error(tmp_path, capsys):
@@ -237,7 +267,7 @@ def test_oracle_size_cap_is_config_error(tmp_path, capsys):
     assert "limited to" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["beta0", "m0", "max_retries", "initial_side", "delta0"])
+@pytest.mark.parametrize("key", ["beta0", "m0", "max_retries", "initial_side", "delta0", "dedup_tol"])
 def test_removed_sim_keys_are_unknown(tmp_path, capsys, key):
     raw = empty_lattice_raw(2)
     raw["sim"] = {"seed": 0, key: 1}
@@ -251,8 +281,8 @@ def test_removed_sim_keys_are_unknown(tmp_path, capsys, key):
     [
         ("sim", '{"seed": -1}', "seed"),
         ("window", '{"re_max": Infinity}', "window.re_max"),
-        ("sim", '{"dedup_tol": Infinity}', "sim.dedup_tol"),
-        ("sim", '{"dedup_tol": NaN}', "sim.dedup_tol"),
+        ("window", '{"im_max": Infinity}', "window.im_max"),
+        ("geometry", '{"n": 2, "f": NaN}', "geometry.f"),
     ],
 )
 def test_bad_numbers_are_configuration_errors(tmp_path, capsys, section, text, key):

@@ -96,21 +96,15 @@ def test_region_properties_and_validation():
 
 
 def test_config_defaults_and_validation():
-    cfg = SimConfig()
-    assert (cfg.seed, cfg.dedup_tol) == (0, 2e-4)
-    assert SimConfig(dedup_tol=1e-4).dedup_tol == 1e-4
-    # delta0 is the paper's threshold, a class constant and not a setting
-    assert SimConfig.delta0 == 0.01
-    with pytest.raises(TypeError):
-        SimConfig(delta0=0.01)
-    for bad in (
-        {"seed": -1},
-        {"seed": 2.5},
-        {"dedup_tol": 5e-5},
-        {"dedup_tol": math.inf},
-        {"dedup_tol": math.nan},
-    ):
-        with pytest.raises(ValueError, match=next(iter(bad))):
+    assert SimConfig().seed == 0
+    # delta0 is the paper's threshold and dedup_tol the merge distance,
+    # class constants and not settings
+    assert (SimConfig.delta0, SimConfig.dedup_tol) == (0.01, 2e-4)
+    for constant in ("delta0", "dedup_tol"):
+        with pytest.raises(TypeError):
+            SimConfig(**{constant: 0.01})
+    for bad in ({"seed": -1}, {"seed": 2.5}):
+        with pytest.raises(ValueError, match="seed"):
             SimConfig(**bad)
 
 
@@ -472,8 +466,8 @@ def test_dedup_merges_and_preserves():
         EigenCandidate(nu=0.5 + 0j, residual=1e-12),
         EigenCandidate(nu=0.6 + 0j, residual=1e-12),
     ]
-    assert dedup(apart, tol=2e-4) == apart
-    assert dedup([], tol=2e-4) == []
+    assert dedup(apart) == apart
+    assert dedup([]) == []
 
     # candidates are not averaged: the smallest residual wins, the first on ties
     refined = [
@@ -481,12 +475,12 @@ def test_dedup_merges_and_preserves():
         EigenCandidate(nu=0.50001 + 0j, residual=1e-13),
         EigenCandidate(nu=0.50002 + 0j, residual=1e-13),
     ]
-    merged = dedup(refined, tol=2e-4)
+    merged = dedup(refined)
     assert len(merged) == 1
     assert merged[0] is refined[1]
 
 
-def test_dedup_single_linkage_chains():
+def test_dedup_single_linkage_chains(monkeypatch):
     # pairwise neighbours link transitively even though the endpoints are
     # further apart than the tolerance
     chain = [
@@ -494,10 +488,10 @@ def test_dedup_single_linkage_chains():
         EigenCandidate(nu=0.50015 + 0j, residual=1e-12),
         EigenCandidate(nu=0.5003 + 0j, residual=1e-10),
     ]
-    merged = dedup(chain, tol=2e-4)
-    assert merged == [chain[1]]
-    with pytest.raises(ValueError):
-        dedup(chain, tol=-1.0)
+    assert dedup(chain) == [chain[1]]
+    # below the 1.5e-4 spacing nothing links
+    monkeypatch.setattr(phcbands.sim, "_DEDUP_TOL", 1e-4)
+    assert dedup(chain) == chain
 
 
 def test_dedup_sorted_output():
@@ -506,7 +500,7 @@ def test_dedup_sorted_output():
         EigenCandidate(nu=0.3 + 0.02j, residual=1e-12),
         EigenCandidate(nu=0.3 - 0.02j, residual=1e-12),
     ]
-    merged = dedup(items, tol=1e-6)
+    merged = dedup(items)
     assert [c.nu for c in merged] == [0.3 - 0.02j, 0.3 + 0.02j, 0.9 + 0j]
 
 

@@ -134,22 +134,25 @@ def test_sweep_structure():
 
 
 def test_sweep_survives_kpoint_failure(monkeypatch):
-    def explode(*args, **kwargs):
+    # a solver failure at a k-point is solve_at_k's warning on that point
+    # and the sweep goes on; only X has a start value in this window
+    def explode(nu0, fam):
         raise SingularMatrixError("boom")
 
-    monkeypatch.setattr(phcbands.sweep, "solve_at_k", explode)
+    monkeypatch.setattr(phcbands.sweep, "refine_eigenpair", explode)
     diagram = sweep(2, 0.0, "TE", {0: Constant(1.0)}, Window(0.4, 0.6, -0.05, 0.05), SimConfig(), nk=1)
     assert len(diagram.points) == 4
-    for point in diagram.points:
-        assert point.eigenpairs == []
-        assert point.warnings == ["k-point failed: boom"]
+    assert [point.eigenpairs for point in diagram.points] == [[], [], [], []]
+    assert [bool(point.warnings) for point in diagram.points] == [False, True, False, False]
+    for warning in diagram.points[1].warnings:
+        assert warning.startswith("refinement from nu = ") and warning.endswith("failed: boom")
 
-    # only solver failures are recorded; a defect anywhere else propagates
+    # an exception from solve_at_k itself propagates
     def crash(*args, **kwargs):
-        raise RuntimeError("bug")
+        raise SingularMatrixError("bug")
 
     monkeypatch.setattr(phcbands.sweep, "solve_at_k", crash)
-    with pytest.raises(RuntimeError, match="bug"):
+    with pytest.raises(SingularMatrixError, match="bug"):
         sweep(2, 0.0, "TE", {0: Constant(1.0)}, Window(0.4, 0.6, -0.05, 0.05), SimConfig(), nk=1)
 
 
@@ -344,6 +347,23 @@ def test_dense_oracle_disc_lowest_band_converges():
     assert diffs[0] / diffs[1] >= 2.5
     assert diffs[1] / diffs[2] >= 2.5
     assert lows[3] == pytest.approx(0.221640057155, abs=1e-9)
+
+
+def test_dense_oracle_tm_matches_search(family_factory):
+    # the TM branch (momentum forms divided by eps, against the total mass)
+    # on the eps 8.9 rod, against the contour search at Gamma, X and M
+    r = filling_fraction_to_radius(0.2827)
+    models = {0: Constant(1.0), 1: Constant(8.9)}
+    win = Window(0.05, 0.8, -0.05, 0.05)
+    counts = []
+    for k in (GAMMA, X, M):
+        mesh, pmap, fam = family_factory(8, r, k, "TM", models)
+        oracle = dense_linear_oracle(fam, win)
+        found = [c.nu for c in solve_at_k(mesh, pmap, k, "TM", models, win, SimConfig()).eigenpairs]
+        counts.append(len(oracle))
+        assert len(found) == len(oracle)
+        assert max(abs(a - b) for a, b in zip(found, oracle)) <= 1e-12
+    assert counts == [3, 4, 4]
 
 
 def test_dense_oracle_validation(family_factory):
