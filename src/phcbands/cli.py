@@ -51,8 +51,25 @@ def diagram_from_config(cfg: RunConfig) -> BandDiagram:
     return diagram
 
 
+def _check_outputs(config: str, outputs: dict[str, str]) -> None:
+    """Reject, before anything is computed, an output path (by its name in
+    ``outputs``) whose directory does not exist, that is a directory, or
+    that names the configuration file or another output's file."""
+    owners: dict[Path, str] = {Path(config).resolve(): "the configuration file"}
+    for name, path in outputs.items():
+        if not Path(path).parent.is_dir():
+            raise ConfigError(f"output directory of {path!r} does not exist")
+        if Path(path).is_dir():
+            raise ConfigError(f"{name} is a directory: {path!r}")
+        owner = owners.setdefault(Path(path).resolve(), name)
+        if owner != name:
+            raise ConfigError(f"{owner} and {name} name the same file: {path!r}")
+
+
 def _cmd_mesh(args) -> int:
     cfg = load_config(args.config)
+    if args.out:
+        _check_outputs(args.config, {"'--out'": args.out})
     mesh = build_unit_cell_mesh(cfg.geometry.n, cfg.geometry.r)
     if args.out:
         write_mesh_dump(mesh, args.out)
@@ -78,19 +95,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    # an output path that cannot be a file, or that names the configuration
-    # file or the file of another output, is reported before the sweep, not
-    # after it
-    owners: dict[Path, str] = {Path(args.config).resolve(): "the configuration file"}
-    for key, path in asdict(cfg.outputs).items():
-        if not Path(path).parent.is_dir():
-            raise ConfigError(f"output directory of {path!r} does not exist")
-        if Path(path).is_dir():
-            raise ConfigError(f"'outputs.{key}' is a directory: {path!r}")
-        name = f"'outputs.{key}'"
-        owner = owners.setdefault(Path(path).resolve(), name)
-        if owner != name:
-            raise ConfigError(f"{owner} and {name} name the same file: {path!r}")
+    _check_outputs(args.config, {f"'outputs.{key}'": path for key, path in asdict(cfg.outputs).items()})
     diagram = diagram_from_config(cfg)
     write_bands_csv(diagram, cfg.outputs.csv_path)
     emit_svg(diagram, cfg.outputs.svg_path)

@@ -85,10 +85,10 @@ class constant, not a setting.  So is ``SimConfig.dedup_tol``, the distance
 
 Any object with ``n_dofs``, ``layout`` (the ``sparse.BandLayout`` of its
 pattern), ``t_data(nu)`` (T(nu)'s CSC entries on that pattern, which the
-search factorizes) and ``t_matrix(nu)`` (the same as a sparse matrix, for
-refinement's products and residuals) works as the operator family, so the
-machinery is testable on scalar problems.  A family may also set
-``conjugate_symmetric``; without it, no mirror solutions are used.
+search factorizes) and ``t_matrix(nu)`` (the same as a CSC matrix on that
+pattern, for refinement's products and residuals) works as the operator
+family, so the machinery is testable on scalar problems.  A family may also
+set ``conjugate_symmetric``; without it, no mirror solutions are used.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .materials import PermittivityPoleError
-from .sparse import SingularMatrixError, factorize, frobenius_norm, solve
+from .sparse import SingularMatrixError, factorize, solve
 
 _SQRT2 = math.sqrt(2.0)
 _NODES = 16  # m0, trapezoid nodes per circle
@@ -166,10 +166,13 @@ class SimConfig:
 
 @dataclass
 class EigenCandidate:
-    """Refined eigenvalue and the relative residual of its eigenpair."""
+    """Refined eigenvalue, the relative residual of its eigenpair, whether
+    refinement converged and after how many Newton sweeps."""
 
     nu: complex
     residual: float
+    converged: bool = True
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -199,15 +202,6 @@ class SimResult:
 
     candidates: list[StartValue]
     failures: list[str] = field(default_factory=list)
-
-
-@dataclass
-class RefineResult:
-    nu: complex
-    vector: np.ndarray
-    residual: float
-    converged: bool
-    iterations: int
 
 
 def random_probe(n_dofs: int, seed: int, columns: int | None = None) -> np.ndarray:
@@ -451,19 +445,17 @@ def dedup(candidates: Sequence[EigenCandidate]) -> list[EigenCandidate]:
 
 
 def _residual(t_mat, v: np.ndarray) -> float:
-    denom = frobenius_norm(t_mat) * np.linalg.norm(v)
-    num = np.linalg.norm(t_mat @ v)
-    if denom == 0.0:
-        return 0.0
-    return float(num / denom)
+    """||T v|| / (||T||_F ||v||), the Frobenius norm summed over T's entries
+    in the order of its pattern, so the residual is reproducible bit for bit."""
+    denom = float(np.sqrt(np.sum(np.abs(t_mat.data) ** 2))) * np.linalg.norm(v)
+    return float(np.linalg.norm(t_mat @ v) / denom) if denom else 0.0
 
 
-def _inverse_iterate(fam, nu: complex, t_nu, rhs: np.ndarray) -> np.ndarray:
-    """Solve T(nu) w = rhs, given t_nu = T(nu) on the family's pattern.
-    When nu sits exactly on an eigenvalue the factorization is singular; the
-    solve shift (and only the shift) is then nudged off the eigenvalue,
-    which turns the solve into a sharp inverse iteration step."""
-    data = t_nu.data
+def _inverse_iterate(fam, nu: complex, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve T(nu) w = rhs, given ``data``, T(nu)'s entries on the family's
+    pattern.  When nu sits exactly on an eigenvalue the factorization is
+    singular; the solve shift (and only the shift) is then nudged off the
+    eigenvalue, which turns the solve into a sharp inverse iteration step."""
     jitter = 1e-13 * max(1.0, abs(nu))
     last_error = ""  # the message only, as in indicator
     # escalate up to percent-scale standoff: near a defective root the
@@ -480,52 +472,47 @@ def _inverse_iterate(fam, nu: complex, t_nu, rhs: np.ndarray) -> np.ndarray:
     raise SingularMatrixError(last_error)
 
 
-def refine_eigenpair(nu0: complex, fam) -> RefineResult:
+def refine_eigenpair(nu0: complex, fam) -> EigenCandidate:
     """Polish an eigenvalue estimate by inverse iteration with Newton updates.
 
-    Each of at most 40 sweeps solves T(nu) w = v to sharpen the
-    eigenvector, then moves nu by the one-dimensional Newton step on the
+    Sweep 0 solves T(nu0) w = g for a fixed seeded g.  Each of at most 40
+    later sweeps first moves nu by the one-dimensional Newton step on the
     Rayleigh functional v^H T(nu) v / v^H T'(nu) v, T' taken as a central
-    finite difference with step 1e-6 * max(1, |nu|).  Converged means the
-    relative residual ||T v|| / (||T||_F ||v||) dropped to 1e-9 and the
-    eigenvalue stopped moving (the residual alone is a poor stop near
-    nu = 0, where the operator depends on nu quadratically); the last
-    iterate is returned either way.
+    finite difference with step 1e-6 * max(1, |nu|), then solves
+    T(nu) w = v to sharpen the eigenvector v = w / ||w||.  Converged means
+    the relative residual ||T v|| / (||T||_F ||v||) is exactly 0, or dropped
+    to 1e-9 while the eigenvalue stopped moving (the residual alone is a
+    poor stop near nu = 0, where the operator depends on nu quadratically).
+    The last iterate is returned either way, with ``iterations`` the Newton
+    sweeps taken; ``sweep.solve_at_k`` warns once for each printed
+    eigenvalue that did not converge.
     """
     nu = complex(nu0)
-    t_nu = fam.t_matrix(nu)  # T at the current nu, built once per nu
-    v = _inverse_iterate(fam, nu, t_nu, random_probe(fam.n_dofs, _REFINE_SEED))
-    v = v / np.linalg.norm(v)
-    residual = _residual(t_nu, v)
-    if residual == 0.0:
-        return RefineResult(nu=nu, vector=v, residual=0.0, converged=True, iterations=0)
-
+    v = random_probe(fam.n_dofs, _REFINE_SEED)
     step_size = math.inf
-    iterations = 0
-    for iteration in range(1, _REFINE_MAX_ITER + 1):
-        iterations = iteration
-        fd = 1e-6 * max(1.0, abs(nu))
-        t_prime = (fam.t_matrix(nu + fd) - fam.t_matrix(nu - fd)) * (1.0 / (2.0 * fd))
-        numer = np.vdot(v, t_nu @ v)
-        denom = np.vdot(v, t_prime @ v)
-        if denom == 0 or not (np.isfinite(numer) and np.isfinite(denom)):
-            break
-        # a Python complex, so nu stays one and prints the same under any numpy
-        step = complex(numer / denom)
-        if not np.isfinite(step):
-            break
-        nu = nu - step
-        step_size = abs(step)
-
-        t_nu = fam.t_matrix(nu)
-        w = _inverse_iterate(fam, nu, t_nu, v)
+    for sweep in range(_REFINE_MAX_ITER + 1):
+        if sweep:
+            fd = 1e-6 * max(1.0, abs(nu))
+            t_prime = (fam.t_matrix(nu + fd) - fam.t_matrix(nu - fd)) * (1.0 / (2.0 * fd))
+            numer = np.vdot(v, t_nu @ v)
+            denom = np.vdot(v, t_prime @ v)
+            if denom == 0 or not (np.isfinite(numer) and np.isfinite(denom)):
+                break
+            # a Python complex, so nu stays one and prints the same under any numpy
+            step = complex(numer / denom)
+            if not np.isfinite(step):
+                break
+            nu = nu - step
+            step_size = abs(step)
+        t_nu = fam.t_matrix(nu)  # T at the current nu, built once per nu
+        w = _inverse_iterate(fam, nu, t_nu.data, v)
         with np.errstate(over="ignore"):
             norm_w = np.linalg.norm(w)
-        if np.isfinite(norm_w) and norm_w > 0:
-            v = w / norm_w
         # an overflowing solve means T(nu) is singular to machine precision;
         # the current v is then already the best available null vector
+        if np.isfinite(norm_w) and norm_w > 0:
+            v = w / norm_w
         residual = _residual(t_nu, v)
-        if residual <= _REFINE_TOL and step_size <= 1e-10 * max(1.0, abs(nu)):
-            return RefineResult(nu=nu, vector=v, residual=residual, converged=True, iterations=iteration)
-    return RefineResult(nu=nu, vector=v, residual=residual, converged=residual <= _REFINE_TOL, iterations=iterations)
+        if residual == 0.0 or (residual <= _REFINE_TOL and step_size <= 1e-10 * max(1.0, abs(nu))):
+            return EigenCandidate(nu, residual, converged=True, iterations=sweep)
+    return EigenCandidate(nu, residual, converged=residual <= _REFINE_TOL, iterations=sweep)

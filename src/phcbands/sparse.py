@@ -121,9 +121,3 @@ def solve(lu: BandLU, b: np.ndarray, trans: str = "N") -> np.ndarray:
     x[perm] = y
     return x.reshape(b.shape)
 
-
-def frobenius_norm(mat: sp.spmatrix) -> float:
-    """Frobenius norm, summed in row-major (CSR) entry order whatever the
-    input format, so the residuals it scales are reproducible bit for bit."""
-    data = sp.csr_matrix(mat).data
-    return float(np.sqrt(np.sum(np.abs(data) ** 2))) if data.size else 0.0

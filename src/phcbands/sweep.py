@@ -119,6 +119,9 @@ def solve_at_k(
     cluster) and sorted by real part, then imaginary part.  A start value
     whose refinement fails (a singular operator, or a permittivity out of
     bounds or at its pole) is dropped with a warning; the others are kept.
+    After the merge, each eigenpair whose refinement stalled gets one
+    warning naming its nu, so there is one stall warning per printed
+    eigenpair, listed after the failure warnings.
     """
     fam = assemble_family(mesh, pmap, k, polarization, models)
     result = sim_h(tile_window(window), fam, cfg)
@@ -127,17 +130,17 @@ def solve_at_k(
     refined: list[EigenCandidate] = []
     for start in result.candidates:
         try:
-            rr = refine_eigenpair(start.nu, fam)
+            cand = refine_eigenpair(start.nu, fam)
         except (SingularMatrixError, PermittivityPoleError) as exc:
             warnings.append(f"refinement from nu = {start.nu!r} failed: {exc}")
             continue
-        if not (start.tile.contains(rr.nu) and window.contains(rr.nu)):
-            continue
-        refined.append(EigenCandidate(nu=rr.nu, residual=rr.residual))
-        if not rr.converged:
-            warnings.append(f"refinement stalled at nu = {rr.nu!r} (residual {rr.residual:.3e})")
-
-    return KSolveResult(eigenpairs=dedup(refined), warnings=warnings)
+        if start.tile.contains(cand.nu) and window.contains(cand.nu):
+            refined.append(cand)
+    eigenpairs = dedup(refined)
+    for cand in eigenpairs:
+        if not cand.converged:
+            warnings.append(f"refinement stalled at nu = {cand.nu!r} (residual {cand.residual:.3e})")
+    return KSolveResult(eigenpairs=eigenpairs, warnings=warnings)
 
 
 @dataclass

@@ -199,17 +199,19 @@ def test_sweep_output_paths_naming_one_file_are_configuration_error(tmp_path, ca
 
 
 def test_solve_prints_stalled_refinement_warnings(tmp_path, capsys, monkeypatch):
-    # with a residual target of 0 no refinement converges, so every refined
-    # start value warns; the value prints as a Python complex whatever the
-    # numpy version
+    # with a residual target of 0 no refinement converges, so every printed
+    # eigenpair warns once, even 0.5, which lies on the edge two squares
+    # share and is refined from both; the value prints as a Python complex
+    # whatever the numpy version
     monkeypatch.setattr(phcbands.sim, "_REFINE_TOL", 0.0)
     raw = empty_lattice_raw(4, window={"re_min": 0.3, "re_max": 0.7, "im_min": -0.05, "im_max": 0.05})
     mesh = build_unit_cell_mesh(4, 0.0)
     pmap = build_periodic_dof_map(mesh)
     result = solve_at_k(mesh, pmap, (math.pi, 0.0), "TE", {0: Constant(1.0)}, Window(**raw["window"]), SimConfig())
-    assert result.eigenpairs and result.warnings
-    for warning in result.warnings:
-        assert warning.startswith("refinement stalled at nu = (")
+    assert result.eigenpairs
+    assert result.warnings == [
+        f"refinement stalled at nu = {pair.nu!r} (residual {pair.residual:.3e})" for pair in result.eigenpairs
+    ]
     for pair in result.eigenpairs:
         assert type(pair.nu) is complex
 
@@ -226,6 +228,26 @@ def test_mesh_unwritable_output_is_configuration_error(tmp_path, capsys):
     assert run(["mesh", "--config", config, "--out", missing]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and missing in err
+
+
+def test_mesh_output_checked_before_writing(tmp_path, capsys, monkeypatch):
+    # the mesh dump must not replace the configuration, and a directory is
+    # no output file
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, "cfg.json", empty_lattice_raw(1))
+    before = (tmp_path / "cfg.json").read_bytes()
+    for out, error in (
+        ("cfg.json", "the configuration file and '--out' name the same file"),
+        ("./cfg.json", "the configuration file and '--out' name the same file"),
+        (config, "the configuration file and '--out' name the same file"),
+        (".", "'--out' is a directory"),
+    ):
+        assert run(["mesh", "--config", config, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert f"configuration error: {error}" in captured.err
+        assert captured.out == ""
+        assert (tmp_path / "cfg.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_oracle_dense(tmp_path, capsys):

@@ -11,7 +11,7 @@ from phcbands import sparse
 from phcbands.materials import Constant, Drude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
 from phcbands.sim import SimConfig
-from phcbands.sparse import PIVOT_RATIO_FLOOR, SingularMatrixError, band_layout, factorize, frobenius_norm, solve
+from phcbands.sparse import PIVOT_RATIO_FLOOR, SingularMatrixError, band_layout, factorize, solve
 from phcbands.sweep import Window, solve_at_k
 
 
@@ -177,8 +177,3 @@ def test_solves_independent_of_blas_threads():
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
 
-
-def test_frobenius_norm_matches_dense():
-    mat = sp.diags([3.0, 4.0j]).tocsr()
-    assert frobenius_norm(mat) == pytest.approx(5.0)
-    assert frobenius_norm(sp.csr_matrix((3, 3), dtype=np.complex128)) == 0.0
