@@ -118,8 +118,10 @@ def emit_svg(diagram: BandDiagram, path: str | Path) -> None:
 
 
 def write_metadata(diagram: BandDiagram, path: str | Path, *, seed: int, config_hash: str, version: str) -> None:
-    """Reproducibility metadata for a sweep run."""
-    warnings = [w for p in diagram.points for w in p.warnings]
+    """Reproducibility metadata for a sweep run.  Each warning is prefixed
+    with the k_index of its point, so the closing Gamma's copies of the first
+    point's warnings can be told apart."""
+    warnings = [f"k_index {p.index}: {w}" for p in diagram.points for w in p.warnings]
     payload = {
         "version": version,
         "seed": seed,

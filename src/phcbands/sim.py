@@ -33,18 +33,19 @@ vanishes, such as nu = 0 at Gamma, where T(nu) = K - 4 pi^2 nu^2 M.
 An eigenvalue near but outside the circle leaks into the moments through
 the quadrature, at (R / d)^(m0 - q) for distance d, and so shows up in the
 rank and in the pencil.  ``sweep.solve_at_k`` therefore keeps a start value
-only if it refines to a point inside its own square; a neighbouring square
-owns the others.  W mixes such a leak into the kept pencil at first order,
-so a start value can sit ~1e-8 from its eigenvalue; refinement removes
-that.
+only if it refines to a point inside its own square; the square that holds
+the others is assumed, not checked, to find them.  W mixes such a leak into
+the kept pencil at first order, so a start value can sit ~1e-8 from its
+eigenvalue; refinement removes that.
 
 Every quadrature node costs a banded LU factorization of T(z) on the
 family's band layout, a block solve for u(z) = T(z)^-1 V and p x p work:
 W^H u, its norm and the moment sums.  Nothing of size n is kept but u's
 first column, for the indicator.  Many nodes recur, so each ``sim_h`` run
 keeps a ``SolveMemo`` of these ``NodeSolve``s (W^H u, that column and the
-norm: n + p^2 numbers, not the n p of u) by contour point and factorizes a
-point once:
+norm: n + p^2 numbers, not the n p of u) by contour point, and its one
+method ``node`` is where the search factorizes: every node of every circle
+is taken from the memo, which factorizes a point once:
 
 - Corners.  On the first attempt the circle circumscribes the square, so
   the nodes j = 2, 6, 10, 14 are the square's corners; they are placed
@@ -65,8 +66,10 @@ be.  The memo lives for one ``sim_h`` call.  At each level it records the
 nodes that level's squares will ask for, carries over from the level
 before only solutions among them, and computes a mirror solution only for
 one of them.  A level's solutions are n + p^2 numbers per node, so the
-memo keeps them all until the next level starts.  Retried contours move
-off the square and neither use nor fill the memo.
+memo keeps them all until the next level starts.  A retried contour moves
+off the square, so its nodes miss; they are stored like any other and
+dropped when the next level starts.  An ``indicator`` call given no memo
+makes a fresh one for itself, which is the fresh-solve reference.
 
 Every BLAS call of the search is the banded LU, whose bits do not depend
 on the thread count (see ``sparse``), or a product with at most 2p x 2p
@@ -79,9 +82,10 @@ compete with a threaded ``zgbtrf`` for the cores.
 The paper's bisection was tuned by an indicator threshold delta0 and a
 terminal square size beta0.  The block moments decide by rank instead, so
 the node count, the retries, the split rule and the key quantum are fixed
-constants here, and ``SimConfig.delta0`` is the paper's threshold as a
-class constant, not a setting.  So is ``SimConfig.dedup_tol``, the distance
-2e-4 at which ``dedup`` merges refined eigenvalues.
+constants here.  ``SimConfig.delta0`` (the paper's threshold 0.01) and
+``SimConfig.dedup_tol`` (the distance 2e-4 at which ``dedup`` merges
+refined eigenvalues) remain as class constants, not settings, only because
+the benchmark reads them; nothing in the package does.
 
 Any object with ``n_dofs``, ``layout`` (the ``sparse.BandLayout`` of its
 pattern), ``t_data(nu)`` (T(nu)'s CSC entries on that pattern, which the
@@ -152,7 +156,7 @@ class SimConfig:
     delta0, the indicator threshold of the paper's bisection, and dedup_tol,
     the distance at which refined eigenvalues are merged, are class
     constants and not settings: the search extracts eigenvalues from block
-    moments (see the module docstring).
+    moments (see the module docstring).  Only the benchmark reads them.
     """
 
     delta0: ClassVar[float] = 0.01
@@ -257,9 +261,11 @@ class SolveMemo:
     """``NodeSolve``s of u(z) = T(z)^-1 V at contour points, shared by the
     squares of one ``sim_h`` run (see the module docstring for what is
     shared and why).  V is the probe block and ``left_h`` the W^H of
-    ``left_block`` that projects every solution."""
+    ``left_block`` that projects every solution; ``node`` is the one place
+    the search factorizes T."""
 
     def __init__(self, fam, probe: np.ndarray, left_h: np.ndarray):
+        self.fam = fam
         self.probe = probe
         self.left_h = left_h
         self.mirror = bool(getattr(fam, "conjugate_symmetric", False))
@@ -275,18 +281,21 @@ class SolveMemo:
         self._level_keys = {self._key(point) for region in level for _, point in contour_nodes(region, region.radius)}
         self._solved = {key: node for key, node in self._solved.items() if key in self._level_keys}
 
-    def take(self, point: complex) -> NodeSolve | None:
-        """The stored solution at ``point``, or None."""
-        return self._solved.get(self._key(point))
-
-    def store(self, point: complex, node: NodeSolve, lu) -> None:
-        """Keep a fresh solution, and from its LU the mirror point's solution
-        if a square of the level asks for it."""
-        self._solved[self._key(point)] = node
-        if self.mirror and point.imag != 0.0:
-            mirror = self._key(point.conjugate())
-            if mirror in self._level_keys and mirror not in self._solved:
-                self._solved[mirror] = NodeSolve(self.left_h, solve(lu, self.probe, trans="H"))
+    def node(self, point: complex) -> NodeSolve:
+        """The solution at ``point``: the stored one, or else a fresh solve,
+        kept together with the mirror point's solution from the same LU if
+        a square of the level asks for it.  Raises what factorizing T(point)
+        raises."""
+        key = self._key(point)
+        found = self._solved.get(key)
+        if found is None:
+            lu = factorize(self.fam.layout, self.fam.t_data(point))
+            found = self._solved[key] = NodeSolve(self.left_h, solve(lu, self.probe))
+            if self.mirror and point.imag != 0.0:
+                mirror = self._key(point.conjugate())
+                if mirror in self._level_keys and mirror not in self._solved:
+                    self._solved[mirror] = NodeSolve(self.left_h, solve(lu, self.probe, trans="H"))
+        return found
 
 
 def indicator(
@@ -301,16 +310,18 @@ def indicator(
     spectral indicator, for the first column g of the (n_dofs, p) probe
     block.
 
-    Every call forms the left-projected block moments W^H A_0 .. W^H A_3,
-    with W^H from ``left_block`` of cfg.seed, and the rank scale; given
-    ``moments``, it is filled with them and the radius of the circle used
-    (see ``ContourMoments``).  A factorization failure at a quadrature
-    point (an eigenvalue or a permittivity pole sitting on the circle) grows
-    the contour radius by 5 % and retries, up to 3 times;
-    after that IndicatorError.  ``memo``, built for the same family, probe
-    and W^H, is consulted and filled on the first attempt only.
+    Every call forms the left-projected block moments W^H A_0 .. W^H A_3
+    and the rank scale; given ``moments``, it is filled with them and the
+    radius of the circle used (see ``ContourMoments``).  A factorization
+    failure at a quadrature point (an eigenvalue or a permittivity pole
+    sitting on the circle) grows the contour radius by 5 % and retries, up
+    to 3 times; after that IndicatorError.  Every node of every attempt is
+    taken from ``memo``, built for the same family and probe; without one, a
+    fresh memo with the W^H of ``left_block`` of cfg.seed serves this call
+    alone.
     """
-    left_h = memo.left_h if memo is not None else left_block(fam.n_dofs, probe.shape[1], cfg.seed)
+    if memo is None:
+        memo = SolveMemo(fam, probe, left_block(fam.n_dofs, probe.shape[1], cfg.seed))
     base_radius = region.radius
     # only the message is kept: a kept exception's traceback holds this frame
     # (a reference cycle) and factorize's rejected LU until a full garbage
@@ -318,18 +329,12 @@ def indicator(
     last_error = ""
     for attempt in range(_MAX_RETRIES + 1):
         radius = base_radius * _RETRY_SCALE**attempt
-        shared = memo if attempt == 0 else None
         try:
-            sums = np.zeros((2 * _HANKEL_ORDER, left_h.shape[0], probe.shape[1]), dtype=np.complex128)
+            sums = np.zeros((2 * _HANKEL_ORDER, memo.left_h.shape[0], probe.shape[1]), dtype=np.complex128)
             first = np.zeros(fam.n_dofs, dtype=np.complex128)
             largest = 0.0
             for phase, point in contour_nodes(region, radius):
-                node = shared.take(point) if shared is not None else None
-                if node is None:
-                    fact = factorize(fam.layout, fam.t_data(point))
-                    node = NodeSolve(left_h, solve(fact, probe))
-                    if shared is not None:
-                        shared.store(point, node, fact)
+                node = memo.node(point)
                 first += phase * node.first
                 weight = phase
                 for q in range(2 * _HANKEL_ORDER):
@@ -359,8 +364,6 @@ def hankel_rank_and_values(moments: ContourMoments, center: complex) -> tuple[in
     h1 = np.block([[a[i + j + 1] for j in order] for i in order])
     left, sing, right_h = np.linalg.svd(h0, full_matrices=False)
     rank = int(np.count_nonzero(sing > _RANK_FACTOR * moments.scale))
-    if rank == 0:
-        return 0, []
     projected = (left[:, :rank].conj().T @ h1 @ right_h[:rank].conj().T) / sing[:rank]
     scaled = np.linalg.eigvals(projected)
     return rank, [center + moments.radius * complex(lam) for lam in scaled if abs(lam) < 1.0]

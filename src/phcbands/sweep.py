@@ -114,9 +114,11 @@ def solve_at_k(
     Runs the contour search on the tiled window and refines every start
     value.  A refined value is kept only if it lies in the square whose
     moments gave it (closed, up to a 1e-9 slack) and in the window; values
-    that leave are dropped silently, since the square that holds them finds
-    them itself.  Kept values are merged (keeping the smallest residual per
-    cluster) and sorted by real part, then imaginary part.  A start value
+    that leave are dropped silently, on the assumption, which nothing checks,
+    that the square that holds them finds them itself (in the TM interface
+    cluster it does not always).  Kept values are merged (keeping the
+    smallest residual per cluster) and sorted by real part, then imaginary
+    part.  A start value
     whose refinement fails (a singular operator, or a permittivity out of
     bounds or at its pole) is dropped with a warning; the others are kept.
     After the merge, each eigenpair whose refinement stalled gets one

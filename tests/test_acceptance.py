@@ -26,6 +26,9 @@ from phcbands.sweep import Window, dense_linear_oracle, drude_polynomial_oracle,
 
 from conftest import GAMMA, M, X, DiagonalFamily, direct_assembly_check, reference_region_matrices
 
+DELTA0 = 0.01  # the paper's indicator threshold, which criterion 5 calibrates
+MATCH_TOL = 2e-4  # a CSV row within this of an oracle root finds it (criterion 7)
+
 
 def _report(criterion: int, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE criterion {criterion}: {'PASS' if passed else 'FAIL'} ({detail})")
@@ -232,14 +235,14 @@ def test_criterion_5_indicator_calibration(family_factory):
         g = random_probe(fam.n_dofs, seed, columns=1)
         free_vals.append(indicator(free_region, fam, g, cfg))
         full_vals.append(indicator(full_region, fam, g, cfg))
-    seeds_ok = max(free_vals) < cfg.delta0 < min(full_vals)
+    seeds_ok = max(free_vals) < DELTA0 < min(full_vals)
 
     ok = scalar_ok and seeds_ok
     _report(
         5,
         ok,
         f"pole-in {inside:.2e} (vs 1), pole-out {outside:.2e}; 20 seeds: "
-        f"free max {max(free_vals):.2e} < {cfg.delta0} < full min {min(full_vals):.2e}",
+        f"free max {max(free_vals):.2e} < {DELTA0} < full min {min(full_vals):.2e}",
     )
     assert ok
 
@@ -322,7 +325,7 @@ def test_criterion_7_metal_rod_cli_sweeps(tmp_path):
     # Every root of drude_polynomial_oracle in the window (19 TE and
     # 63 TM over the four k-points of the circle-fitted n=8 mesh; the TM
     # interface modes gather at 0.42-0.49, where eps ~ -1, many in close
-    # pairs) must have a CSV row within dedup_tol at its k-point, and every
+    # pairs) must have a CSV row within MATCH_TOL at its k-point, and every
     # row must be such a root.
     for pol in ("TE", "TM"):
         outputs = {
@@ -359,10 +362,9 @@ def test_criterion_7_metal_rod_cli_sweeps(tmp_path):
             fam = assemble_family(mesh, pmap, k, cfg.polarization, cfg.models)
             roots = drude_polynomial_oracle(fam, cfg.window)
             found = [complex(float(row[4]), float(row[5])) for row in rows if int(row[0]) == index]
-            tol = cfg.sim.dedup_tol
             n_roots += len(roots)
-            missed += sum(1 for z in roots if not any(abs(z - f) <= tol for f in found))
-            spurious += sum(1 for f in found if not any(abs(z - f) <= tol for z in roots))
+            missed += sum(1 for z in roots if not any(abs(z - f) <= MATCH_TOL for f in found))
+            spurious += sum(1 for f in found if not any(abs(z - f) <= MATCH_TOL for z in roots))
         max_residual = max(float(row[6]) for row in rows)
         markers = (tmp_path / f"{pol}.svg").read_text(encoding="utf-8").count("<circle")
         meta = json.loads((tmp_path / f"{pol}_meta.json").read_text(encoding="utf-8"))

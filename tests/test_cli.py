@@ -222,6 +222,26 @@ def test_solve_prints_stalled_refinement_warnings(tmp_path, capsys, monkeypatch)
     assert captured.err.splitlines() == [f"warning: {warning}" for warning in result.warnings]
 
 
+def test_sweep_metadata_warnings_name_their_k_point(tmp_path, monkeypatch):
+    # with a residual target of 0 the eigenpairs at Gamma and X stall; the
+    # closing Gamma repeats the first point's warning, and only the k_index
+    # prefix tells the two copies apart
+    monkeypatch.setattr(phcbands.sim, "_REFINE_TOL", 0.0)
+    window = {"re_min": 0.9, "re_max": 1.3, "im_min": -0.05, "im_max": 0.05}
+    meta_path = tmp_path / "meta.json"
+    outputs = {
+        "csv_path": str(tmp_path / "bands.csv"),
+        "svg_path": str(tmp_path / "bands.svg"),
+        "meta_path": str(meta_path),
+    }
+    config = write_config(tmp_path, "cfg.json", empty_lattice_raw(4, outputs=outputs, window=window))
+    assert run(["sweep", "--config", config]) == 0
+    warnings = json.loads(meta_path.read_text(encoding="utf-8"))["warnings"]
+    assert [w.split(": ", 1)[0] for w in warnings] == ["k_index 0", "k_index 1", "k_index 3"]
+    assert all(w.split(": ", 1)[1].startswith("refinement stalled at nu = ") for w in warnings)
+    assert warnings[0].split(": ", 1)[1] == warnings[2].split(": ", 1)[1]
+
+
 def test_mesh_unwritable_output_is_configuration_error(tmp_path, capsys):
     config = write_config(tmp_path, "cfg.json", empty_lattice_raw(1))
     missing = str(tmp_path / "no_such_dir" / "mesh.txt")

@@ -307,5 +307,5 @@ def test_metadata_payload(tmp_path):
     assert payload["config_sha256"] == "ab" * 32
     assert payload["n_kpoints"] == 2
     assert payload["n_eigenvalues"] == 3
-    assert payload["warnings"] == ["refinement stalled at nu = 0.5"]
+    assert payload["warnings"] == ["k_index 1: refinement stalled at nu = 0.5"]
     assert payload["provenance"]["window"]["re_max"] == 1.0

@@ -41,6 +41,9 @@ MEMO_FAMILIES = {
 }
 # one row of 12 tiles symmetric about the real axis; no family above splits one
 MEMO_TILES = tile_window(Window(0.05, 1.2, -0.05, 0.05))
+# start values of two seeds agree this closely (the merge distance of dedup)
+SEED_TOL = 2e-4
+DELTA0 = 0.01  # the paper's indicator threshold
 
 
 _UNCOUNTED = (phcbands.sim.factorize, phcbands.sim.solve, phcbands.sim.indicator)
@@ -49,8 +52,9 @@ _UNCOUNTED = (phcbands.sim.factorize, phcbands.sim.solve, phcbands.sim.indicator
 class SimCounter:
     """Counts the factorizations, conjugate-transpose solves and indicator
     calls the search makes; with ``use_memo=False`` every indicator call
-    runs without the memo, which gives the fresh-solve reference.  A new
-    counter replaces the previous one rather than wrapping it."""
+    gets no memo and so makes a fresh one of its own, which gives the
+    fresh-solve reference.  A new counter replaces the previous one rather
+    than wrapping it."""
 
     def __init__(self, monkeypatch, use_memo=True):
         self.factorizations = self.conjugate_solves = self.indicator_calls = 0
@@ -141,7 +145,7 @@ def test_indicator_separates_occupied_from_free(family_factory):
     free = indicator(SearchRegion(center=0.25 + 0j, side=0.02), fam, g, cfg)
     full = indicator(SearchRegion(center=0.5 + 0j, side=0.02), fam, g, cfg)
     assert free < 1e-8
-    assert full > cfg.delta0
+    assert full > DELTA0
 
 
 def test_indicator_retries_off_a_contour_pole():
@@ -320,6 +324,38 @@ def test_memo_lossy_family_shares_corners_only(name, family_factory, monkeypatch
         assert a.tile == b.tile and abs(a.nu - b.nu) <= 1e-10
 
 
+def test_sim_h_retries_a_shared_corner_through_the_memo(monkeypatch):
+    # 0.2 + 0.05i is the corner the two tiles share, and the first-attempt
+    # corner of every square of theirs that touches it: each such square
+    # retries on a 5 % larger circle, whose nodes go through the run's memo
+    # too, and the search gives the start values of fresh solves
+    tiles = tile_window(Window(0.1, 0.3, -0.05, 0.05))
+    fam = FlakyFamily(pole=0.23 + 0.01j, trigger=0.2 + 0.05j)
+    runs = []
+    for use_memo in (False, True):
+        counter = SimCounter(monkeypatch, use_memo=use_memo)
+        counted, radii = phcbands.sim.indicator, {}
+
+        def recorded(region, *args, moments=None, **kwargs):
+            value = counted(region, *args, moments=moments, **kwargs)
+            radii[region] = moments.radius
+            return value
+
+        monkeypatch.setattr(phcbands.sim, "indicator", recorded)
+        runs.append((sim_h(tiles, fam, SimConfig()), radii, counter.factorizations))
+    (fresh, fresh_radii, fresh_count), (shared, shared_radii, shared_count) = runs
+    assert len(tiles) == 2
+    assert shared_radii == fresh_radii
+    for tile in tiles:
+        assert shared_radii[tile] == tile.radius * 1.05
+    assert shared.failures == fresh.failures == []
+    assert len(shared.candidates) == len(fresh.candidates) > 0
+    for a, b in zip(shared.candidates, fresh.candidates):
+        assert a.tile == b.tile and abs(a.nu - b.nu) <= 1e-10
+    assert any(abs(a.nu - fam.pole) <= 1e-10 for a in shared.candidates)
+    assert shared_count < fresh_count
+
+
 def test_sim_h_memo_does_not_leak_between_calls(family_factory, monkeypatch):
     pol, models = MEMO_FAMILIES["TE-lossless"]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
@@ -458,7 +494,7 @@ def test_sim_h_deterministic_and_seed_stable():
     other = sim_h(regions, fam, SimConfig(seed=1))
     assert len(other.candidates) == len(first.candidates)
     for a, b in zip(first.candidates, other.candidates):
-        assert abs(a.nu - b.nu) <= SimConfig().dedup_tol
+        assert abs(a.nu - b.nu) <= SEED_TOL
 
 
 def test_dedup_merges_and_preserves():
