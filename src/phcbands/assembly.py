@@ -191,7 +191,8 @@ def assemble_family(
         momentum_form=momentum_form,
         momentum_form_total=region_sum(momentum_form),
         mass_total=region_sum(mass),
-        layout=band_layout(pattern),
+        # the periodic map numbers grid row 0 first: DOFs 0 .. n - 1
+        layout=band_layout(pattern, np.arange(mesh.n)),
     )
 
 

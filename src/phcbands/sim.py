@@ -40,12 +40,14 @@ eigenvalue; refinement removes that.
 
 Every quadrature node costs a banded LU factorization of T(z) on the
 family's band layout, a block solve for u(z) = T(z)^-1 V and p x p work:
-W^H u, its norm and the moment sums.  Nothing of size n is kept but u's
-first column, for the indicator.  Many nodes recur, so each ``sim_h`` run
-keeps a ``SolveMemo`` of these ``NodeSolve``s (W^H u, that column and the
-norm: n + p^2 numbers, not the n p of u) by contour point, and its one
-method ``node`` is where the search factorizes: every node of every circle
-is taken from the memo, which factorizes a point once:
+W^H u and its share of the moment sums, one broadcast multiply-add; the
+norms ||W^H u||_2 of a circle's 16 nodes come from one stacked eigenvalue
+call.  Nothing of size n is kept but u's first column, for the indicator.
+Many nodes recur, so each ``sim_h`` run keeps a ``SolveMemo`` of these
+``NodeSolve``s (W^H u and that column: n + p^2 numbers, not the n p of u)
+by contour point, and its one method ``node`` is where the search
+factorizes: every node of every circle is taken from the memo, which
+factorizes a point once:
 
 - Corners.  On the first attempt the circle circumscribes the square, so
   the nodes j = 2, 6, 10, 14 are the square's corners; they are placed
@@ -78,6 +80,21 @@ and refined eigenvalues come out the same under one and two OpenBLAS
 threads at 274, 596 and 1,094 unknowns (a test covers 274), and no call
 is large enough to wake numpy's thread pool, whose spinning workers would
 compete with a threaded ``zgbtrf`` for the cores.
+
+Each start value sigma is refined by residual inverse iteration (Neumaier,
+SIAM J. Numer. Anal. 22, 1985; see ``refine_eigenpair``): T(sigma) is
+factorized once, and each sweep is a scalar Newton step for nu on
+v^H T(nu) v = 0 and one solve with that LU, v <- v - T(sigma)^-1 T(nu) v.
+The error falls per sweep by a factor of order |sigma - lambda| over the
+distance to the next eigenvalue, so a start value ~1e-8 from an isolated
+eigenvalue needs its one factorization and nothing more: the benchmark
+workloads make one per start value, plus one nudge off a start value that
+sits 1e-16 from its eigenvalue.  In the TM interface cluster start values
+sit up to 1e-4 off, among eigenvalues 1e-5 apart; there a sweep that fails
+to cut the residual tenfold refactorizes at the current nu (a re-shift).
+Once the stop test passes, one more sweep with the LU in hand takes nu to
+rounding level, so values refined from different start values agree to
+~1e-15, not merely to the stop tolerance.
 
 The paper's bisection was tuned by an indicator threshold delta0 and a
 terminal square size beta0.  The block moments decide by rank instead, so
@@ -225,16 +242,14 @@ def left_block(n_dofs: int, columns: int, seed: int) -> np.ndarray:
 
 class NodeSolve:
     """What the moments keep of u = T(z)^-1 V at one contour point: the
-    p x p block W^H u, u's first column (the paper's indicator reads only
-    that one), and ||W^H u||_2^2."""
+    p x p block W^H u and u's first column (the paper's indicator reads only
+    that one)."""
 
-    __slots__ = ("projected", "first", "norm_sq")
+    __slots__ = ("projected", "first")
 
     def __init__(self, left_h: np.ndarray, u: np.ndarray):
         self.projected = left_h @ u
         self.first = u[:, 0].copy()
-        # the largest eigenvalue of the p x p Gram matrix
-        self.norm_sq = float(np.linalg.eigvalsh(self.projected.conj().T @ self.projected)[-1])
 
 
 def contour_nodes(region: SearchRegion, radius: float) -> list[tuple[complex, complex]]:
@@ -255,6 +270,13 @@ def contour_nodes(region: SearchRegion, radius: float) -> list[tuple[complex, co
             point = region.center + radius * phase
         nodes.append((phase, point))
     return nodes
+
+
+# _POWERS[j, q] = phase_j^(q + 1), the weight of node j in A_q, formed as
+# the running product phase * phase * ... of contour_nodes' phase
+_POWERS = np.array([np.cumprod(np.full(2 * _HANKEL_ORDER, np.exp(2j * np.pi * j / _NODES))) for j in range(_NODES)])
+# block (i, j) of H0 is A_{i + j}, and of H1 A_{i + j + 1}
+_HANKEL_INDEX = np.add.outer(np.arange(_HANKEL_ORDER), np.arange(_HANKEL_ORDER))
 
 
 class SolveMemo:
@@ -310,9 +332,9 @@ def indicator(
     spectral indicator, for the first column g of the (n_dofs, p) probe
     block.
 
-    Every call forms the left-projected block moments W^H A_0 .. W^H A_3
-    and the rank scale; given ``moments``, it is filled with them and the
-    radius of the circle used (see ``ContourMoments``).  A factorization
+    Every call forms the left-projected block moments W^H A_0 .. W^H A_3;
+    given ``moments``, it is filled with them, the radius of the circle
+    used and the rank scale (see ``ContourMoments``).  A factorization
     failure at a quadrature point (an eigenvalue or a permittivity pole
     sitting on the circle) grows the contour radius by 5 % and retries, up
     to 3 times; after that IndicatorError.  Every node of every attempt is
@@ -332,19 +354,19 @@ def indicator(
         try:
             sums = np.zeros((2 * _HANKEL_ORDER, memo.left_h.shape[0], probe.shape[1]), dtype=np.complex128)
             first = np.zeros(fam.n_dofs, dtype=np.complex128)
-            largest = 0.0
-            for phase, point in contour_nodes(region, radius):
+            projected = []
+            for (phase, point), powers in zip(contour_nodes(region, radius), _POWERS):
                 node = memo.node(point)
                 first += phase * node.first
-                weight = phase
-                for q in range(2 * _HANKEL_ORDER):
-                    sums[q] += weight * node.projected
-                    weight *= phase
-                largest = max(largest, node.norm_sq)
+                sums += powers[:, None, None] * node.projected
+                projected.append(node.projected)
         except (SingularMatrixError, PermittivityPoleError) as exc:
             last_error = str(exc)
             continue
         if moments is not None:
+            stack = np.array(projected)
+            # the largest eigenvalue of each node's p x p Gram matrix
+            largest = float(np.linalg.eigvalsh(stack.conj().transpose(0, 2, 1) @ stack)[:, -1].max())
             moments.blocks = sums * (radius / _NODES)
             moments.radius = radius
             moments.scale = radius * math.sqrt(largest)
@@ -359,9 +381,9 @@ def hankel_rank_and_values(moments: ContourMoments, center: complex) -> tuple[in
     """Rank of the block Hankel matrix H0 and the eigenvalues of the
     projected pencil that lie inside the circle (see the module docstring)."""
     a = moments.blocks
-    order = range(_HANKEL_ORDER)
-    h0 = np.block([[a[i + j] for j in order] for i in order])
-    h1 = np.block([[a[i + j + 1] for j in order] for i in order])
+    shape = (_HANKEL_ORDER * a.shape[1], _HANKEL_ORDER * a.shape[2])
+    h0 = a[_HANKEL_INDEX].transpose(0, 2, 1, 3).reshape(shape)
+    h1 = a[_HANKEL_INDEX + 1].transpose(0, 2, 1, 3).reshape(shape)
     left, sing, right_h = np.linalg.svd(h0, full_matrices=False)
     rank = int(np.count_nonzero(sing > _RANK_FACTOR * moments.scale))
     projected = (left[:, :rank].conj().T @ h1 @ right_h[:rank].conj().T) / sing[:rank]
@@ -454,11 +476,11 @@ def _residual(t_mat, v: np.ndarray) -> float:
     return float(np.linalg.norm(t_mat @ v) / denom) if denom else 0.0
 
 
-def _inverse_iterate(fam, nu: complex, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve T(nu) w = rhs, given ``data``, T(nu)'s entries on the family's
-    pattern.  When nu sits exactly on an eigenvalue the factorization is
-    singular; the solve shift (and only the shift) is then nudged off the
-    eigenvalue, which turns the solve into a sharp inverse iteration step."""
+def _factorize_near(fam, nu: complex, data: np.ndarray):
+    """LU of T(nu), given ``data``, T(nu)'s entries on the family's pattern.
+    When nu sits exactly on an eigenvalue the factorization is singular; the
+    shift (and only the shift) is then nudged off the eigenvalue, so that
+    solves with the LU are sharp inverse iteration steps."""
     jitter = 1e-13 * max(1.0, abs(nu))
     last_error = ""  # the message only, as in indicator
     # escalate up to percent-scale standoff: near a defective root the
@@ -469,53 +491,87 @@ def _inverse_iterate(fam, nu: complex, data: np.ndarray, rhs: np.ndarray) -> np.
             data = fam.t_data(nu + jitter * (1.0 + 1.0j))
             jitter *= 10.0
         try:
-            return solve(factorize(fam.layout, data), rhs)
+            return factorize(fam.layout, data)
         except SingularMatrixError as exc:
             last_error = str(exc)
     raise SingularMatrixError(last_error)
 
 
-def refine_eigenpair(nu0: complex, fam) -> EigenCandidate:
-    """Polish an eigenvalue estimate by inverse iteration with Newton updates.
+def _unit(w: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """w / ||w||, or ``fallback`` when w is 0 or overflows: an overflowing
+    solve means the shift is singular to machine precision, and the current
+    vector is then already the best available null vector."""
+    with np.errstate(over="ignore"):
+        norm_w = np.linalg.norm(w)
+    return w / norm_w if np.isfinite(norm_w) and norm_w > 0 else fallback
 
-    Sweep 0 solves T(nu0) w = g for a fixed seeded g.  Each of at most 40
-    later sweeps first moves nu by the one-dimensional Newton step on the
+
+def _refine_sweep(fam, lu, nu: complex, t_nu, v: np.ndarray):
+    """One sweep of residual inverse iteration with the LU of T(sigma):
+    the Newton step for nu on v^H T(nu) v, then v <- v - T(sigma)^-1 T(nu) v
+    at the new nu, normalized.  Returns the step, the new nu, T(nu) and v,
+    or None when the Newton step is not finite."""
+    fd = 1e-6 * max(1.0, abs(nu))
+    t_prime = (fam.t_matrix(nu + fd) - fam.t_matrix(nu - fd)) * (1.0 / (2.0 * fd))
+    numer = np.vdot(v, t_nu @ v)
+    denom = np.vdot(v, t_prime @ v)
+    if denom == 0 or not (np.isfinite(numer) and np.isfinite(denom)):
+        return None
+    # a Python complex, so nu stays one and prints the same under any numpy
+    step = complex(numer / denom)
+    if not np.isfinite(step):
+        return None
+    nu = nu - step
+    t_nu = fam.t_matrix(nu)  # T at the current nu, built once per nu
+    return step, nu, t_nu, _unit(v - solve(lu, t_nu @ v), v)
+
+
+def refine_eigenpair(nu0: complex, fam) -> EigenCandidate:
+    """Polish an eigenvalue estimate by residual inverse iteration
+    (Neumaier, SIAM J. Numer. Anal. 22, 1985).
+
+    T(sigma) is factorized once, at the start value sigma = nu0, and sweep
+    0 solves T(sigma) w = g for a fixed seeded g, v = w / ||w||.  Each of at
+    most 40 later sweeps moves nu by the one-dimensional Newton step on the
     Rayleigh functional v^H T(nu) v / v^H T'(nu) v, T' taken as a central
-    finite difference with step 1e-6 * max(1, |nu|), then solves
-    T(nu) w = v to sharpen the eigenvector v = w / ||w||.  Converged means
-    the relative residual ||T v|| / (||T||_F ||v||) is exactly 0, or dropped
-    to 1e-9 while the eigenvalue stopped moving (the residual alone is a
-    poor stop near nu = 0, where the operator depends on nu quadratically).
-    The last iterate is returned either way, with ``iterations`` the Newton
-    sweeps taken; ``sweep.solve_at_k`` warns once for each printed
-    eigenvalue that did not converge.
+    finite difference with step 1e-6 * max(1, |nu|), and then corrects the
+    eigenvector, v <- v - T(sigma)^-1 T(nu) v, normalized: one solve with
+    the LU in hand.  The error falls per sweep by a factor of order
+    |sigma - lambda| over the distance to the next eigenvalue, so when a
+    sweep fails to cut the relative residual ||T v|| / (||T||_F ||v||)
+    tenfold, T is refactorized at the current nu (a re-shift).  Converged
+    means that residual is exactly 0, or dropped to 1e-9 while the
+    eigenvalue stopped moving (the residual alone is a poor stop near
+    nu = 0, where the operator depends on nu quadratically); one more sweep
+    with the same LU then takes nu to rounding level, so that the result
+    does not depend on where the stop happened to fall.  The last iterate
+    is returned either way, with ``iterations`` the Newton sweeps taken,
+    that last one included; ``sweep.solve_at_k`` warns once for each
+    printed eigenvalue that did not converge.
     """
     nu = complex(nu0)
-    v = random_probe(fam.n_dofs, _REFINE_SEED)
-    step_size = math.inf
-    for sweep in range(_REFINE_MAX_ITER + 1):
-        if sweep:
-            fd = 1e-6 * max(1.0, abs(nu))
-            t_prime = (fam.t_matrix(nu + fd) - fam.t_matrix(nu - fd)) * (1.0 / (2.0 * fd))
-            numer = np.vdot(v, t_nu @ v)
-            denom = np.vdot(v, t_prime @ v)
-            if denom == 0 or not (np.isfinite(numer) and np.isfinite(denom)):
-                break
-            # a Python complex, so nu stays one and prints the same under any numpy
-            step = complex(numer / denom)
-            if not np.isfinite(step):
-                break
-            nu = nu - step
-            step_size = abs(step)
-        t_nu = fam.t_matrix(nu)  # T at the current nu, built once per nu
-        w = _inverse_iterate(fam, nu, t_nu.data, v)
-        with np.errstate(over="ignore"):
-            norm_w = np.linalg.norm(w)
-        # an overflowing solve means T(nu) is singular to machine precision;
-        # the current v is then already the best available null vector
-        if np.isfinite(norm_w) and norm_w > 0:
-            v = w / norm_w
+    g = random_probe(fam.n_dofs, _REFINE_SEED)
+    t_nu = fam.t_matrix(nu)
+    lu = _factorize_near(fam, nu, t_nu.data)
+    v = _unit(solve(lu, g), g)
+    residual = _residual(t_nu, v)
+    converged = residual == 0.0
+    sweeps = 0
+    while not converged and sweeps < _REFINE_MAX_ITER:
+        taken = _refine_sweep(fam, lu, nu, t_nu, v)
+        if taken is None:
+            break
+        sweeps += 1
+        step, nu, t_nu, v = taken
+        last, residual = residual, _residual(t_nu, v)
+        converged = residual == 0.0 or (residual <= _REFINE_TOL and abs(step) <= 1e-10 * max(1.0, abs(nu)))
+        if not converged and residual > 0.1 * last:
+            lu = _factorize_near(fam, nu, t_nu.data)
+    if not converged:
+        return EigenCandidate(nu, residual, converged=residual <= _REFINE_TOL, iterations=sweeps)
+    taken = _refine_sweep(fam, lu, nu, t_nu, v)
+    if taken is not None:
+        _, nu, t_nu, v = taken
         residual = _residual(t_nu, v)
-        if residual == 0.0 or (residual <= _REFINE_TOL and step_size <= 1e-10 * max(1.0, abs(nu))):
-            return EigenCandidate(nu, residual, converged=True, iterations=sweep)
-    return EigenCandidate(nu, residual, converged=residual <= _REFINE_TOL, iterations=sweep)
+        sweeps += 1
+    return EigenCandidate(nu, residual, converged=True, iterations=sweeps)

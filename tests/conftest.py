@@ -31,7 +31,7 @@ class PatternFamily:
     def __init__(self, pattern):
         self.pattern = sp.csc_matrix(pattern, dtype=np.complex128)
         self.n_dofs = self.pattern.shape[0]
-        self.layout = band_layout(self.pattern)
+        self.layout = band_layout(self.pattern, [0])
 
     def t_matrix(self, nu):
         return sp.csc_matrix((self.t_data(nu), self.pattern.indices, self.pattern.indptr), shape=self.pattern.shape)

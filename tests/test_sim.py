@@ -10,7 +10,9 @@ import pytest
 import scipy.sparse as sp
 
 import phcbands.sim
+import phcbands.sweep
 from phcbands.materials import Constant, Drude, LossyDrude, PermittivityPoleError
+from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
 from phcbands.sparse import factorize, solve
 from phcbands.sim import (
     ContourMoments,
@@ -29,9 +31,9 @@ from phcbands.sim import (
     sim_h,
     subdivide,
 )
-from phcbands.sweep import Window, tile_window
+from phcbands.sweep import Window, solve_at_k, sweep, tile_window
 
-from conftest import X, DiagonalFamily, PatternFamily, SingularFamily
+from conftest import M, X, DiagonalFamily, PatternFamily, SingularFamily
 
 # n=4 disc families at X: lossless (conjugation-symmetric) and two lossy ones
 MEMO_FAMILIES = {
@@ -558,6 +560,55 @@ def test_refine_matrix_eigenpair(family_factory):
     assert partner.converged
     assert partner.nu.real == pytest.approx(0.5128845990302411, abs=1e-9)
     assert abs(partner.nu.imag) <= 1e-10
+
+
+def test_refine_factorizes_once_per_start_value(monkeypatch):
+    # residual inverse iteration corrects the eigenvector with the LU of
+    # T at the start value; on the dielectric benchmark at M (TE, eps 8.9,
+    # n=16) no sweep stalls, so no re-shift is taken: 7 start values, 7
+    # factorizations (inverse iteration factorized every sweep: 27)
+    starts, factorizations, refining = [], [], [False]
+    real_factorize, real_refine = phcbands.sim.factorize, phcbands.sweep.refine_eigenpair
+
+    def factorize(layout, data):
+        factorizations.append(refining[0])
+        return real_factorize(layout, data)
+
+    def refine(nu0, fam):
+        starts.append(nu0)
+        refining[0] = True
+        try:
+            return real_refine(nu0, fam)
+        finally:
+            refining[0] = False
+
+    monkeypatch.setattr(phcbands.sim, "factorize", factorize)
+    monkeypatch.setattr(phcbands.sweep, "refine_eigenpair", refine)
+    mesh = build_unit_cell_mesh(16, filling_fraction_to_radius(0.2827))
+    models = {0: Constant(1.0), 1: Constant(8.9)}
+    window = Window(0.05, 0.8, -0.05, 0.05)
+    result = solve_at_k(mesh, build_periodic_dof_map(mesh), M, "TE", models, window, SimConfig())
+    assert len(result.eigenpairs) == 6 and not result.warnings
+    assert len(starts) == 7
+    assert factorizations.count(True) == len(starts)
+
+
+def test_refined_cluster_values_independent_of_the_start_value():
+    # the TM lossy disc's interface cluster near eps = -1 at n=8: two seeds
+    # give different start values, and the same eigenvalues to rounding,
+    # because refinement takes one more sweep after its stop test passes
+    # (stopping there left ~1e-11 between the two seeds' values)
+    r = filling_fraction_to_radius(0.2827)
+    models = {0: Constant(1.0), 1: LossyDrude(1.0, 0.01)}
+    window = Window(0.05, 1.2, -0.05, 0.05)
+    runs = [sweep(8, r, "TM", models, window, SimConfig(seed=seed), nk=2).points for seed in (0, 1)]
+    for first, second in zip(*runs):
+        a = np.array([pair.nu for pair in first.eigenpairs])
+        b = np.array([pair.nu for pair in second.eigenpairs])
+        assert a.size == b.size > 0
+        gap = np.abs(a[:, None] - b[None, :])
+        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12
+    assert sum(len(point.eigenpairs) for point in runs[0]) == 142
 
 
 def test_refine_iteration_budget(monkeypatch):

@@ -8,6 +8,7 @@ import phcbands.assembly
 import phcbands.sim
 from conftest import X, stdout_under_blas_threads
 from phcbands import sparse
+from phcbands.assembly import assemble_family
 from phcbands.materials import Constant, Drude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
 from phcbands.sim import SimConfig
@@ -19,7 +20,7 @@ def _lu(mat):
     """LU of ``mat`` on a band layout of its own pattern, as a family's
     operators are factorized on the family's layout."""
     csc = sp.csc_matrix(mat, dtype=np.complex128)
-    return factorize(band_layout(csc), csc.data)
+    return factorize(band_layout(csc, [0]), csc.data)
 
 
 def test_factorize_identity_and_diagonal():
@@ -90,8 +91,8 @@ def test_factorize_requires_square():
     # takes data of its pattern's size only
     for shape in ((2, 3), (0, 0)):
         with pytest.raises(ValueError):
-            band_layout(sp.csr_matrix(shape, dtype=np.complex128))
-    layout = band_layout(sp.identity(2, format="csc"))
+            band_layout(sp.csr_matrix(shape, dtype=np.complex128), [0])
+    layout = band_layout(sp.identity(2, format="csc"), [0])
     with pytest.raises(ValueError):
         factorize(layout, np.ones(3, dtype=np.complex128))
 
@@ -120,7 +121,72 @@ def test_layout_rejects_duplicate_entries():
     # layout: the scatter of its data would keep one of the two entries
     mat = sp.csc_matrix((np.array([1.0, 2.0, 4.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2))
     with pytest.raises(ValueError, match="canonical"):
-        band_layout(mat)
+        band_layout(mat, [0])
+
+
+@pytest.mark.parametrize("n, width", [(8, 22), (16, 42), (24, 58)])
+def test_layout_from_a_cell_row_narrows_the_band(n, width):
+    # breadth first from grid row 0 the levels are the row pairs {j, n - j}
+    # of the torus, so the band is about two rows wide: 22 / 42 / 58 against
+    # 27 / 52 / 76 from a reverse Cuthill-McKee ordering started at one node
+    mesh = build_unit_cell_mesh(n, filling_fraction_to_radius(0.2827))
+    fam = assemble_family(mesh, build_periodic_dof_map(mesh), X, "TE", {0: Constant(1.0), 1: Constant(8.9)})
+    layout = fam.layout
+    assert layout.kl <= width and layout.ku <= width
+    assert list(layout.perm[:n]) == list(range(n))
+    assert np.array_equal(layout.perm[layout.position], np.arange(fam.n_dofs))
+
+
+def _queue_cuthill_mckee(pattern, start):
+    """Cuthill-McKee one node at a time, the loop the layout's level-wise
+    ordering must equal: each dequeued node appends its unvisited
+    neighbours (in pattern + its transpose) by degree, then index."""
+    ones = sp.csc_matrix(pattern, copy=True)
+    ones.data[:] = 1.0
+    graph = sp.csc_matrix(ones + ones.T)
+    graph.sort_indices()
+    neighbours = [graph.indices[graph.indptr[i] : graph.indptr[i + 1]] for i in range(graph.shape[0])]
+    order, seen = list(start), set(start)
+    head = 0
+    while len(order) < graph.shape[0]:
+        if head == len(order):
+            order.append(min(set(range(graph.shape[0])) - seen))
+            seen.add(order[-1])
+        fresh = sorted((len(neighbours[j]), j) for j in neighbours[order[head]] if j not in seen)
+        order.extend(j for _, j in fresh)
+        seen.update(j for _, j in fresh)
+        head += 1
+    return order
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_layout_order_matches_a_queue_cuthill_mckee(seed):
+    rng = np.random.default_rng(seed)
+    mesh = build_unit_cell_mesh(8 + 4 * seed, filling_fraction_to_radius(0.2827))
+    models = {0: Constant(1.0), 1: Constant(8.9)}
+    pattern = assemble_family(mesh, build_periodic_dof_map(mesh), X, "TE", models).mass_total
+    n = pattern.shape[0]
+    start = list(rng.choice(n, size=1 + seed, replace=False))
+    assert list(band_layout(pattern, start).perm) == _queue_cuthill_mckee(pattern, start)
+    # a sparse pattern that is neither symmetric nor connected
+    loose = sp.random(60, 60, density=0.02, random_state=seed, format="csc") + sp.identity(60, format="csc")
+    assert list(band_layout(loose, [0]).perm) == _queue_cuthill_mckee(loose, [0])
+
+
+def test_layout_orders_every_node_once():
+    # a diagonal pattern has no edges: every level is empty, so each node
+    # starts the next in turn; nodes the start set cannot reach (here 1 and
+    # 2, joined to each other only) continue from the lowest unvisited one
+    diagonal = band_layout(sp.identity(5, format="csc"), [0])
+    assert (diagonal.kl, diagonal.ku) == (0, 0)
+    assert list(diagonal.perm) == [0, 1, 2, 3, 4]
+    split = sp.csc_matrix(np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1]], dtype=float))
+    layout = band_layout(split, [3])
+    assert list(layout.perm) == [3, 0, 1, 2]
+    assert (layout.kl, layout.ku) == (1, 1)
+    for start in ([], [0, 0], [4], [-1]):
+        with pytest.raises(ValueError, match="start set"):
+            band_layout(split, start)
 
 
 def test_layout_built_once_per_family(monkeypatch):
@@ -129,8 +195,8 @@ def test_layout_built_once_per_family(monkeypatch):
     # refinement) factorizes every operator on that one layout
     built, used = [], []
 
-    def counted(pattern, real=sparse.band_layout):
-        built.append(real(pattern))
+    def counted(pattern, start, real=sparse.band_layout):
+        built.append(real(pattern, start))
         return built[-1]
 
     def recorded(layout, data, real=phcbands.sim.factorize):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import phcbands.sim
 import phcbands.sweep
 from phcbands.assembly import assemble_family
 from phcbands.cli import diagram_from_config
@@ -217,6 +218,23 @@ def test_solve_at_k_finds_zero_at_gamma(family_factory):
     assert res.warnings == []
     assert [abs(c.nu) <= 1e-6 for c in res.eigenpairs] == [True]
     assert dense_linear_oracle(fam, Window(-0.01, 0.3, -0.05, 0.05)) == [pytest.approx(0.0, abs=1e-6)]
+
+
+def test_solve_at_k_paper_scale_interface_cluster(monkeypatch):
+    # the n=24 TM lossy disc at X over the default window, most of whose
+    # eigenvalues crowd the eps = -1 interface cluster (Re nu 0.65-0.75),
+    # many closer than dedup's 2e-4: counted with a 1e-9 merge, refinement
+    # keeps at least the 49 distinct eigenvalues that inverse iteration with
+    # one LU per sweep found, and no refinement stalls
+    monkeypatch.setattr(phcbands.sim, "_DEDUP_TOL", 1e-9)
+    mesh = build_unit_cell_mesh(24, filling_fraction_to_radius(0.2827))
+    models = {0: Constant(1.0), 1: LossyDrude(1.0, 0.01)}
+    window = Window(0.05, 1.2, -0.05, 0.05)
+    res = solve_at_k(mesh, build_periodic_dof_map(mesh), X, "TM", models, window, SimConfig())
+    assert res.warnings == []
+    assert len(res.eigenpairs) >= 49
+    cluster = [pair.nu for pair in res.eigenpairs if 0.65 <= pair.nu.real <= 0.75]
+    assert len(cluster) > len(res.eigenpairs) // 2
 
 
 def test_solve_at_k_drops_a_start_value_that_leaves_its_square(family_factory, monkeypatch):
