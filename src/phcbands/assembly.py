@@ -17,10 +17,11 @@ frequency sweeps then reduce to scalar linear combinations.
 All matrices of one family share a single CSC sparsity pattern, the set of
 (row, col) pairs the elements touch, so T(nu) is a linear combination of
 their ``data`` arrays and never a sum of sparse matrices.  ``build_T``
-returns that ``data``; ``sparse.factorize`` scatters it straight into band
-storage along the family's ``BandLayout``, which ``assemble_family`` builds
-once, so no sparse matrix object is made per frequency unless ``t_matrix``
-asks for one.  Each region matrix is one
+returns that ``data``, the one form of the operator; ``sparse.factorize``
+scatters it straight into band storage along the family's ``BandLayout``,
+which ``assemble_family`` builds first, from the pattern alone, and which
+holds that pattern.  Every family matrix is ``sparse.csc_on`` of its
+entries on the layout.  Each region matrix is one
 scatter-add of its element entries into their slots of the pattern, in
 triangle order, with no intermediate matrix; entries a region does not
 touch hold zero.  So every sum is fixed by the mesh alone.  The combination
@@ -39,7 +40,7 @@ import scipy.sparse as sp
 
 from .materials import ABS_CAP, ABS_FLOOR, PermittivityModel, PermittivityPoleError, eval_eps, is_conjugate_symmetric
 from .mesh import Mesh, PeriodicMap
-from .sparse import BandLayout, band_layout
+from .sparse import BandLayout, band_layout, csc_on
 
 _BZ_TOL = 1e-12
 
@@ -57,11 +58,11 @@ class OperatorFamily:
     and ``mass_total`` are the sums over regions in ascending tag order.
     These are the matrices ``build_T`` and the oracles read.  Every matrix
     is canonical complex128 CSC on the family's one shared pattern (the
-    same ``indices`` and ``indptr`` memory), so building the operator at a
-    frequency costs one combination of ``data`` arrays.  ``layout`` is that
-    pattern's band storage, built once with the family: ``t_data`` gives
-    T(nu)'s entries for ``sparse.factorize`` on it, ``t_matrix`` the same
-    entries as a CSC matrix.
+    same ``indices`` and ``indptr`` memory, which ``layout`` holds), so
+    building the operator at a frequency costs one combination of ``data``
+    arrays.  ``layout`` is that pattern's band storage, built once with the
+    family, and ``t_data`` gives T(nu)'s entries on it, for
+    ``sparse.factorize`` and, as ``sparse.csc_on``, for products.
     """
 
     polarization: str
@@ -85,9 +86,6 @@ class OperatorFamily:
 
     def t_data(self, nu: complex) -> np.ndarray:
         return build_T(self, nu)
-
-    def t_matrix(self, nu: complex) -> sp.csc_matrix:
-        return _with_pattern(self.mass_total, build_T(self, nu))
 
 
 def _element_geometry(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,6 +155,8 @@ def assemble_family(
     indptr = np.searchsorted(pattern_keys, np.arange(n_dofs + 1) * n_dofs)
     nnz = pattern_keys.size
     pattern = sp.csc_matrix((np.zeros(nnz, dtype=np.complex128), entry_rows, indptr), shape=(n_dofs, n_dofs))
+    # the periodic map numbers grid row 0 first: DOFs 0 .. n - 1
+    layout = band_layout(pattern, np.arange(mesh.n))
     # entry p of a matrix's transpose is entry transpose[p] of the matrix
     transpose = np.searchsorted(pattern_keys, entry_rows * n_dofs + entry_cols)
 
@@ -164,7 +164,7 @@ def assemble_family(
     region_of_entry = np.repeat(mesh.region_of_triangle, 9)
 
     def region_sum(mats: dict[int, sp.csc_matrix]) -> sp.csc_matrix:
-        return _with_pattern(pattern, _linear_combination([1.0] * len(regions), [mats[r].data for r in regions]))
+        return csc_on(layout, _linear_combination([1.0] * len(regions), [mats[r].data for r in regions]))
 
     ksq = k1 * k1 + k2 * k2
     mass, momentum_form = {}, {}
@@ -175,9 +175,9 @@ def assemble_family(
             np.bincount(slot[sel], weights=element.ravel()[sel], minlength=nnz).astype(np.complex128)
             for element in (stiff_el, mass_el, grad1_el, grad2_el)
         )
-        mass[region] = _with_pattern(pattern, m)
-        momentum_form[region] = _with_pattern(
-            pattern,
+        mass[region] = csc_on(layout, m)
+        momentum_form[region] = csc_on(
+            layout,
             _linear_combination(
                 [1.0, 1j * k1, 1j * k2, -1j * k1, -1j * k2, ksq],
                 [s, g1, g2, g1[transpose], g2[transpose], m],
@@ -191,14 +191,8 @@ def assemble_family(
         momentum_form=momentum_form,
         momentum_form_total=region_sum(momentum_form),
         mass_total=region_sum(mass),
-        # the periodic map numbers grid row 0 first: DOFs 0 .. n - 1
-        layout=band_layout(pattern, np.arange(mesh.n)),
+        layout=layout,
     )
-
-
-def _with_pattern(pattern: sp.spmatrix, data: np.ndarray) -> sp.csc_matrix:
-    """CSC matrix sharing ``pattern``'s indices and indptr, holding ``data``."""
-    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
 def _linear_combination(coeffs: list[complex], datas: list[np.ndarray]) -> np.ndarray:

@@ -53,10 +53,13 @@ def diagram_from_config(cfg: RunConfig) -> BandDiagram:
 
 def _check_outputs(config: str, outputs: dict[str, str]) -> None:
     """Reject, before anything is computed, an output path (by its name in
-    ``outputs``) whose directory does not exist, that is a directory, or
-    that names the configuration file or another output's file."""
+    ``outputs``) that is empty, whose directory does not exist, that is a
+    directory, or that names the configuration file or another output's
+    file."""
     owners: dict[Path, str] = {Path(config).resolve(): "the configuration file"}
     for name, path in outputs.items():
+        if not path:
+            raise ConfigError(f"{name} must be a non-empty string, got {path!r}")
         if not Path(path).parent.is_dir():
             raise ConfigError(f"output directory of {path!r} does not exist")
         if Path(path).is_dir():
@@ -68,10 +71,10 @@ def _check_outputs(config: str, outputs: dict[str, str]) -> None:
 
 def _cmd_mesh(args) -> int:
     cfg = load_config(args.config)
-    if args.out:
+    if args.out is not None:
         _check_outputs(args.config, {"'--out'": args.out})
     mesh = build_unit_cell_mesh(cfg.geometry.n, cfg.geometry.r)
-    if args.out:
+    if args.out is not None:
         write_mesh_dump(mesh, args.out)
         print(f"wrote {args.out}")
     else:

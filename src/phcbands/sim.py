@@ -85,6 +85,11 @@ Each start value sigma is refined by residual inverse iteration (Neumaier,
 SIAM J. Numer. Anal. 22, 1985; see ``refine_eigenpair``): T(sigma) is
 factorized once, and each sweep is a scalar Newton step for nu on
 v^H T(nu) v = 0 and one solve with that LU, v <- v - T(sigma)^-1 T(nu) v.
+A sweep reads T only as its entries on the family's pattern: T(nu), and
+T'(nu) as the central difference of two entry arrays; ``sparse.csc_on``
+makes each a CSC matrix for its products.  A sweep takes three: T' v,
+T(nu) v for the correction, and T(nu) v of the corrected v, which gives
+the residual and is the next sweep's Newton numerator.
 The error falls per sweep by a factor of order |sigma - lambda| over the
 distance to the next eigenvalue, so a start value ~1e-8 from an isolated
 eigenvalue needs its one factorization and nothing more: the benchmark
@@ -92,9 +97,9 @@ workloads make one per start value, plus one nudge off a start value that
 sits 1e-16 from its eigenvalue.  In the TM interface cluster start values
 sit up to 1e-4 off, among eigenvalues 1e-5 apart; there a sweep that fails
 to cut the residual tenfold refactorizes at the current nu (a re-shift).
-Once the stop test passes, one more sweep with the LU in hand takes nu to
-rounding level, so values refined from different start values agree to
-~1e-15, not merely to the stop tolerance.
+Once the stop test passes, the loop makes one last sweep with the LU in
+hand, which takes nu to rounding level, so values refined from different
+start values agree to ~1e-15, not merely to the stop tolerance.
 
 The paper's bisection was tuned by an indicator threshold delta0 and a
 terminal square size beta0.  The block moments decide by rank instead, so
@@ -105,11 +110,11 @@ refined eigenvalues) remain as class constants, not settings, only because
 the benchmark reads them; nothing in the package does.
 
 Any object with ``n_dofs``, ``layout`` (the ``sparse.BandLayout`` of its
-pattern), ``t_data(nu)`` (T(nu)'s CSC entries on that pattern, which the
-search factorizes) and ``t_matrix(nu)`` (the same as a CSC matrix on that
-pattern, for refinement's products and residuals) works as the operator
-family, so the machinery is testable on scalar problems.  A family may also
-set ``conjugate_symmetric``; without it, no mirror solutions are used.
+pattern, which holds the pattern) and ``t_data(nu)`` (T(nu)'s CSC entries
+on that pattern, which the search factorizes and refinement also
+multiplies by) works as the operator family, so the machinery is testable
+on scalar problems.  A family may also set ``conjugate_symmetric``;
+without it, no mirror solutions are used.
 """
 
 from __future__ import annotations
@@ -121,7 +126,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .materials import PermittivityPoleError
-from .sparse import SingularMatrixError, factorize, solve
+from .sparse import SingularMatrixError, csc_on, factorize, solve
 
 _SQRT2 = math.sqrt(2.0)
 _NODES = 16  # m0, trapezoid nodes per circle
@@ -469,11 +474,12 @@ def dedup(candidates: Sequence[EigenCandidate]) -> list[EigenCandidate]:
     return merged
 
 
-def _residual(t_mat, v: np.ndarray) -> float:
-    """||T v|| / (||T||_F ||v||), the Frobenius norm summed over T's entries
-    in the order of its pattern, so the residual is reproducible bit for bit."""
-    denom = float(np.sqrt(np.sum(np.abs(t_mat.data) ** 2))) * np.linalg.norm(v)
-    return float(np.linalg.norm(t_mat @ v) / denom) if denom else 0.0
+def _residual(data: np.ndarray, t_v: np.ndarray, v: np.ndarray) -> float:
+    """||T v|| / (||T||_F ||v||) from T's entries ``data`` and the product
+    ``t_v`` = T v, the Frobenius norm summed over the entries in the order of
+    their pattern, so the residual is reproducible bit for bit."""
+    denom = float(np.sqrt(np.sum(np.abs(data) ** 2))) * np.linalg.norm(v)
+    return float(np.linalg.norm(t_v) / denom) if denom else 0.0
 
 
 def _factorize_near(fam, nu: complex, data: np.ndarray):
@@ -506,26 +512,6 @@ def _unit(w: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return w / norm_w if np.isfinite(norm_w) and norm_w > 0 else fallback
 
 
-def _refine_sweep(fam, lu, nu: complex, t_nu, v: np.ndarray):
-    """One sweep of residual inverse iteration with the LU of T(sigma):
-    the Newton step for nu on v^H T(nu) v, then v <- v - T(sigma)^-1 T(nu) v
-    at the new nu, normalized.  Returns the step, the new nu, T(nu) and v,
-    or None when the Newton step is not finite."""
-    fd = 1e-6 * max(1.0, abs(nu))
-    t_prime = (fam.t_matrix(nu + fd) - fam.t_matrix(nu - fd)) * (1.0 / (2.0 * fd))
-    numer = np.vdot(v, t_nu @ v)
-    denom = np.vdot(v, t_prime @ v)
-    if denom == 0 or not (np.isfinite(numer) and np.isfinite(denom)):
-        return None
-    # a Python complex, so nu stays one and prints the same under any numpy
-    step = complex(numer / denom)
-    if not np.isfinite(step):
-        return None
-    nu = nu - step
-    t_nu = fam.t_matrix(nu)  # T at the current nu, built once per nu
-    return step, nu, t_nu, _unit(v - solve(lu, t_nu @ v), v)
-
-
 def refine_eigenpair(nu0: complex, fam) -> EigenCandidate:
     """Polish an eigenvalue estimate by residual inverse iteration
     (Neumaier, SIAM J. Numer. Anal. 22, 1985).
@@ -534,44 +520,53 @@ def refine_eigenpair(nu0: complex, fam) -> EigenCandidate:
     0 solves T(sigma) w = g for a fixed seeded g, v = w / ||w||.  Each of at
     most 40 later sweeps moves nu by the one-dimensional Newton step on the
     Rayleigh functional v^H T(nu) v / v^H T'(nu) v, T' taken as a central
-    finite difference with step 1e-6 * max(1, |nu|), and then corrects the
-    eigenvector, v <- v - T(sigma)^-1 T(nu) v, normalized: one solve with
-    the LU in hand.  The error falls per sweep by a factor of order
-    |sigma - lambda| over the distance to the next eigenvalue, so when a
-    sweep fails to cut the relative residual ||T v|| / (||T||_F ||v||)
-    tenfold, T is refactorized at the current nu (a re-shift).  Converged
-    means that residual is exactly 0, or dropped to 1e-9 while the
-    eigenvalue stopped moving (the residual alone is a poor stop near
-    nu = 0, where the operator depends on nu quadratically); one more sweep
-    with the same LU then takes nu to rounding level, so that the result
-    does not depend on where the stop happened to fall.  The last iterate
-    is returned either way, with ``iterations`` the Newton sweeps taken,
-    that last one included; ``sweep.solve_at_k`` warns once for each
-    printed eigenvalue that did not converge.
+    finite difference of T's entries with step 1e-6 * max(1, |nu|), and
+    then corrects the eigenvector, v <- v - T(sigma)^-1 T(nu) v, normalized:
+    one solve with the LU in hand.  The product T(nu) v of the corrected v
+    gives the relative residual ||T v|| / (||T||_F ||v||) and is the next
+    sweep's Newton numerator.  The error falls per sweep by a factor of
+    order |sigma - lambda| over the distance to the next eigenvalue, so
+    when a sweep fails to cut that residual tenfold, T is refactorized at
+    the current nu (a re-shift).  Converged means the residual is exactly
+    0, or dropped to 1e-9 while the eigenvalue stopped moving (the
+    residual alone is a poor stop near nu = 0, where the operator depends
+    on nu quadratically); the loop then makes one last sweep with the same
+    LU, which takes nu to rounding level, so that the result does not
+    depend on where the stop happened to fall.  The last iterate is
+    returned either way, with ``iterations`` the Newton sweeps taken, that
+    last one included; ``sweep.solve_at_k`` warns once for each printed
+    eigenvalue that did not converge.
     """
     nu = complex(nu0)
     g = random_probe(fam.n_dofs, _REFINE_SEED)
-    t_nu = fam.t_matrix(nu)
-    lu = _factorize_near(fam, nu, t_nu.data)
+    data = fam.t_data(nu)
+    lu = _factorize_near(fam, nu, data)
     v = _unit(solve(lu, g), g)
-    residual = _residual(t_nu, v)
+    t_v = csc_on(fam.layout, data) @ v
+    residual = _residual(data, t_v, v)
     converged = residual == 0.0
     sweeps = 0
-    while not converged and sweeps < _REFINE_MAX_ITER:
-        taken = _refine_sweep(fam, lu, nu, t_nu, v)
-        if taken is None:
+    while converged or sweeps < _REFINE_MAX_ITER:
+        fd = 1e-6 * max(1.0, abs(nu))
+        t_prime = csc_on(fam.layout, (fam.t_data(nu + fd) - fam.t_data(nu - fd)) * (1.0 / (2.0 * fd)))
+        numer = np.vdot(v, t_v)
+        denom = np.vdot(v, t_prime @ v)
+        if denom == 0 or not (np.isfinite(numer) and np.isfinite(denom)):
             break
+        # a Python complex, so nu stays one and prints the same under any numpy
+        step = complex(numer / denom)
+        if not np.isfinite(step):
+            break
+        nu = nu - step
+        data = fam.t_data(nu)  # T at the current nu, built once per nu
+        t_nu = csc_on(fam.layout, data)
+        v = _unit(v - solve(lu, t_nu @ v), v)
+        t_v = t_nu @ v
+        last, residual = residual, _residual(data, t_v, v)
         sweeps += 1
-        step, nu, t_nu, v = taken
-        last, residual = residual, _residual(t_nu, v)
+        if converged:
+            break  # that was the last sweep
         converged = residual == 0.0 or (residual <= _REFINE_TOL and abs(step) <= 1e-10 * max(1.0, abs(nu)))
         if not converged and residual > 0.1 * last:
-            lu = _factorize_near(fam, nu, t_nu.data)
-    if not converged:
-        return EigenCandidate(nu, residual, converged=residual <= _REFINE_TOL, iterations=sweeps)
-    taken = _refine_sweep(fam, lu, nu, t_nu, v)
-    if taken is not None:
-        _, nu, t_nu, v = taken
-        residual = _residual(t_nu, v)
-        sweeps += 1
-    return EigenCandidate(nu, residual, converged=True, iterations=sweeps)
+            lu = _factorize_near(fam, nu, data)
+    return EigenCandidate(nu, residual, converged=converged or residual <= _REFINE_TOL, iterations=sweeps)

@@ -13,10 +13,13 @@ vertex, and the band is about two rows wide: kl = ku = 22 / 42 / 58 at
 n = 8 / 16 / 24 on the f = 0.2827 disc, against 27 / 52 / 76 from a reverse
 Cuthill-McKee ordering started at one node.  The ordering depends on the
 pattern alone, and a family's operators share one, so ``assemble_family``
-builds the family's ``BandLayout`` once and keeps it on the family.  A
-factorization takes that layout and the ``data`` of T(nu) on its pattern,
-as ``assembly.build_T`` returns it: one scatter into band storage and one
-``zgbtrf``, with no sparse matrix object built or checked per call.  Per
+builds the family's ``BandLayout`` once and keeps it on the family.  The
+layout holds the pattern it is built from, its CSC ``indices`` and
+``indptr``, so entries on it are the one form of an operator: ``csc_on``
+makes them a CSC matrix for products, and a factorization takes the
+layout and the ``data`` of T(nu) on its pattern, as ``assembly.build_T``
+returns it: one scatter into band storage and one ``zgbtrf``, with no
+sparse matrix object built or checked per call.  Per
 contour point (T(nu)'s data, factorize, a 12-column solve and its 12 x 12
 projection; one thread, best of five 16-node circles in four runs on a
 shared two-core Intel Xeon) on the TM lossy disc this takes 0.11 / 0.66 /
@@ -46,17 +49,20 @@ class SingularMatrixError(RuntimeError):
 
 
 class BandLayout(NamedTuple):
-    """Band storage of a CSC pattern: row and column i of the reordered
-    matrix are ``perm[i]`` of the original, with ``kl`` sub- and ``ku``
-    superdiagonals, and CSC entry p lands at ``flat[p]`` of the
-    2 kl + ku + 1 band rows raveled column by column.  ``position`` is the
-    inverse of ``perm``: row i of the original is row ``position[i]``."""
+    """Band storage of the CSC pattern ``indices``, ``indptr``: row and
+    column i of the reordered matrix are ``perm[i]`` of the original, with
+    ``kl`` sub- and ``ku`` superdiagonals, and CSC entry p lands at
+    ``flat[p]`` of the 2 kl + ku + 1 band rows raveled column by column.
+    ``position`` is the inverse of ``perm``: row i of the original is row
+    ``position[i]``."""
 
     perm: np.ndarray
     kl: int
     ku: int
     flat: np.ndarray
     position: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
 
 
 class BandLU(NamedTuple):
@@ -103,7 +109,9 @@ def _cuthill_mckee(pattern: sp.csc_matrix, start: Sequence[int] | np.ndarray) ->
 def band_layout(pattern: sp.spmatrix, start: Sequence[int] | np.ndarray) -> BandLayout:
     """Band storage of a nonempty square canonical CSC pattern (sorted
     indices, no duplicates), ordered by ``_cuthill_mckee`` from the nodes
-    ``start``, and the band storage place of each of its entries."""
+    ``start``, and the band storage place of each of its entries.  The
+    layout keeps the pattern's ``indices`` and ``indptr``, which every
+    ``csc_on`` matrix on it shares."""
     n, n_cols = pattern.shape
     if n != n_cols or n == 0:
         raise ValueError(f"band layout needs a nonempty square pattern, got {pattern.shape}")
@@ -120,7 +128,13 @@ def band_layout(pattern: sp.spmatrix, start: Sequence[int] | np.ndarray) -> Band
     kl, ku = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
     # A(i, j) sits in band row kl + ku + i - j of column j
     flat = (kl + ku + row - col) + col * (2 * kl + ku + 1)
-    return BandLayout(perm, kl, ku, flat, position)
+    return BandLayout(perm, kl, ku, flat, position, indices, indptr)
+
+
+def csc_on(layout: BandLayout, data: np.ndarray) -> sp.csc_matrix:
+    """The CSC matrix with entries ``data`` on ``layout``'s pattern."""
+    n = layout.perm.size
+    return sp.csc_matrix((data, layout.indices, layout.indptr), shape=(n, n))
 
 
 def factorize(layout: BandLayout, data: np.ndarray) -> BandLU:

@@ -16,25 +16,28 @@ import phcbands
 from phcbands.assembly import assemble_family
 from phcbands.materials import Constant, PermittivityModel, eval_eps
 from phcbands.mesh import Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
-from phcbands.sparse import band_layout
+from phcbands.sparse import band_layout, csc_on
 
 GAMMA = (0.0, 0.0)
 X = (math.pi, 0.0)
 M = (math.pi, math.pi)
 
 
+def t_matrix(fam, nu):
+    """T(nu) of an operator family as a CSC matrix: its entries on the
+    family's layout, for tests that compare operators as matrices."""
+    return csc_on(fam.layout, fam.t_data(nu))
+
+
 class PatternFamily:
-    """Operator family on a fixed CSC pattern, as the search reads one: a
-    subclass gives ``t_data(nu)``, the entries of T(nu) on ``pattern``, and
-    the band layout is built once, as ``assemble_family`` builds it."""
+    """Operator family on a fixed CSC pattern, as the search and refinement
+    read one: a subclass gives ``t_data(nu)``, the entries of T(nu) on the
+    pattern, and the band layout, which holds the pattern, is built once,
+    as ``assemble_family`` builds it."""
 
     def __init__(self, pattern):
-        self.pattern = sp.csc_matrix(pattern, dtype=np.complex128)
-        self.n_dofs = self.pattern.shape[0]
-        self.layout = band_layout(self.pattern, [0])
-
-    def t_matrix(self, nu):
-        return sp.csc_matrix((self.t_data(nu), self.pattern.indices, self.pattern.indptr), shape=self.pattern.shape)
+        self.n_dofs = pattern.shape[0]
+        self.layout = band_layout(pattern, [0])
 
 
 class DiagonalFamily(PatternFamily):

@@ -24,7 +24,7 @@ from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_
 from phcbands.sim import SearchRegion, SimConfig, indicator, random_probe
 from phcbands.sweep import Window, dense_linear_oracle, drude_polynomial_oracle, make_kpath, solve_at_k, sweep
 
-from conftest import GAMMA, M, X, DiagonalFamily, direct_assembly_check, reference_region_matrices
+from conftest import GAMMA, M, X, DiagonalFamily, direct_assembly_check, reference_region_matrices, t_matrix
 
 DELTA0 = 0.01  # the paper's indicator threshold, which criterion 5 calibrates
 MATCH_TOL = 2e-4  # a CSV row within this of an oracle root finds it (criterion 7)
@@ -287,7 +287,7 @@ def test_criterion_6_structural_invariants(tmp_path):
     direct_rel = 0.0
     for pol in ("TE", "TM"):
         fam_p = assemble_family(mesh, pmap, k, pol, drude_models)
-        production = fam_p.t_matrix(nu).toarray()
+        production = t_matrix(fam_p, nu).toarray()
         reference = direct_assembly_check(mesh, pmap, k, pol, drude_models, nu).toarray()
         direct_rel = max(direct_rel, np.linalg.norm(production - reference) / np.linalg.norm(production))
 

@@ -251,16 +251,23 @@ def test_mesh_unwritable_output_is_configuration_error(tmp_path, capsys):
 
 
 def test_mesh_output_checked_before_writing(tmp_path, capsys, monkeypatch):
-    # the mesh dump must not replace the configuration, and a directory is
-    # no output file
+    # the mesh dump must not replace the configuration, a directory is no
+    # output file, and an empty --out names none (the dump does not go to
+    # standard output instead); each is refused before the mesh is built
     monkeypatch.chdir(tmp_path)
     config = write_config(tmp_path, "cfg.json", empty_lattice_raw(1))
     before = (tmp_path / "cfg.json").read_bytes()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(cli, "build_unit_cell_mesh", unreachable)
     for out, error in (
         ("cfg.json", "the configuration file and '--out' name the same file"),
         ("./cfg.json", "the configuration file and '--out' name the same file"),
         (config, "the configuration file and '--out' name the same file"),
         (".", "'--out' is a directory"),
+        ("", "'--out' must be a non-empty string, got ''"),
     ):
         assert run(["mesh", "--config", config, "--out", out]) == 1
         captured = capsys.readouterr()

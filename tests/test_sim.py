@@ -4,6 +4,7 @@ and eigenpair refinement."""
 
 import gc
 import math
+import types
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import phcbands.sim
 import phcbands.sweep
 from phcbands.materials import Constant, Drude, LossyDrude, PermittivityPoleError
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
-from phcbands.sparse import factorize, solve
+from phcbands.sparse import band_layout, factorize, solve
 from phcbands.sim import (
     ContourMoments,
     EigenCandidate,
@@ -617,3 +618,46 @@ def test_refine_iteration_budget(monkeypatch):
     assert not result.converged
     assert result.iterations == 0
     assert result.residual > 0.1
+
+
+def test_minimal_family_runs_the_search_and_refinement():
+    # the operator family protocol is n_dofs, layout and t_data: an object
+    # with these three alone is searched and refined, T(nu) read only as
+    # its entries on the layout's pattern
+    poles = np.array([0.33, 0.72 + 0.01j])
+    fam = types.SimpleNamespace(
+        n_dofs=2,
+        layout=band_layout(sp.identity(2, format="csc"), [0]),
+        t_data=lambda nu: complex(nu) - poles,
+    )
+    regions = [SearchRegion(center=0.3 + 0j, side=0.2), SearchRegion(center=0.7 + 0j, side=0.2)]
+    result = sim_h(regions, fam, SimConfig())
+    assert not result.failures
+    assert [start.tile for start in result.candidates] == regions
+    for start, pole in zip(result.candidates, poles):
+        refined = refine_eigenpair(start.nu, fam)
+        assert refined.converged
+        assert abs(refined.nu - pole) <= 1e-12
+
+
+def test_refine_converged_at_entry_takes_one_last_sweep():
+    # T(0.5) = 0: the residual is 0 before any Newton sweep, and the one
+    # last sweep that follows convergence leaves nu where it is
+    result = refine_eigenpair(0.5, DiagonalFamily([0.5]))
+    assert result.converged
+    assert result.iterations == 1
+    assert result.residual == 0.0
+    assert result.nu == 0.5
+
+
+def test_refine_stops_when_T_does_not_depend_on_nu():
+    # T' = 0 leaves no Newton step: refinement stops before its first sweep
+    # and returns the start value unconverged
+    class Fixed(PatternFamily):
+        def t_data(self, nu):
+            return np.array([1.0, 2.0], dtype=np.complex128)
+
+    result = refine_eigenpair(0.6 + 0.01j, Fixed(sp.identity(2)))
+    assert not result.converged
+    assert result.iterations == 0
+    assert result.nu == 0.6 + 0.01j
