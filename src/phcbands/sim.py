@@ -10,8 +10,9 @@ each with p columns,
     A_q = (R / m0) * sum_j exp(i theta_j) ((z_j - c) / R)^q W^H T(z_j)^-1 V,
 
 for q = 0 .. 3, each p x p (Sakurai and Sugiura, J. Comput. Appl. Math.
-159, 2003).  ||A_0 g|| for one probe column g, taken without W, is the
-paper's spectral indicator.  Every eigenvalue lambda inside the circle
+159, 2003).  The norm of A_0's first column, ||W^H A_0 g|| for the first
+probe column g, is ``indicator``'s value; with W = I it is the paper's
+spectral indicator ||A_0 g||.  Every eigenvalue lambda inside the circle
 contributes ((lambda - c) / R)^q times a fixed rank-one term to A_q, so the
 2p x 2p block Hankel matrices
 
@@ -42,12 +43,11 @@ Every quadrature node costs a banded LU factorization of T(z) on the
 family's band layout, a block solve for u(z) = T(z)^-1 V and p x p work:
 W^H u and its share of the moment sums, one broadcast multiply-add; the
 norms ||W^H u||_2 of a circle's 16 nodes come from one stacked eigenvalue
-call.  Nothing of size n is kept but u's first column, for the indicator.
-Many nodes recur, so each ``sim_h`` run keeps a ``SolveMemo`` of these
-``NodeSolve``s (W^H u and that column: n + p^2 numbers, not the n p of u)
-by contour point, and its one method ``node`` is where the search
-factorizes: every node of every circle is taken from the memo, which
-factorizes a point once:
+call.  Nothing of size n is kept.  Many nodes recur, so each ``sim_h`` run
+keeps a ``SolveMemo`` of W^H u (p^2 numbers, not the n p of u) by contour
+point, and its one method ``node`` is where the search factorizes: every
+node of every circle is taken from the memo, which factorizes a point
+once:
 
 - Corners.  On the first attempt the circle circumscribes the square, so
   the nodes j = 2, 6, 10, 14 are the square's corners; they are placed
@@ -67,8 +67,8 @@ backward-stable solve of T(conj z) u = V, as a fresh factorization would
 be.  The memo lives for one ``sim_h`` call.  At each level it records the
 nodes that level's squares will ask for, carries over from the level
 before only solutions among them, and computes a mirror solution only for
-one of them.  A level's solutions are n + p^2 numbers per node, so the
-memo keeps them all until the next level starts.  A retried contour moves
+one of them.  A level's solutions are p^2 numbers per node, so the memo
+keeps them all until the next level starts.  A retried contour moves
 off the square, so its nodes miss; they are stored like any other and
 dropped when the next level starts.  An ``indicator`` call given no memo
 makes a fresh one for itself, which is the fresh-solve reference.
@@ -245,21 +245,9 @@ def left_block(n_dofs: int, columns: int, seed: int) -> np.ndarray:
     return random_probe(n_dofs, seed + _LEFT_SEED_OFFSET, columns=columns).conj().T
 
 
-class NodeSolve:
-    """What the moments keep of u = T(z)^-1 V at one contour point: the
-    p x p block W^H u and u's first column (the paper's indicator reads only
-    that one)."""
-
-    __slots__ = ("projected", "first")
-
-    def __init__(self, left_h: np.ndarray, u: np.ndarray):
-        self.projected = left_h @ u
-        self.first = u[:, 0].copy()
-
-
-def contour_nodes(region: SearchRegion, radius: float) -> list[tuple[complex, complex]]:
-    """(phase, point) of the 16 trapezoid nodes on the circle of ``radius``
-    about the region's centre.
+def contour_nodes(region: SearchRegion, radius: float) -> list[complex]:
+    """The 16 trapezoid nodes on the circle of ``radius`` about the
+    region's centre.
 
     On the circumscribed circle the nodes j = 2, 6, 10, 14 are the square's
     corners; they are formed as centre + (+-side/2) + i(+-side/2).
@@ -270,33 +258,33 @@ def contour_nodes(region: SearchRegion, radius: float) -> list[tuple[complex, co
     for j in range(_NODES):
         phase = np.exp(2j * np.pi * j / _NODES)
         if circumscribed and j % 4 == 2:
-            point = region.center + complex(math.copysign(half, phase.real), math.copysign(half, phase.imag))
+            nodes.append(region.center + complex(math.copysign(half, phase.real), math.copysign(half, phase.imag)))
         else:
-            point = region.center + radius * phase
-        nodes.append((phase, point))
+            nodes.append(region.center + radius * phase)
     return nodes
 
 
-# _POWERS[j, q] = phase_j^(q + 1), the weight of node j in A_q, formed as
-# the running product phase * phase * ... of contour_nodes' phase
+# _POWERS[j, q] = phase_j^(q + 1), the weight of node j in A_q, with
+# phase_j = exp(2 pi i j / 16), formed as the running product phase * phase * ...
 _POWERS = np.array([np.cumprod(np.full(2 * _HANKEL_ORDER, np.exp(2j * np.pi * j / _NODES))) for j in range(_NODES)])
 # block (i, j) of H0 is A_{i + j}, and of H1 A_{i + j + 1}
 _HANKEL_INDEX = np.add.outer(np.arange(_HANKEL_ORDER), np.arange(_HANKEL_ORDER))
 
 
 class SolveMemo:
-    """``NodeSolve``s of u(z) = T(z)^-1 V at contour points, shared by the
-    squares of one ``sim_h`` run (see the module docstring for what is
-    shared and why).  V is the probe block and ``left_h`` the W^H of
-    ``left_block`` that projects every solution; ``node`` is the one place
-    the search factorizes T."""
+    """Projected solutions W^H T(z)^-1 V at contour points, p x p each,
+    shared by the squares of one ``sim_h`` run (see the module docstring
+    for what is shared and why).  V is the probe block and ``left_h`` the
+    W^H that projects every solution: the search's is ``left_block``'s;
+    with the identity the solutions are kept whole.  ``node`` is the one
+    place the search factorizes T."""
 
     def __init__(self, fam, probe: np.ndarray, left_h: np.ndarray):
         self.fam = fam
         self.probe = probe
         self.left_h = left_h
         self.mirror = bool(getattr(fam, "conjugate_symmetric", False))
-        self._solved: dict[tuple[int, int], NodeSolve] = {}
+        self._solved: dict[tuple[int, int], np.ndarray] = {}
         self._level_keys: set[tuple[int, int]] = set()
 
     def _key(self, z: complex) -> tuple[int, int]:
@@ -305,11 +293,11 @@ class SolveMemo:
     def start_level(self, level: Sequence[SearchRegion]) -> None:
         """Record the first-attempt nodes of the level's squares and drop
         every solution none of them asks for."""
-        self._level_keys = {self._key(point) for region in level for _, point in contour_nodes(region, region.radius)}
+        self._level_keys = {self._key(point) for region in level for point in contour_nodes(region, region.radius)}
         self._solved = {key: node for key, node in self._solved.items() if key in self._level_keys}
 
-    def node(self, point: complex) -> NodeSolve:
-        """The solution at ``point``: the stored one, or else a fresh solve,
+    def node(self, point: complex) -> np.ndarray:
+        """W^H u at ``point``: the stored one, or else a fresh solve,
         kept together with the mirror point's solution from the same LU if
         a square of the level asks for it.  Raises what factorizing T(point)
         raises."""
@@ -317,11 +305,11 @@ class SolveMemo:
         found = self._solved.get(key)
         if found is None:
             lu = factorize(self.fam.layout, self.fam.t_data(point))
-            found = self._solved[key] = NodeSolve(self.left_h, solve(lu, self.probe))
+            found = self._solved[key] = self.left_h @ solve(lu, self.probe)
             if self.mirror and point.imag != 0.0:
                 mirror = self._key(point.conjugate())
                 if mirror in self._level_keys and mirror not in self._solved:
-                    self._solved[mirror] = NodeSolve(self.left_h, solve(lu, self.probe, trans="H"))
+                    self._solved[mirror] = self.left_h @ solve(lu, self.probe, trans="H")
         return found
 
 
@@ -333,9 +321,10 @@ def indicator(
     memo: SolveMemo | None = None,
     moments: ContourMoments | None = None,
 ) -> float:
-    """Contour-integral indicator ||A_0 g|| of ``region``, the paper's
-    spectral indicator, for the first column g of the (n_dofs, p) probe
-    block.
+    """Contour-integral indicator ||W^H A_0 g|| of ``region`` for the first
+    column g of the (n_dofs, p) probe block: the norm of the first column of
+    the moment W^H A_0.  With a memo whose W^H is the identity it is the
+    paper's spectral indicator ||A_0 g||.
 
     Every call forms the left-projected block moments W^H A_0 .. W^H A_3;
     given ``moments``, it is filled with them, the radius of the circle
@@ -357,17 +346,13 @@ def indicator(
     for attempt in range(_MAX_RETRIES + 1):
         radius = base_radius * _RETRY_SCALE**attempt
         try:
-            sums = np.zeros((2 * _HANKEL_ORDER, memo.left_h.shape[0], probe.shape[1]), dtype=np.complex128)
-            first = np.zeros(fam.n_dofs, dtype=np.complex128)
-            projected = []
-            for (phase, point), powers in zip(contour_nodes(region, radius), _POWERS):
-                node = memo.node(point)
-                first += phase * node.first
-                sums += powers[:, None, None] * node.projected
-                projected.append(node.projected)
+            projected = [memo.node(point) for point in contour_nodes(region, radius)]
         except (SingularMatrixError, PermittivityPoleError) as exc:
             last_error = str(exc)
             continue
+        sums = np.zeros((2 * _HANKEL_ORDER,) + projected[0].shape, dtype=np.complex128)
+        for node, powers in zip(projected, _POWERS):
+            sums += powers[:, None, None] * node
         if moments is not None:
             stack = np.array(projected)
             # the largest eigenvalue of each node's p x p Gram matrix
@@ -375,7 +360,7 @@ def indicator(
             moments.blocks = sums * (radius / _NODES)
             moments.radius = radius
             moments.scale = radius * math.sqrt(largest)
-        return float(np.linalg.norm(first) * radius / _NODES)
+        return float(np.linalg.norm(sums[0, :, 0]) * radius / _NODES)
     raise IndicatorError(
         f"indicator failed for region centred at {region.center!r} "
         f"after {_MAX_RETRIES} retries: {last_error}"

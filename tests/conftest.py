@@ -1,6 +1,7 @@
 """Shared fixtures: cached operator families, scalar test families, the
-analytic empty-lattice reference spectrum, and an independent element-by-
-element assembly of the operator and of its region matrices."""
+paper's unprojected indicator, the analytic empty-lattice reference
+spectrum, and an independent element-by-element assembly of the operator
+and of its region matrices."""
 
 import math
 import os
@@ -16,6 +17,7 @@ import phcbands
 from phcbands.assembly import assemble_family
 from phcbands.materials import Constant, PermittivityModel, eval_eps
 from phcbands.mesh import Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
+from phcbands.sim import SimConfig, SolveMemo, indicator
 from phcbands.sparse import band_layout, csc_on
 
 GAMMA = (0.0, 0.0)
@@ -27,6 +29,13 @@ def t_matrix(fam, nu):
     """T(nu) of an operator family as a CSC matrix: its entries on the
     family's layout, for tests that compare operators as matrices."""
     return csc_on(fam.layout, fam.t_data(nu))
+
+
+def paper_indicator(region, fam, g):
+    """The paper's spectral indicator ||A_0 g|| of ``region`` for the first
+    column g of the probe block: ``indicator`` with an identity left block,
+    so the moments are unprojected."""
+    return indicator(region, fam, g, SimConfig(), memo=SolveMemo(fam, g, np.eye(fam.n_dofs)))
 
 
 class PatternFamily:

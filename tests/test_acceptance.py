@@ -21,10 +21,19 @@ from phcbands.config import load_config
 from phcbands.io import write_bands_csv, emit_svg
 from phcbands.materials import Constant, Drude, LossyDrude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
-from phcbands.sim import SearchRegion, SimConfig, indicator, random_probe
+from phcbands.sim import SearchRegion, SimConfig, random_probe
 from phcbands.sweep import Window, dense_linear_oracle, drude_polynomial_oracle, make_kpath, solve_at_k, sweep
 
-from conftest import GAMMA, M, X, DiagonalFamily, direct_assembly_check, reference_region_matrices, t_matrix
+from conftest import (
+    GAMMA,
+    M,
+    X,
+    DiagonalFamily,
+    direct_assembly_check,
+    paper_indicator,
+    reference_region_matrices,
+    t_matrix,
+)
 
 DELTA0 = 0.01  # the paper's indicator threshold, which criterion 5 calibrates
 MATCH_TOL = 2e-4  # a CSV row within this of an oracle root finds it (criterion 7)
@@ -213,10 +222,10 @@ def test_criterion_5_indicator_calibration(family_factory):
     # scalar calibration: centred pole gives exactly 1, external pole at
     # twice the contour radius decays to the geometric tail 1/65535
     region = SearchRegion(center=0.3 + 0j, side=0.05)
-    inside = indicator(region, DiagonalFamily([0.3]), random_probe(1, seed=0, columns=1), SimConfig())
+    inside = paper_indicator(region, DiagonalFamily([0.3]), random_probe(1, seed=0, columns=1))
     outer_region = SearchRegion(center=0.2 + 0j, side=0.1)
-    outside = indicator(
-        outer_region, DiagonalFamily([0.2 + 2.0 * outer_region.radius]), random_probe(1, seed=0, columns=1), SimConfig()
+    outside = paper_indicator(
+        outer_region, DiagonalFamily([0.2 + 2.0 * outer_region.radius]), random_probe(1, seed=0, columns=1)
     )
     scalar_ok = abs(inside - 1.0) <= 1e-12 and outside <= 1e-4
 
@@ -229,12 +238,11 @@ def test_criterion_5_indicator_calibration(family_factory):
     assert not any(abs(v - free_region.center) <= free_region.radius for v in oracle)
     assert any(abs(v - full_region.center) <= 1e-6 for v in oracle)
 
-    cfg = SimConfig()
     free_vals, full_vals = [], []
     for seed in range(20):
         g = random_probe(fam.n_dofs, seed, columns=1)
-        free_vals.append(indicator(free_region, fam, g, cfg))
-        full_vals.append(indicator(full_region, fam, g, cfg))
+        free_vals.append(paper_indicator(free_region, fam, g))
+        full_vals.append(paper_indicator(full_region, fam, g))
     seeds_ok = max(free_vals) < DELTA0 < min(full_vals)
 
     ok = scalar_ok and seeds_ok

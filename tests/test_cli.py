@@ -94,6 +94,19 @@ def test_solve_prints_plane_wave_band(tmp_path, capsys):
     assert float(lines[1].split()[0]) == pytest.approx(0.5, abs=1e-3)
 
 
+def test_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # an error that is not the configuration's is a solver error, exit 2
+    def fail(*args):
+        raise RuntimeError("no convergence")
+
+    monkeypatch.setattr(cli, "solve_at_k", fail)
+    config = write_config(tmp_path, "cfg.json", empty_lattice_raw(4))
+    assert run(["solve", "--config", config, "--k", X_ARG]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "solver error: no convergence\n"
+    assert captured.out == ""
+
+
 def test_solve_rejects_bad_k(tmp_path, capsys):
     # a k outside the zone is a usage error, on solve and on oracle alike;
     # NaN must not slip past the zone check into the solver

@@ -83,6 +83,13 @@ def test_dispersive_poles(model, nu):
     assert not check_bounds(model, nu)
 
 
+def test_overflow_next_to_a_pole():
+    # nu^2 = 1e-320 is a nonzero subnormal, so the pole test passes and
+    # nu_p^2 / nu^2 overflows to infinity
+    with pytest.raises(PermittivityPoleError, match="overflow"):
+        eval_eps(Drude(1.0), 1e-160)
+
+
 def test_lossless_drude_real_on_real_axis():
     model = Drude(nu_p=0.9, nu_tau=0.0)
     for nu in (0.1, 0.5, 0.9, 1.7, 31.0):

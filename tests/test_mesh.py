@@ -211,6 +211,10 @@ def test_periodic_map_rejects_foreign_mesh():
     with pytest.raises(GeometryError):
         build_periodic_dof_map(broken)
 
+    # every grid vertex must be present
+    with pytest.raises(GeometryError, match="vertex count"):
+        build_periodic_dof_map(dataclasses.replace(mesh, vertices=mesh.vertices[:-1]))
+
     # a vertex beyond the grid must lie strictly inside the cell
     disc = build_unit_cell_mesh(8, 0.3)
     moved = disc.vertices.copy()

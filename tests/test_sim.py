@@ -14,7 +14,7 @@ import phcbands.sim
 import phcbands.sweep
 from phcbands.materials import Constant, Drude, LossyDrude, PermittivityPoleError
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
-from phcbands.sparse import band_layout, factorize, solve
+from phcbands.sparse import SingularMatrixError, band_layout, factorize, solve
 from phcbands.sim import (
     ContourMoments,
     EigenCandidate,
@@ -34,7 +34,7 @@ from phcbands.sim import (
 )
 from phcbands.sweep import Window, solve_at_k, sweep, tile_window
 
-from conftest import M, X, DiagonalFamily, PatternFamily, SingularFamily
+from conftest import M, X, DiagonalFamily, PatternFamily, SingularFamily, paper_indicator
 
 # n=4 disc families at X: lossless (conjugation-symmetric) and two lossy ones
 MEMO_FAMILIES = {
@@ -128,7 +128,7 @@ def test_indicator_exact_for_centred_pole():
     # the indicator collapses to ||g|| = 1 with no quadrature error at all
     fam = DiagonalFamily([0.3 + 0.1j])
     region = SearchRegion(center=0.3 + 0.1j, side=0.05)
-    value = indicator(region, fam, random_probe(1, seed=0, columns=1), SimConfig())
+    value = paper_indicator(region, fam, random_probe(1, seed=0, columns=1))
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -137,16 +137,15 @@ def test_indicator_geometric_decay_for_external_pole():
     # resolvent is the tail of a geometric series, |sum| = 1 / (2^16 - 1)
     region = SearchRegion(center=0.2 + 0j, side=0.1)
     fam = DiagonalFamily([0.2 + 2.0 * region.radius])
-    value = indicator(region, fam, random_probe(1, seed=0, columns=1), SimConfig())
+    value = paper_indicator(region, fam, random_probe(1, seed=0, columns=1))
     assert value == pytest.approx(1.0 / 65535.0, rel=1e-10)
 
 
 def test_indicator_separates_occupied_from_free(family_factory):
     _, _, fam = family_factory(8, 0.0, X)
     g = random_probe(fam.n_dofs, seed=0, columns=1)
-    cfg = SimConfig()
-    free = indicator(SearchRegion(center=0.25 + 0j, side=0.02), fam, g, cfg)
-    full = indicator(SearchRegion(center=0.5 + 0j, side=0.02), fam, g, cfg)
+    free = paper_indicator(SearchRegion(center=0.25 + 0j, side=0.02), fam, g)
+    full = paper_indicator(SearchRegion(center=0.5 + 0j, side=0.02), fam, g)
     assert free < 1e-8
     assert full > DELTA0
 
@@ -157,7 +156,7 @@ def test_indicator_retries_off_a_contour_pole():
     # 5 % and encloses the pole, giving 1 / (1 - 1.05^-16)
     region = SearchRegion(center=0.5 + 0j, side=0.1)
     fam = DiagonalFamily([0.5 + region.radius])
-    value = indicator(region, fam, random_probe(1, seed=0, columns=1), SimConfig())
+    value = paper_indicator(region, fam, random_probe(1, seed=0, columns=1))
     assert value == pytest.approx(1.0 / (1.0 - 1.05**-16), rel=1e-10)
     assert 1.0 < value < 2.5
 
@@ -167,25 +166,25 @@ def test_indicator_retries_past_material_failure():
     # failure at the quadrature node rather than a singular factorization
     region = SearchRegion(center=0.5 + 0j, side=0.1)
     fam = FlakyFamily(pole=0.5 + region.radius, trigger=0.5 + region.radius)
-    value = indicator(region, fam, random_probe(1, seed=0, columns=1), SimConfig())
+    value = paper_indicator(region, fam, random_probe(1, seed=0, columns=1))
     assert value == pytest.approx(1.0 / (1.0 - 1.05**-16), rel=1e-10)
 
 
 def test_contour_nodes_place_corners_exactly():
     region = SearchRegion(center=0.45 + 0.025j, side=0.05)
     nodes = contour_nodes(region, region.radius)
-    corners = [point for _, point in nodes[2::4]]
-    assert corners == [
+    phases = [np.exp(2j * np.pi * j / 16) for j in range(16)]
+    assert nodes[2::4] == [
         region.center + complex(0.025, 0.025),
         region.center + complex(-0.025, 0.025),
         region.center + complex(-0.025, -0.025),
         region.center + complex(0.025, -0.025),
     ]
-    for phase, point in nodes:
+    for phase, point in zip(phases, nodes):
         assert abs(point - (region.center + region.radius * phase)) <= 1e-16
     # retried (larger) circles place every node on the circle
     radius = 1.05 * region.radius
-    assert all(point == region.center + radius * phase for phase, point in contour_nodes(region, radius))
+    assert contour_nodes(region, radius) == [region.center + radius * phase for phase in phases]
 
 
 def _moments(region, fam, probe, cfg, memo=None):
@@ -198,8 +197,9 @@ def test_moments_are_left_projections(family_factory):
     # the search's moments are W^H times the unprojected moments
     # A_q = (R / 16) sum_j phase_j^(q+1) T(z_j)^-1 V, formed here from the
     # full n x p solves, for the W of seed + 7919; the rank scale is the
-    # largest projected summand, and the paper's indicator still reads the
-    # unprojected ||A_0 g||.  The two squares hold 5 and 7 eigenvalues.
+    # largest projected summand, the indicator is ||W^H A_0 g|| and with an
+    # identity left block it is the paper's unprojected ||A_0 g||.  The two
+    # squares hold 5 and 7 eigenvalues.
     pol, models = MEMO_FAMILIES["TM-lossy-drude"]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     cfg = SimConfig(seed=3)
@@ -209,8 +209,8 @@ def test_moments_are_left_projections(family_factory):
         moments = ContourMoments()
         value = indicator(region, fam, probe, cfg, moments=moments)
         solves = [
-            (phase, solve(factorize(fam.layout, fam.t_data(point)), probe))
-            for phase, point in contour_nodes(region, region.radius)
+            (np.exp(2j * np.pi * j / 16), solve(factorize(fam.layout, fam.t_data(point)), probe))
+            for j, point in enumerate(contour_nodes(region, region.radius))
         ]
         full = [region.radius / 16 * sum(phase ** (q + 1) * u for phase, u in solves) for q in range(4)]
         assert moments.blocks.shape == (4, 12, 12)
@@ -219,7 +219,8 @@ def test_moments_are_left_projections(family_factory):
             assert np.linalg.norm(moments.blocks[q] - expected) <= 1e-12 * np.linalg.norm(expected)
         scale = region.radius * max(np.linalg.norm(w.conj().T @ u, 2) for _, u in solves)
         assert moments.scale == pytest.approx(scale, rel=1e-12)
-        assert value == pytest.approx(np.linalg.norm(full[0][:, 0]), rel=1e-12)
+        assert value == pytest.approx(np.linalg.norm((w.conj().T @ full[0])[:, 0]), rel=1e-12)
+        assert paper_indicator(region, fam, probe) == pytest.approx(np.linalg.norm(full[0][:, 0]), rel=1e-12)
         assert hankel_rank_and_values(moments, region.center)[0] >= 5
 
 
@@ -271,7 +272,7 @@ def test_memo_shares_exactly_across_splits(name, family_factory, monkeypatch):
 
     def keys(level):
         quantum = phcbands.sim._KEY_QUANTUM
-        points = (node[1] for region in level for node in contour_nodes(region, region.radius))
+        points = (point for region in level for point in contour_nodes(region, region.radius))
         return {(round(z.real / quantum), round(z.imag / quantum)) for z in points}
 
     previous, expected = set(), 0
@@ -377,6 +378,33 @@ def test_sim_h_memo_does_not_leak_between_calls(family_factory, monkeypatch):
     assert runs[0] == runs[1]
 
 
+def test_memo_keeps_only_projected_solutions(family_factory, monkeypatch):
+    # every memo entry, direct or mirror, is the p x p block W^H u, never an
+    # n-long vector; entries are dropped only when a level starts, so looking
+    # there and after the run sees each of them
+    pol, models = MEMO_FAMILIES["TE-lossless"]
+    _, _, fam = family_factory(8, 0.3, X, pol, models)
+    memos, shapes = [], []
+
+    class CheckedMemo(SolveMemo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+        def start_level(self, level):
+            shapes.extend(node.shape for node in self._solved.values())
+            super().start_level(level)
+
+    monkeypatch.setattr(phcbands.sim, "SolveMemo", CheckedMemo)
+    counter = SimCounter(monkeypatch)
+    assert sim_h(MEMO_TILES, fam, SimConfig()).candidates
+    (memo,) = memos
+    shapes.extend(node.shape for node in memo._solved.values())
+    assert fam.n_dofs > 12 and counter.conjugate_solves > 0
+    assert len(shapes) >= counter.factorizations
+    assert set(shapes) == {(12, 12)}
+
+
 def test_singular_retries_leave_no_reference_cycle():
     # a kept exception's traceback would tie the failed frame, and with it
     # factorize's rejected LU, into a cycle that only a full collection frees
@@ -387,7 +415,7 @@ def test_singular_retries_leave_no_reference_cycle():
     try:
         assert refine_eigenpair(0.5, DiagonalFamily([0.5])).converged  # first solve is singular
         # the first contour is singular
-        assert indicator(region, on_node, random_probe(1, seed=0, columns=1), SimConfig()) > 1.0
+        assert paper_indicator(region, on_node, random_probe(1, seed=0, columns=1)) > 1.0
         with pytest.raises(IndicatorError):
             indicator(region, SingularFamily(), random_probe(2, seed=0, columns=1), SimConfig())
         unreachable = gc.collect()
@@ -661,3 +689,12 @@ def test_refine_stops_when_T_does_not_depend_on_nu():
     assert not result.converged
     assert result.iterations == 0
     assert result.nu == 0.6 + 0.01j
+
+
+def test_refine_raises_when_every_nudge_stays_singular(monkeypatch):
+    # T is singular at every frequency: the start value and its 11 ever
+    # larger nudges all fail to factorize, and the last failure is raised
+    counter = SimCounter(monkeypatch)
+    with pytest.raises(SingularMatrixError, match="singular"):
+        refine_eigenpair(0.5, SingularFamily())
+    assert counter.factorizations == 12
