@@ -155,8 +155,8 @@ def assemble_family(
     indptr = np.searchsorted(pattern_keys, np.arange(n_dofs + 1) * n_dofs)
     nnz = pattern_keys.size
     pattern = sp.csc_matrix((np.zeros(nnz, dtype=np.complex128), entry_rows, indptr), shape=(n_dofs, n_dofs))
-    # the periodic map numbers grid row 0 first: DOFs 0 .. n - 1
-    layout = band_layout(pattern, np.arange(mesh.n))
+    # the band ordering starts from the DOFs of grid row 0
+    layout = band_layout(pattern, pmap.dof_of_vertex[: mesh.n])
     # entry p of a matrix's transpose is entry transpose[p] of the matrix
     transpose = np.searchsorted(pattern_keys, entry_rows * n_dofs + entry_cols)
 

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .materials import Constant, Drude, LossyDrude, PermittivityModel, normalize_physical_drude
-from .mesh import filling_fraction_to_radius
+from .mesh import REGION_BACKGROUND, REGION_DISC, filling_fraction_to_radius
 from .sim import SimConfig
 from .sweep import Window
 
@@ -196,7 +196,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     return RunConfig(
         polarization=polarization,
         geometry=geometry,
-        models={0: Constant(eps=1.0 + 0.0j), 1: disc_model},
+        models={REGION_BACKGROUND: Constant(eps=1.0 + 0.0j), REGION_DISC: disc_model},
         window=window,
         sim=sim_cfg,
         nk=nk,

@@ -3,16 +3,16 @@
 All writers are pure functions of their inputs (no timestamps, no ids), so a
 rerun with the same configuration and seed reproduces the files byte for
 byte.  The SVG is hand-assembled for the same reason; plotting libraries
-embed session state in their output.
+embed session state in their output.  The path's nodes, their labels and
+their arclengths come from ``sweep``, which owns the walk.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
-from .sweep import BandDiagram
+from .sweep import PATH_LABELS, BandDiagram, make_kpath
 
 CSV_HEADER = "k_index,k1,k2,arclength,re_nu,im_nu,residual"
 
@@ -22,10 +22,6 @@ _MARGIN_LEFT = 72
 _MARGIN_RIGHT = 24
 _MARGIN_TOP = 24
 _MARGIN_BOTTOM = 56
-
-# Node positions of the Gamma -> X -> M -> Gamma walk as arclength fractions.
-_NODE_LABELS = ("Γ", "X", "M", "Γ")
-_NODE_FRACTIONS = (0.0, 1.0 / (2.0 + math.sqrt(2.0)), 2.0 / (2.0 + math.sqrt(2.0)), 1.0)
 
 
 def _fmt(value: float) -> str:
@@ -49,8 +45,11 @@ def write_bands_csv(diagram: BandDiagram, path: str | Path) -> None:
 
 def emit_svg(diagram: BandDiagram, path: str | Path) -> None:
     """Scatter plot of Re nu against path arclength as a standalone SVG; the
-    y-axis spans the real range of the diagram's search window."""
-    total = diagram.points[-1].arclength if diagram.points else math.pi * (2.0 + math.sqrt(2.0))
+    y-axis spans the real range of the diagram's search window, and a line
+    marks each node of the path at its share of the path's length."""
+    nodes = make_kpath(1).points
+    path_length = nodes[-1][1]
+    total = diagram.points[-1].arclength if diagram.points else path_length
     if total <= 0:
         total = 1.0
     y_lo, y_hi = diagram.window.re_min, diagram.window.re_max
@@ -72,8 +71,8 @@ def emit_svg(diagram: BandDiagram, path: str | Path) -> None:
         f'fill="none" stroke="black" stroke-width="1"/>',
     ]
 
-    for fraction, label in zip(_NODE_FRACTIONS, _NODE_LABELS):
-        x = _MARGIN_LEFT + plot_w * fraction
+    for (_, arc), label in zip(nodes, PATH_LABELS):
+        x = _MARGIN_LEFT + plot_w * (arc / path_length)
         parts.append(
             f'<line x1="{x:.2f}" y1="{_MARGIN_TOP}" x2="{x:.2f}" y2="{_MARGIN_TOP + plot_h}" '
             f'stroke="#bbbbbb" stroke-width="0.8"/>'

@@ -164,7 +164,7 @@ def build_unit_cell_mesh(n: int, r: float) -> Mesh:
         inside the cell, and r = 0 or r >= h = 1/n so the grid resolves the
         rod.  For r = 0 the mesh is the plain grid.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise GeometryError(f"grid subdivisions must be a positive integer, got {n!r}")
     if not (0.0 <= r < 0.5):
         raise GeometryError(f"rod radius must satisfy 0 <= r < 0.5, got {r!r}")

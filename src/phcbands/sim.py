@@ -50,9 +50,10 @@ node of every circle is taken from the memo, which factorizes a point
 once:
 
 - Corners.  On the first attempt the circle circumscribes the square, so
-  the nodes j = 2, 6, 10, 14 are the square's corners; they are placed
-  exactly there.  A square shares them with its neighbours, and its four
-  children's corners include its own.
+  the nodes j = m0/8 mod m0/4 (m0 a multiple of 8; j = 2, 6, 10, 14 for
+  m0 = 16) are the square's corners; they are placed exactly there.  A
+  square shares them with its neighbours, and its four children's corners
+  include its own.
 - Mirror.  When the family is conjugation-symmetric, T(conj z) = T(z)^H, so
   one conjugate-transpose solve with the LU of T(z) gives u(conj z).  A
   row of t squares straddling Im nu = 0 then needs 8t + 1 factorizations
@@ -186,7 +187,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.seed) != self.seed or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -246,10 +247,10 @@ def left_block(n_dofs: int, columns: int, seed: int) -> np.ndarray:
 
 
 def contour_nodes(region: SearchRegion, radius: float) -> list[complex]:
-    """The 16 trapezoid nodes on the circle of ``radius`` about the
+    """The m0 trapezoid nodes on the circle of ``radius`` about the
     region's centre.
 
-    On the circumscribed circle the nodes j = 2, 6, 10, 14 are the square's
+    On the circumscribed circle the nodes j = m0/8 mod m0/4 are the square's
     corners; they are formed as centre + (+-side/2) + i(+-side/2).
     """
     circumscribed = radius == region.radius
@@ -257,7 +258,7 @@ def contour_nodes(region: SearchRegion, radius: float) -> list[complex]:
     nodes = []
     for j in range(_NODES):
         phase = np.exp(2j * np.pi * j / _NODES)
-        if circumscribed and j % 4 == 2:
+        if circumscribed and j % (_NODES // 4) == _NODES // 8:
             nodes.append(region.center + complex(math.copysign(half, phase.real), math.copysign(half, phase.imag)))
         else:
             nodes.append(region.center + radius * phase)
@@ -265,7 +266,7 @@ def contour_nodes(region: SearchRegion, radius: float) -> list[complex]:
 
 
 # _POWERS[j, q] = phase_j^(q + 1), the weight of node j in A_q, with
-# phase_j = exp(2 pi i j / 16), formed as the running product phase * phase * ...
+# phase_j = exp(2 pi i j / m0), formed as the running product phase * phase * ...
 _POWERS = np.array([np.cumprod(np.full(2 * _HANKEL_ORDER, np.exp(2j * np.pi * j / _NODES))) for j in range(_NODES)])
 # block (i, j) of H0 is A_{i + j}, and of H1 A_{i + j + 1}
 _HANKEL_INDEX = np.add.outer(np.arange(_HANKEL_ORDER), np.arange(_HANKEL_ORDER))

@@ -1,9 +1,11 @@
 """Brillouin-zone sweeps and dense reference eigensolvers.
 
 The high-symmetry walk for the square lattice is Gamma (0, 0) -> X (pi, 0)
--> M (pi, pi) -> Gamma.  At every k-point the complex search window is tiled
-with squares, handed to the contour search, and each start value is
-refined; the collected eigenpairs form the band diagram.
+-> M (pi, pi) -> Gamma.  This module owns the walk: its nodes, their labels
+and ``make_kpath``'s sampling, from which ``io`` places the SVG's node
+lines.  At every k-point the complex search window is tiled with squares,
+handed to the contour search, and each start value is refined; the
+collected eigenpairs form the band diagram.
 
 Two brute-force oracles cross-check the search on small meshes: a
 dense generalized eigensolve for frequency-independent permittivities, and a
@@ -21,13 +23,15 @@ import scipy.linalg
 
 from .assembly import OperatorFamily, assemble_family
 from .materials import Constant, Drude, LossyDrude, PermittivityModel, PermittivityPoleError
-from .mesh import Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
+from .mesh import REGION_BACKGROUND, REGION_DISC, Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
 from .sim import EigenCandidate, SearchRegion, SimConfig, dedup, refine_eigenpair, sim_h
 from .sparse import SingularMatrixError
 
 GAMMA = (0.0, 0.0)
 X = (math.pi, 0.0)
 M = (math.pi, math.pi)
+PATH_NODES = (GAMMA, X, M, GAMMA)
+PATH_LABELS = ("Γ", "X", "M", "Γ")
 
 DENSE_ORACLE_MAX_DOFS = 2500
 POLY_ORACLE_MAX_DOFS = 400
@@ -61,14 +65,14 @@ class KPath:
 
 
 def make_kpath(nk: int) -> KPath:
-    """Sample ``nk`` segments per leg along Gamma -> X -> M -> Gamma
-    (3 nk + 1 points)."""
+    """Sample ``nk`` segments per leg along ``PATH_NODES``, Gamma -> X ->
+    M -> Gamma (3 nk + 1 points); ``make_kpath(1)`` holds the nodes and
+    their arclengths."""
     if nk < 1:
         raise ValueError(f"nk must be >= 1, got {nk!r}")
-    nodes = (GAMMA, X, M, GAMMA)
-    points: list[tuple[tuple[float, float], float]] = [(nodes[0], 0.0)]
+    points: list[tuple[tuple[float, float], float]] = [(PATH_NODES[0], 0.0)]
     arc = 0.0
-    for (ax, ay), (bx, by) in zip(nodes[:-1], nodes[1:]):
+    for (ax, ay), (bx, by) in zip(PATH_NODES[:-1], PATH_NODES[1:]):
         leg = math.hypot(bx - ax, by - ay)
         for step in range(1, nk + 1):
             t = step / nk
@@ -228,8 +232,9 @@ def dense_linear_oracle(fam: OperatorFamily, window: Window) -> list[complex]:
 
 
 def drude_polynomial_oracle(fam: OperatorFamily, window: Window) -> list[complex]:
-    """Window eigenvalues of a Drude or lossy-Drude rod (region 1) in vacuum
-    (region 0), TE or TM, via a quartic polynomial eigenproblem.
+    """Window eigenvalues of a Drude or lossy-Drude rod (``REGION_DISC``) in
+    vacuum (``REGION_BACKGROUND``), TE or TM, via a quartic polynomial
+    eigenproblem.
 
     Both rod models read eps = 1 - nu_p^2 / d with d = nu^2 - i nu_tau nu;
     a LossyDrude(nu_p, gamma) enters as nu_tau = -gamma.  Multiplying T(nu)
@@ -249,8 +254,8 @@ def drude_polynomial_oracle(fam: OperatorFamily, window: Window) -> list[complex
     dropped, as are roots with Re nu < 0.
     """
     _require_dense_size(fam.n_dofs, POLY_ORACLE_MAX_DOFS, "polynomial oracle")
-    background = fam.models.get(0)
-    rod = fam.models.get(1)
+    background = fam.models.get(REGION_BACKGROUND)
+    rod = fam.models.get(REGION_DISC)
     if not (isinstance(background, Constant) and complex(background.eps) == 1.0 + 0.0j):
         raise ValueError("drude_polynomial_oracle needs a vacuum background (Constant 1)")
     if not isinstance(rod, (Drude, LossyDrude)):
@@ -261,12 +266,12 @@ def drude_polynomial_oracle(fam: OperatorFamily, window: Window) -> list[complex
     mass = fam.mass_total.toarray()
     four_pi_sq = 4.0 * math.pi**2
     if fam.polarization == "TE":
-        a2 = kmat + four_pi_sq * nu_p**2 * fam.mass[1].toarray()
+        a2 = kmat + four_pi_sq * nu_p**2 * fam.mass[REGION_DISC].toarray()
         a0 = np.zeros_like(kmat)
         artificial = [0.0, 1j * nu_tau]
     else:
         a2 = kmat + four_pi_sq * nu_p**2 * mass
-        a0 = -(nu_p**2) * fam.momentum_form[0].toarray()
+        a0 = -(nu_p**2) * fam.momentum_form[REGION_BACKGROUND].toarray()
         artificial = np.roots([1.0, -1j * nu_tau, -(nu_p**2)])
     coeffs = [a0, -1j * nu_tau * kmat, a2, 4j * math.pi**2 * nu_tau * mass]
 

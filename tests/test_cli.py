@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from phcbands.sim import SimConfig
 from phcbands.sweep import Window, drude_polynomial_oracle, solve_at_k
 
 X_ARG = "3.141592653589793,0"
+DRUDE_SWEEP_N8 = str(Path(__file__).resolve().parents[1] / "bench" / "configs" / "drude-sweep-n8.json")
 
 
 def write_config(tmp_path, name, raw):
@@ -79,6 +81,9 @@ def test_mesh_dump_to_stdout(tmp_path, capsys):
     config = write_config(tmp_path, "cfg.json", empty_lattice_raw(1))
     assert run(["mesh", "--config", config]) == 0
     assert capsys.readouterr().out == "v 0 0\nv 1 0\nv 0 1\nv 1 1\nt 0 1 3 0\nt 0 3 2 0\n"
+    # the fitted n=8 mesh of the TE Drude benchmark: its vertices and triangles
+    assert run(["mesh", "--config", DRUDE_SWEEP_N8]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 239
 
 
 def test_solve_prints_plane_wave_band(tmp_path, capsys):
@@ -313,6 +318,9 @@ def test_oracle_poly(tmp_path, capsys):
         assert run(["oracle", "--config", config, "--k", X_ARG]) == 0
         printed = [complex(*map(float, line.split())) for line in capsys.readouterr().out.splitlines()]
         assert printed == pytest.approx(expected, rel=1e-11)
+    # the TE Drude benchmark rod holds three roots at X
+    assert run(["oracle", "--config", DRUDE_SWEEP_N8, "--k", X_ARG]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_oracle_which_flag_is_usage_error(tmp_path, capsys):

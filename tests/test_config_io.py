@@ -21,7 +21,7 @@ from phcbands.io import CSV_HEADER, emit_svg, write_bands_csv, write_metadata
 from phcbands.materials import Constant, Drude, LossyDrude
 from phcbands.mesh import filling_fraction_to_radius
 from phcbands.sim import EigenCandidate
-from phcbands.sweep import BandDiagram, KPointResult, Window
+from phcbands.sweep import BandDiagram, KPointResult, Window, make_kpath
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
@@ -259,9 +259,17 @@ def test_svg_wellformed_and_marker_count(tmp_path):
     ns = root.tag[: -len("svg")]
     circles = root.findall(f"{ns}circle")
     assert len(circles) == 3  # one marker per CSV data row
-    labels = [t.text for t in root.findall(f"{ns}text")]
-    for node in ("Γ", "X", "M"):
-        assert node in labels
+    # one line and one label per node of the path, at the node's share of
+    # make_kpath's arclength across the plot frame
+    frame = next(r for r in root.findall(f"{ns}rect") if r.get("fill") == "none")
+    left, width = float(frame.get("x")), float(frame.get("width"))
+    nodes = make_kpath(1).points
+    expected = [f"{left + width * (arc / nodes[-1][1]):.2f}" for _, arc in nodes]
+    node_lines = [line for line in root.findall(f"{ns}line") if line.get("stroke") == "#bbbbbb"]
+    assert [(line.get("x1"), line.get("x2")) for line in node_lines] == [(x, x) for x in expected]
+    assert [(t.text, t.get("x")) for t in root.findall(f"{ns}text") if t.text in ("Γ", "X", "M")] == list(
+        zip(("Γ", "X", "M", "Γ"), expected)
+    )
 
 
 def test_svg_window_clips_markers(tmp_path):

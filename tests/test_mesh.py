@@ -175,7 +175,7 @@ def test_mesh_arrays_are_frozen():
 
 
 @pytest.mark.parametrize(
-    "n,r", [(0, 0.1), (-2, 0.1), (4, 0.5), (4, 0.7), (4, -0.01), (3, 0.1), (8, 0.001)]
+    "n,r", [(0, 0.1), (-2, 0.1), (4, 0.5), (4, 0.7), (4, -0.01), (3, 0.1), (8, 0.001), (True, 0.0)]
 )
 def test_geometry_rejects_bad_parameters(n, r):
     with pytest.raises(GeometryError):

@@ -110,7 +110,8 @@ def test_config_defaults_and_validation():
     for constant in ("delta0", "dedup_tol"):
         with pytest.raises(TypeError):
             SimConfig(**{constant: 0.01})
-    for bad in ({"seed": -1}, {"seed": 2.5}):
+    # a float or a bool is no seed, even when it equals an integer
+    for bad in ({"seed": -1}, {"seed": 2.5}, {"seed": 2.0}, {"seed": True}):
         with pytest.raises(ValueError, match="seed"):
             SimConfig(**bad)
 
