@@ -4,8 +4,9 @@ The solver never forms eigenvectors of a linearization.  The window is tiled
 with squares; for each square Omega, with circumscribing circle of radius R
 about its centre c, the trapezoid rule on m0 = 16 nodes
 z_j = c + R exp(i theta_j), theta_j = 2 pi j / m0, gives the scaled moments
-of the resolvent between a seeded probe block V and a seeded left block W,
-each with p columns,
+of the resolvent between a seeded probe block V and a left block W, each
+with p columns (W = V for a conjugation-symmetric family, and otherwise a
+second seeded block; see Mirror below),
 
     A_q = (R / m0) * sum_j exp(i theta_j) ((z_j - c) / R)^q W^H T(z_j)^-1 V,
 
@@ -54,21 +55,27 @@ once:
   m0 = 16) are the square's corners; they are placed exactly there.  A
   square shares them with its neighbours, and its four children's corners
   include its own.
-- Mirror.  When the family is conjugation-symmetric, T(conj z) = T(z)^H, so
-  one conjugate-transpose solve with the LU of T(z) gives u(conj z).  A
-  row of t squares straddling Im nu = 0 then needs 8t + 1 factorizations
-  instead of the 14t + 2 of lossy media.
+- Mirror.  When the family is conjugation-symmetric, T(conj z) = T(z)^H,
+  and the search projects with W = V, so the entry at conj z is
+  V^H T(z)^-H V, the conjugate transpose of the entry at z: the LU and the
+  block solve at z serve both points.  A row of t squares straddling
+  Im nu = 0 then needs 8t + 1 factorizations and block solves instead of
+  the 14t + 2 of lossy media.  A lossy family has no mirror points and
+  keeps its seeded W: on the n=24 TM lossy disc at X over
+  [0.05, 1.2] x [-0.05, 0.05], W = V left 46 distinct eigenvalues after
+  refinement instead of 49 or more.
 
 A hit equals a fresh solve up to rounding.  Points are matched after
 rounding their coordinates to a quantum of 2^-24 * 1e-4, far below the node
 spacing of any square and far above the few units in the last place by
 which two squares' arithmetic can place the same point, so a hit is u at
-the same point formed by another route.  The conjugate-transpose solve is a
-backward-stable solve of T(conj z) u = V, as a fresh factorization would
-be.  The memo lives for one ``sim_h`` call.  At each level it records the
-nodes that level's squares will ask for, carries over from the level
-before only solutions among them, and computes a mirror solution only for
-one of them.  A level's solutions are p^2 numbers per node, so the memo
+the same point formed by another route.  A mirror entry is the conjugate
+transpose of a backward-stable solve with T(z), that is of one with
+T(z)^H = T(conj z), as a fresh factorization at conj z would give.  The
+memo lives for one ``sim_h`` call.  At each level it records the nodes
+that level's squares will ask for, carries over from the level before
+only solutions among them, and stores a mirror entry only for one of
+them.  A level's solutions are p^2 numbers per node, so the memo
 keeps them all until the next level starts.  A retried contour moves
 off the square, so its nodes miss; they are stored like any other and
 dropped when the next level starts.  An ``indicator`` call given no memo
@@ -115,7 +122,7 @@ pattern, which holds the pattern) and ``t_data(nu)`` (T(nu)'s CSC entries
 on that pattern, which the search factorizes and refinement also
 multiplies by) works as the operator family, so the machinery is testable
 on scalar problems.  A family may also set ``conjugate_symmetric``;
-without it, no mirror solutions are used.
+without it, the search projects with a seeded W and uses no mirror points.
 """
 
 from __future__ import annotations
@@ -241,8 +248,8 @@ def random_probe(n_dofs: int, seed: int, columns: int | None = None) -> np.ndarr
 
 
 def left_block(n_dofs: int, columns: int, seed: int) -> np.ndarray:
-    """W^H for the left block W of the moments: the (n_dofs, columns) probe
-    block of seed + 7919, conjugate-transposed."""
+    """W^H for the left block W of a family without conjugation symmetry:
+    the (n_dofs, columns) probe block of seed + 7919, conjugate-transposed."""
     return random_probe(n_dofs, seed + _LEFT_SEED_OFFSET, columns=columns).conj().T
 
 
@@ -275,16 +282,17 @@ _HANKEL_INDEX = np.add.outer(np.arange(_HANKEL_ORDER), np.arange(_HANKEL_ORDER))
 class SolveMemo:
     """Projected solutions W^H T(z)^-1 V at contour points, p x p each,
     shared by the squares of one ``sim_h`` run (see the module docstring
-    for what is shared and why).  V is the probe block and ``left_h`` the
-    W^H that projects every solution: the search's is ``left_block``'s;
-    with the identity the solutions are kept whole.  ``node`` is the one
-    place the search factorizes T."""
+    for what is shared and why).  V is the probe block, and the memo picks
+    W from the family: V itself for a conjugation-symmetric family, whose
+    entry at conj(z) is then the conjugate transpose of the entry at z, and
+    otherwise the seeded ``left_block`` of ``seed`` (see Mirror in the
+    module docstring).  ``node`` is the one place the search factorizes T."""
 
-    def __init__(self, fam, probe: np.ndarray, left_h: np.ndarray):
+    def __init__(self, fam, probe: np.ndarray, seed: int):
         self.fam = fam
         self.probe = probe
-        self.left_h = left_h
         self.mirror = bool(getattr(fam, "conjugate_symmetric", False))
+        self.left_h = probe.conj().T if self.mirror else left_block(fam.n_dofs, probe.shape[1], seed)
         self._solved: dict[tuple[int, int], np.ndarray] = {}
         self._level_keys: set[tuple[int, int]] = set()
 
@@ -298,10 +306,10 @@ class SolveMemo:
         self._solved = {key: node for key, node in self._solved.items() if key in self._level_keys}
 
     def node(self, point: complex) -> np.ndarray:
-        """W^H u at ``point``: the stored one, or else a fresh solve,
-        kept together with the mirror point's solution from the same LU if
-        a square of the level asks for it.  Raises what factorizing T(point)
-        raises."""
+        """W^H u at ``point``: the stored one, or else a fresh solve, kept
+        together with the mirror point's entry, its conjugate transpose, if
+        a square of the level asks for it.  Raises what factorizing
+        T(point) raises."""
         key = self._key(point)
         found = self._solved.get(key)
         if found is None:
@@ -310,7 +318,7 @@ class SolveMemo:
             if self.mirror and point.imag != 0.0:
                 mirror = self._key(point.conjugate())
                 if mirror in self._level_keys and mirror not in self._solved:
-                    self._solved[mirror] = self.left_h @ solve(lu, self.probe, trans="H")
+                    self._solved[mirror] = found.conj().T
         return found
 
 
@@ -334,11 +342,10 @@ def indicator(
     sitting on the circle) grows the contour radius by 5 % and retries, up
     to 3 times; after that IndicatorError.  Every node of every attempt is
     taken from ``memo``, built for the same family and probe; without one, a
-    fresh memo with the W^H of ``left_block`` of cfg.seed serves this call
-    alone.
+    fresh memo of cfg.seed serves this call alone.
     """
     if memo is None:
-        memo = SolveMemo(fam, probe, left_block(fam.n_dofs, probe.shape[1], cfg.seed))
+        memo = SolveMemo(fam, probe, cfg.seed)
     base_radius = region.radius
     # only the message is kept: a kept exception's traceback holds this frame
     # (a reference cycle) and factorize's rejected LU until a full garbage
@@ -407,7 +414,7 @@ def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimRe
     columns = min(_PROBE_COLUMNS, fam.n_dofs)
     probe = random_probe(fam.n_dofs, cfg.seed, columns=columns)
     capacity = _HANKEL_ORDER * columns
-    memo = SolveMemo(fam, probe, left_block(fam.n_dofs, columns, cfg.seed))
+    memo = SolveMemo(fam, probe, cfg.seed)
     level = list(initial_regions)
     starts: list[StartValue] = []
     failures: list[str] = []

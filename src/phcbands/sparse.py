@@ -160,18 +160,14 @@ def factorize(layout: BandLayout, data: np.ndarray) -> BandLU:
     return BandLU(layout, factors, ipiv)
 
 
-def solve(lu: BandLU, b: np.ndarray, trans: str = "N") -> np.ndarray:
-    """Solve A x = b, or A^H x = b with ``trans="H"``, for a factorized A.
-    ``b`` is a vector of length n or an (n, p) block of right-hand sides,
-    solved in one ``zgbtrs`` call; each column equals its own vector solve
-    bit for bit."""
-    if trans not in ("N", "H"):
-        raise ValueError(f"trans must be 'N' or 'H', got {trans!r}")
+def solve(lu: BandLU, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a factorized A.  ``b`` is a vector of length n or
+    an (n, p) block of right-hand sides, solved in one ``zgbtrs`` call;
+    each column equals its own vector solve bit for bit."""
     b = np.asarray(b, dtype=np.complex128)
     n, layout = lu.band.shape[1], lu.layout
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},) or ({n}, p)")
     rhs = np.asfortranarray(b[layout.perm].reshape(n, -1))
-    y, _ = zgbtrs(lu.band, layout.kl, layout.ku, rhs, lu.ipiv, trans=2 if trans == "H" else 0, overwrite_b=1)
+    y, _ = zgbtrs(lu.band, layout.kl, layout.ku, rhs, lu.ipiv, overwrite_b=1)
     return y[layout.position].reshape(b.shape)
-

@@ -34,8 +34,11 @@ def t_matrix(fam, nu):
 def paper_indicator(region, fam, g):
     """The paper's spectral indicator ||A_0 g|| of ``region`` for the first
     column g of the probe block: ``indicator`` with an identity left block,
-    so the moments are unprojected."""
-    return indicator(region, fam, g, SimConfig(), memo=SolveMemo(fam, g, np.eye(fam.n_dofs)))
+    so the moments are unprojected, and no mirror points, whose entries
+    are conjugate transposes only when W = V."""
+    memo = SolveMemo(fam, g, SimConfig().seed)
+    memo.left_h, memo.mirror = np.eye(fam.n_dofs), False
+    return indicator(region, fam, g, SimConfig(), memo=memo)
 
 
 class PatternFamily:

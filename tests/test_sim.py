@@ -53,23 +53,23 @@ _UNCOUNTED = (phcbands.sim.factorize, phcbands.sim.solve, phcbands.sim.indicator
 
 
 class SimCounter:
-    """Counts the factorizations, conjugate-transpose solves and indicator
-    calls the search makes; with ``use_memo=False`` every indicator call
+    """Counts the factorizations, block solves and indicator calls the
+    search makes; with ``use_memo=False`` every indicator call
     gets no memo and so makes a fresh one of its own, which gives the
     fresh-solve reference.  A new counter replaces the previous one rather
     than wrapping it."""
 
     def __init__(self, monkeypatch, use_memo=True):
-        self.factorizations = self.conjugate_solves = self.indicator_calls = 0
+        self.factorizations = self.block_solves = self.indicator_calls = 0
         real_factorize, real_solve, real_indicator = _UNCOUNTED
 
         def factorize(layout, data):
             self.factorizations += 1
             return real_factorize(layout, data)
 
-        def solve(lu, b, trans="N"):
-            self.conjugate_solves += trans == "H"
-            return real_solve(lu, b, trans)
+        def solve(lu, b):
+            self.block_solves += np.ndim(b) == 2
+            return real_solve(lu, b)
 
         def counted_indicator(region, fam, g, cfg, memo=None, moments=None):
             self.indicator_calls += 1
@@ -194,19 +194,28 @@ def _moments(region, fam, probe, cfg, memo=None):
     return out
 
 
-def test_moments_are_left_projections(family_factory):
+# squares of side 0.1 on the real axis by centre, and the least rank of
+# their moments: the TE squares hold 1 and 2 eigenvalues, the TM ones 5 and 7
+LEFT_PROJECTION_SQUARES = {"TE-lossless": ((0.6, 0.9), 3), "TM-lossy-drude": ((0.6, 0.7), 5)}
+
+
+@pytest.mark.parametrize("name", sorted(LEFT_PROJECTION_SQUARES))
+def test_moments_are_left_projections(name, family_factory):
     # the search's moments are W^H times the unprojected moments
     # A_q = (R / 16) sum_j phase_j^(q+1) T(z_j)^-1 V, formed here from the
-    # full n x p solves, for the W of seed + 7919; the rank scale is the
-    # largest projected summand, the indicator is ||W^H A_0 g|| and with an
-    # identity left block it is the paper's unprojected ||A_0 g||.  The two
-    # squares hold 5 and 7 eigenvalues.
-    pol, models = MEMO_FAMILIES["TM-lossy-drude"]
+    # full n x p solves: W is V itself for the lossless family and the
+    # block of seed + 7919 for the lossy one.  The rank scale is the
+    # largest projected summand, the indicator is ||W^H A_0 g|| and with
+    # an identity left block it is the paper's unprojected ||A_0 g||.
+    pol, models = MEMO_FAMILIES[name]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
+    centers, least_rank = LEFT_PROJECTION_SQUARES[name]
     cfg = SimConfig(seed=3)
     probe = random_probe(fam.n_dofs, cfg.seed, columns=12)
-    w = random_probe(fam.n_dofs, cfg.seed + phcbands.sim._LEFT_SEED_OFFSET, columns=12)
-    for region in (SearchRegion(center=0.6 + 0j, side=0.1), SearchRegion(center=0.7 + 0j, side=0.1)):
+    assert fam.conjugate_symmetric is (name == "TE-lossless")
+    left_seed = cfg.seed + phcbands.sim._LEFT_SEED_OFFSET
+    w = probe if fam.conjugate_symmetric else random_probe(fam.n_dofs, left_seed, columns=12)
+    for region in (SearchRegion(center=complex(c), side=0.1) for c in centers):
         moments = ContourMoments()
         value = indicator(region, fam, probe, cfg, moments=moments)
         solves = [
@@ -222,7 +231,7 @@ def test_moments_are_left_projections(family_factory):
         assert moments.scale == pytest.approx(scale, rel=1e-12)
         assert value == pytest.approx(np.linalg.norm((w.conj().T @ full[0])[:, 0]), rel=1e-12)
         assert paper_indicator(region, fam, probe) == pytest.approx(np.linalg.norm(full[0][:, 0]), rel=1e-12)
-        assert hankel_rank_and_values(moments, region.center)[0] >= 5
+        assert hankel_rank_and_values(moments, region.center)[0] >= least_rank
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_FAMILIES))
@@ -230,24 +239,31 @@ def test_memo_matches_fresh_solves(name, family_factory, monkeypatch):
     # the row of tiles and then all their quarters, as two levels of sim_h:
     # every moment block taken with the memo equals the one from a fresh
     # solve at every node, relative to the rank scale, and a memo hit is the
-    # same point formed by another route
+    # same point formed by another route.  Every entry the squares ask for,
+    # mirror entries included, is W^H T(z)^-1 V from a fresh factorization
+    # at its node, with W = V for the lossless family
     pol, models = MEMO_FAMILIES[name]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     cfg = SimConfig()
     probe = random_probe(fam.n_dofs, 0, columns=12)
-    memo = SolveMemo(fam, probe, left_block(fam.n_dofs, 12, cfg.seed))
+    w_h = probe.conj().T if name == "TE-lossless" else left_block(fam.n_dofs, 12, cfg.seed)
+    memo = SolveMemo(fam, probe, cfg.seed)
     counter = SimCounter(monkeypatch)
-    level, calls, worst = MEMO_TILES, 0, 0.0
+    level, calls, worst, worst_entry = MEMO_TILES, 0, 0.0, 0.0
     for _ in range(2):
         memo.start_level(level)
         shared = [_moments(region, fam, probe, cfg, memo) for region in level]
         calls += len(level)
         fresh = [_moments(region, fam, probe, cfg) for region in level]
-        for a, b in zip(shared, fresh):
+        for region, a, b in zip(level, shared, fresh):
             assert (a.radius, a.blocks.shape) == (b.radius, (4, 12, 12))
             worst = max(worst, np.abs(a.blocks - b.blocks).max() / b.scale, abs(a.scale - b.scale) / b.scale)
+            for point in contour_nodes(region, region.radius):
+                expected = w_h @ solve(factorize(fam.layout, fam.t_data(point)), probe)
+                entry = memo._solved[memo._key(point)]
+                worst_entry = max(worst_entry, np.abs(entry - expected).max() * b.radius / b.scale)
         level = [child for region in level for child in subdivide(region)]
-    assert worst <= 1e-12
+    assert worst <= 1e-12 and worst_entry <= 1e-12
     # the memo was used: fewer than m0 fresh factorizations per shared call
     assert counter.factorizations - 16 * calls < 0.9 * 16 * calls
 
@@ -256,8 +272,9 @@ def test_memo_matches_fresh_solves(name, family_factory, monkeypatch):
 def test_memo_shares_exactly_across_splits(name, family_factory, monkeypatch):
     # a 1-column block makes every square that sees an eigenvalue split: each
     # level factorizes exactly its nodes that the level before did not have
-    # (a child shares its corners with its parent and its siblings); lossy
-    # families have no mirror solves
+    # (a child shares its corners with its parent and its siblings) and
+    # makes one block solve per factorization: lossy families have no
+    # mirror points
     pol, models = MEMO_FAMILIES[name]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     monkeypatch.setattr(phcbands.sim, "_PROBE_COLUMNS", 1)
@@ -282,15 +299,15 @@ def test_memo_shares_exactly_across_splits(name, family_factory, monkeypatch):
         expected += len(current - previous)
         previous = current
     assert len(levels) >= 3
-    assert counter.conjugate_solves == 0
-    assert counter.factorizations == expected
+    assert counter.factorizations == counter.block_solves == expected
 
 
 def test_memo_mirror_halves_lossless_search(family_factory, monkeypatch):
     # an unsplit row of t tiles straddling the real axis: the upper half of
     # each circle (7 nodes, corners shared along the row) plus its 2 nodes on
-    # the axis are factorized, the lower half comes from conjugate-transpose
-    # solves, so 8t + 1 factorizations against 16t fresh
+    # the axis are factorized and solved once, and the lower half is the
+    # conjugate transpose of the upper, so 8t + 1 factorizations and block
+    # solves against 16t fresh
     pol, models = MEMO_FAMILIES["TE-lossless"]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     assert fam.conjugate_symmetric
@@ -300,9 +317,8 @@ def test_memo_mirror_halves_lossless_search(family_factory, monkeypatch):
     shared = sim_h(MEMO_TILES, fam, SimConfig())
     t = len(MEMO_TILES)
     assert counter.indicator_calls == reference.indicator_calls == t
-    assert reference.factorizations == 16 * t
-    assert counter.factorizations == 8 * t + 1
-    assert counter.conjugate_solves == 6 * t + 1
+    assert reference.factorizations == reference.block_solves == 16 * t
+    assert counter.factorizations == counter.block_solves == 8 * t + 1
     assert len(shared.candidates) == len(fresh.candidates) > 0
     for a, b in zip(shared.candidates, fresh.candidates):
         assert a.tile == b.tile and abs(a.nu - b.nu) <= 1e-10
@@ -321,8 +337,7 @@ def test_memo_lossy_family_shares_corners_only(name, family_factory, monkeypatch
     shared = sim_h(MEMO_TILES, fam, SimConfig())
     t = len(MEMO_TILES)
     assert counter.indicator_calls == t
-    assert counter.conjugate_solves == 0
-    assert counter.factorizations == 14 * t + 2
+    assert counter.factorizations == counter.block_solves == 14 * t + 2
     # a shared corner is the same point formed from the other tile's centre
     assert len(shared.candidates) == len(fresh.candidates) > 0
     for a, b in zip(shared.candidates, fresh.candidates):
@@ -372,7 +387,7 @@ def test_sim_h_memo_does_not_leak_between_calls(family_factory, monkeypatch):
             (
                 [c.nu for c in result.candidates],
                 counter.factorizations,
-                counter.conjugate_solves,
+                counter.block_solves,
                 counter.indicator_calls,
             )
         )
@@ -382,10 +397,11 @@ def test_sim_h_memo_does_not_leak_between_calls(family_factory, monkeypatch):
 def test_memo_keeps_only_projected_solutions(family_factory, monkeypatch):
     # every memo entry, direct or mirror, is the p x p block W^H u, never an
     # n-long vector; entries are dropped only when a level starts, so looking
-    # there and after the run sees each of them
+    # there and after the run sees each of them.  The memo holds more points
+    # than it made block solves: the mirror entries cost none
     pol, models = MEMO_FAMILIES["TE-lossless"]
     _, _, fam = family_factory(8, 0.3, X, pol, models)
-    memos, shapes = [], []
+    memos, shapes = [], {}
 
     class CheckedMemo(SolveMemo):
         def __init__(self, *args):
@@ -393,17 +409,17 @@ def test_memo_keeps_only_projected_solutions(family_factory, monkeypatch):
             memos.append(self)
 
         def start_level(self, level):
-            shapes.extend(node.shape for node in self._solved.values())
+            shapes.update((key, node.shape) for key, node in self._solved.items())
             super().start_level(level)
 
     monkeypatch.setattr(phcbands.sim, "SolveMemo", CheckedMemo)
     counter = SimCounter(monkeypatch)
     assert sim_h(MEMO_TILES, fam, SimConfig()).candidates
     (memo,) = memos
-    shapes.extend(node.shape for node in memo._solved.values())
-    assert fam.n_dofs > 12 and counter.conjugate_solves > 0
-    assert len(shapes) >= counter.factorizations
-    assert set(shapes) == {(12, 12)}
+    shapes.update((key, node.shape) for key, node in memo._solved.items())
+    assert fam.n_dofs > 12
+    assert len(shapes) > counter.block_solves == counter.factorizations
+    assert set(shapes.values()) == {(12, 12)}
 
 
 def test_singular_retries_leave_no_reference_cycle():
