@@ -72,14 +72,13 @@ which two squares' arithmetic can place the same point, so a hit is u at
 the same point formed by another route.  A mirror entry is the conjugate
 transpose of a backward-stable solve with T(z), that is of one with
 T(z)^H = T(conj z), as a fresh factorization at conj z would give.  The
-memo lives for one ``sim_h`` call.  At each level it records the nodes
-that level's squares will ask for, carries over from the level before
-only solutions among them, and stores a mirror entry only for one of
-them.  A level's solutions are p^2 numbers per node, so the memo
-keeps them all until the next level starts.  A retried contour moves
-off the square, so its nodes miss; they are stored like any other and
-dropped when the next level starts.  An ``indicator`` call given no memo
-makes a fresh one for itself, which is the fresh-solve reference.
+memo lives for one ``sim_h`` call and keeps every entry it makes, mirror
+entries and the nodes of retried contours (which move off the square, so
+miss) included: an entry is p^2 numbers, so on the n=24 TM lossy disc at
+X, whose search splits squares down four levels, it peaks at 588 entries,
+1.4 MB.  An ``indicator`` call given no memo makes a fresh one for itself,
+which is the fresh-solve reference; it shares mirror points only within
+its own circle.
 
 Every BLAS call of the search is the banded LU, whose bits do not depend
 on the thread count (see ``sparse``), or a product with at most 2p x 2p
@@ -281,12 +280,13 @@ _HANKEL_INDEX = np.add.outer(np.arange(_HANKEL_ORDER), np.arange(_HANKEL_ORDER))
 
 class SolveMemo:
     """Projected solutions W^H T(z)^-1 V at contour points, p x p each,
-    shared by the squares of one ``sim_h`` run (see the module docstring
-    for what is shared and why).  V is the probe block, and the memo picks
-    W from the family: V itself for a conjugation-symmetric family, whose
-    entry at conj(z) is then the conjugate transpose of the entry at z, and
-    otherwise the seeded ``left_block`` of ``seed`` (see Mirror in the
-    module docstring).  ``node`` is the one place the search factorizes T."""
+    shared by the squares of one ``sim_h`` run and kept for all of it (see
+    the module docstring for what is shared and why).  V is the probe
+    block, and the memo picks W from the family: V itself for a
+    conjugation-symmetric family, whose entry at conj(z) is then the
+    conjugate transpose of the entry at z, and otherwise the seeded
+    ``left_block`` of ``seed`` (see Mirror in the module docstring).
+    ``node`` is the one place the search factorizes T."""
 
     def __init__(self, fam, probe: np.ndarray, seed: int):
         self.fam = fam
@@ -294,31 +294,22 @@ class SolveMemo:
         self.mirror = bool(getattr(fam, "conjugate_symmetric", False))
         self.left_h = probe.conj().T if self.mirror else left_block(fam.n_dofs, probe.shape[1], seed)
         self._solved: dict[tuple[int, int], np.ndarray] = {}
-        self._level_keys: set[tuple[int, int]] = set()
 
     def _key(self, z: complex) -> tuple[int, int]:
         return (round(z.real / _KEY_QUANTUM), round(z.imag / _KEY_QUANTUM))
 
-    def start_level(self, level: Sequence[SearchRegion]) -> None:
-        """Record the first-attempt nodes of the level's squares and drop
-        every solution none of them asks for."""
-        self._level_keys = {self._key(point) for region in level for point in contour_nodes(region, region.radius)}
-        self._solved = {key: node for key, node in self._solved.items() if key in self._level_keys}
-
     def node(self, point: complex) -> np.ndarray:
         """W^H u at ``point``: the stored one, or else a fresh solve, kept
-        together with the mirror point's entry, its conjugate transpose, if
-        a square of the level asks for it.  Raises what factorizing
+        together with the mirror point's entry, its conjugate transpose,
+        unless that point is stored already.  Raises what factorizing
         T(point) raises."""
         key = self._key(point)
         found = self._solved.get(key)
         if found is None:
             lu = factorize(self.fam.layout, self.fam.t_data(point))
             found = self._solved[key] = self.left_h @ solve(lu, self.probe)
-            if self.mirror and point.imag != 0.0:
-                mirror = self._key(point.conjugate())
-                if mirror in self._level_keys and mirror not in self._solved:
-                    self._solved[mirror] = found.conj().T
+            if self.mirror:
+                self._solved.setdefault(self._key(point.conjugate()), found.conj().T)
         return found
 
 
@@ -342,7 +333,8 @@ def indicator(
     sitting on the circle) grows the contour radius by 5 % and retries, up
     to 3 times; after that IndicatorError.  Every node of every attempt is
     taken from ``memo``, built for the same family and probe; without one, a
-    fresh memo of cfg.seed serves this call alone.
+    fresh memo of cfg.seed serves this call alone, so only the mirror points
+    of this call's own nodes are shared.
     """
     if memo is None:
         memo = SolveMemo(fam, probe, cfg.seed)
@@ -402,38 +394,36 @@ def subdivide(region: SearchRegion) -> list[SearchRegion]:
 
 
 def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimResult:
-    """Breadth-first block-moment search over a set of disjoint squares.
+    """Breadth-first block-moment search over a set of disjoint squares:
+    one pass over a list of squares, to which a split square appends its
+    quarters.
 
     One probe block of min(12, n_dofs) columns, drawn from cfg.seed, is
     used for the entire run, with one ``SolveMemo`` that factorizes each
-    shared contour point once.  Returns every square's start values,
-    unmerged: each is to be refined and kept only if it stays in its square.
-    A square whose moments fail hard is skipped with a warning in
-    ``failures``; the search itself continues.
+    contour point, or point and mirror point, once.  Returns every square's
+    start values, unmerged: each is to be refined and kept only if it stays
+    in its square.  A square whose moments fail hard is skipped with a
+    warning in ``failures``; the search itself continues.
     """
     columns = min(_PROBE_COLUMNS, fam.n_dofs)
     probe = random_probe(fam.n_dofs, cfg.seed, columns=columns)
     capacity = _HANKEL_ORDER * columns
     memo = SolveMemo(fam, probe, cfg.seed)
-    level = list(initial_regions)
+    squares = list(initial_regions)
     starts: list[StartValue] = []
     failures: list[str] = []
-    while level:
-        memo.start_level(level)
-        next_level: list[SearchRegion] = []
-        for region in level:
-            moments = ContourMoments()
-            try:
-                indicator(region, fam, probe, cfg, memo=memo, moments=moments)
-            except IndicatorError as exc:
-                failures.append(f"region at {region.center!r} (side {region.side:g}): {exc}")
-                continue
-            rank, values = hankel_rank_and_values(moments, region.center)
-            if rank >= capacity - 1 and region.side / 2.0 >= _MIN_SIDE:
-                next_level.extend(subdivide(region))
-            else:
-                starts.extend(StartValue(nu, region) for nu in values)
-        level = next_level
+    for region in squares:
+        moments = ContourMoments()
+        try:
+            indicator(region, fam, probe, cfg, memo=memo, moments=moments)
+        except IndicatorError as exc:
+            failures.append(f"region at {region.center!r} (side {region.side:g}): {exc}")
+            continue
+        rank, values = hankel_rank_and_values(moments, region.center)
+        if rank >= capacity - 1 and region.side / 2.0 >= _MIN_SIDE:
+            squares.extend(subdivide(region))
+        else:
+            starts.extend(StartValue(nu, region) for nu in values)
     return SimResult(candidates=starts, failures=failures)
 
 

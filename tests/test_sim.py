@@ -55,9 +55,9 @@ _UNCOUNTED = (phcbands.sim.factorize, phcbands.sim.solve, phcbands.sim.indicator
 class SimCounter:
     """Counts the factorizations, block solves and indicator calls the
     search makes; with ``use_memo=False`` every indicator call
-    gets no memo and so makes a fresh one of its own, which gives the
-    fresh-solve reference.  A new counter replaces the previous one rather
-    than wrapping it."""
+    gets a fresh memo of its own without mirror points, as
+    ``paper_indicator`` builds one, which gives the fresh-solve reference.
+    A new counter replaces the previous one rather than wrapping it."""
 
     def __init__(self, monkeypatch, use_memo=True):
         self.factorizations = self.block_solves = self.indicator_calls = 0
@@ -73,7 +73,10 @@ class SimCounter:
 
         def counted_indicator(region, fam, g, cfg, memo=None, moments=None):
             self.indicator_calls += 1
-            return real_indicator(region, fam, g, cfg, memo=memo if use_memo else None, moments=moments)
+            if not use_memo:
+                memo = SolveMemo(fam, g, cfg.seed)
+                memo.mirror = False
+            return real_indicator(region, fam, g, cfg, memo=memo, moments=moments)
 
         monkeypatch.setattr(phcbands.sim, "factorize", factorize)
         monkeypatch.setattr(phcbands.sim, "solve", solve)
@@ -249,10 +252,11 @@ def test_memo_matches_fresh_solves(name, family_factory, monkeypatch):
     w_h = probe.conj().T if name == "TE-lossless" else left_block(fam.n_dofs, 12, cfg.seed)
     memo = SolveMemo(fam, probe, cfg.seed)
     counter = SimCounter(monkeypatch)
-    level, calls, worst, worst_entry = MEMO_TILES, 0, 0.0, 0.0
+    level, calls, made, worst, worst_entry = MEMO_TILES, 0, 0, 0.0, 0.0
     for _ in range(2):
-        memo.start_level(level)
+        before = counter.factorizations
         shared = [_moments(region, fam, probe, cfg, memo) for region in level]
+        made += counter.factorizations - before
         calls += len(level)
         fresh = [_moments(region, fam, probe, cfg) for region in level]
         for region, a, b in zip(level, shared, fresh):
@@ -264,17 +268,19 @@ def test_memo_matches_fresh_solves(name, family_factory, monkeypatch):
                 worst_entry = max(worst_entry, np.abs(entry - expected).max() * b.radius / b.scale)
         level = [child for region in level for child in subdivide(region)]
     assert worst <= 1e-12 and worst_entry <= 1e-12
-    # the memo was used: fewer than m0 fresh factorizations per shared call
-    assert counter.factorizations - 16 * calls < 0.9 * 16 * calls
+    # the memo was used: fewer than m0 factorizations per shared call
+    assert made < 0.9 * 16 * calls
 
 
-@pytest.mark.parametrize("name", ["TE-drude", "TM-lossy-drude"])
+@pytest.mark.parametrize("name", sorted(MEMO_FAMILIES))
 def test_memo_shares_exactly_across_splits(name, family_factory, monkeypatch):
-    # a 1-column block makes every square that sees an eigenvalue split: each
-    # level factorizes exactly its nodes that the level before did not have
-    # (a child shares its corners with its parent and its siblings) and
-    # makes one block solve per factorization: lossy families have no
-    # mirror points
+    # a 1-column block makes every square that sees an eigenvalue split: the
+    # run factorizes each distinct node of its squares once, a point and its
+    # conjugate once together for the lossless family, whose mirror entries
+    # serve later levels too, and makes one block solve per factorization.
+    # For lossy families, which have no mirror points, that is each level's
+    # nodes that the level before did not have (a child shares its corners
+    # with its parent and its siblings)
     pol, models = MEMO_FAMILIES[name]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     monkeypatch.setattr(phcbands.sim, "_PROBE_COLUMNS", 1)
@@ -293,13 +299,19 @@ def test_memo_shares_exactly_across_splits(name, family_factory, monkeypatch):
         points = (point for region in level for point in contour_nodes(region, region.radius))
         return {(round(z.real / quantum), round(z.imag / quantum)) for z in points}
 
-    previous, expected = set(), 0
+    previous, by_level, every = set(), 0, set()
     for side in sorted(levels, reverse=True):
         current = keys(levels[side])
-        expected += len(current - previous)
+        by_level += len(current - previous)
         previous = current
+        every |= current
+    if fam.conjugate_symmetric:
+        # conj z has the key (re, -im) of z's
+        every = {(re, abs(im)) for re, im in every}
+    else:
+        assert by_level == len(every)
     assert len(levels) >= 3
-    assert counter.factorizations == counter.block_solves == expected
+    assert counter.factorizations == counter.block_solves == len(every)
 
 
 def test_memo_mirror_halves_lossless_search(family_factory, monkeypatch):
@@ -396,30 +408,25 @@ def test_sim_h_memo_does_not_leak_between_calls(family_factory, monkeypatch):
 
 def test_memo_keeps_only_projected_solutions(family_factory, monkeypatch):
     # every memo entry, direct or mirror, is the p x p block W^H u, never an
-    # n-long vector; entries are dropped only when a level starts, so looking
-    # there and after the run sees each of them.  The memo holds more points
-    # than it made block solves: the mirror entries cost none
+    # n-long vector; the memo keeps every entry it makes, so looking after
+    # the run sees each of them.  The memo holds more points than it made
+    # block solves: the mirror entries cost none
     pol, models = MEMO_FAMILIES["TE-lossless"]
     _, _, fam = family_factory(8, 0.3, X, pol, models)
-    memos, shapes = [], {}
+    memos = []
 
     class CheckedMemo(SolveMemo):
         def __init__(self, *args):
             super().__init__(*args)
             memos.append(self)
 
-        def start_level(self, level):
-            shapes.update((key, node.shape) for key, node in self._solved.items())
-            super().start_level(level)
-
     monkeypatch.setattr(phcbands.sim, "SolveMemo", CheckedMemo)
     counter = SimCounter(monkeypatch)
     assert sim_h(MEMO_TILES, fam, SimConfig()).candidates
     (memo,) = memos
-    shapes.update((key, node.shape) for key, node in memo._solved.items())
     assert fam.n_dofs > 12
-    assert len(shapes) > counter.block_solves == counter.factorizations
-    assert set(shapes.values()) == {(12, 12)}
+    assert len(memo._solved) > counter.block_solves == counter.factorizations
+    assert {node.shape for node in memo._solved.values()} == {(12, 12)}
 
 
 def test_singular_retries_leave_no_reference_cycle():
