@@ -16,11 +16,15 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from numpy.linalg import LinAlgError
+
 from . import __version__
 from .config import ConfigError, RunConfig, config_sha256, load_config, resolved_dict
 from .io import emit_svg, write_bands_csv, write_metadata
-from .materials import Constant
+from .materials import Constant, PermittivityPoleError
 from .mesh import GeometryError, build_periodic_dof_map, build_unit_cell_mesh, write_mesh_dump
+from .sim import IndicatorError
+from .sparse import SingularMatrixError
 from .sweep import BandDiagram, dense_linear_oracle, drude_polynomial_oracle, solve_at_k, sweep
 from .assembly import assemble_family, check_quasimomentum
 
@@ -128,6 +132,8 @@ def _cmd_oracle(args) -> int:
     oracle = dense_linear_oracle if dense else drude_polynomial_oracle
     try:
         values = oracle(fam, cfg.window)
+    except LinAlgError:
+        raise  # a failed eigensolve, which is a ValueError too, is the solver's
     except ValueError as exc:
         raise ConfigError(f"oracle not applicable: {exc}") from exc
     for value in values:
@@ -136,7 +142,15 @@ def _cmd_oracle(args) -> int:
 
 
 def run(argv: list[str]) -> int:
-    """Entry point; returns the process exit code instead of raising."""
+    """Entry point; returns the process exit code.
+
+    A configuration, geometry or file error prints "configuration error: ..."
+    and returns 1.  A solver failure (a singular factorization, a
+    permittivity at its pole, an indicator that failed its retries, or a
+    LAPACK eigensolve that failed) prints "solver error: ..." and returns 2.
+    Any other exception is a fault of the program and propagates with its
+    traceback.
+    """
     parser = argparse.ArgumentParser(prog="phcbands", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"phcbands {__version__}")
     sub = parser.add_subparsers(dest="command")
@@ -172,7 +186,7 @@ def run(argv: list[str]) -> int:
         # an OSError is an output file that cannot be written; it names the path
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:
+    except (SingularMatrixError, PermittivityPoleError, IndicatorError, LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 

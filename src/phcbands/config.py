@@ -134,20 +134,13 @@ def _parse_material(value) -> PermittivityModel:
         eps_re = _as_number(_require(raw, "eps_re", "material"), "material.eps_re")
         eps_im = _as_number(raw.get("eps_im", 0.0), "material.eps_im")
         return _build("material", Constant, eps=complex(eps_re, eps_im))
-    if variant == "lossy_drude":
-        return _build(
-            "material",
-            LossyDrude,
-            nu_p=_as_number(_require(raw, "nu_p", "material"), "material.nu_p"),
-            gamma=_as_number(raw.get("gamma", 0.0), "material.gamma"),
-        )
     if raw.get("physical_units") is None:
-        return _build(
-            "material",
-            Drude,
-            nu_p=_as_number(_require(raw, "nu_p", "material"), "material.nu_p"),
-            nu_tau=_as_number(raw.get("nu_tau", 0.0), "material.nu_tau"),
-        )
+        # the normalized Drude metal, or the lossy variant: (class, damping key)
+        model, damping = (Drude, "nu_tau") if variant == "drude" else (LossyDrude, "gamma")
+        nu_p = _as_number(_require(raw, "nu_p", "material"), "material.nu_p")
+        rate = _as_number(raw.get(damping, 0.0), f"material.{damping}")
+        return _build("material", model, **{"nu_p": nu_p, damping: rate})
+    # only the drude variant takes physical_units
     if "nu_p" in raw or "nu_tau" in raw:
         raise ConfigError("'material' takes either normalized parameters or 'physical_units', not both")
     where = "material.physical_units"

@@ -84,9 +84,11 @@ Every BLAS call of the search is the banded LU, whose bits do not depend
 on the thread count (see ``sparse``), or a product with at most 2p x 2p
 outputs: W^H u, the Gram matrix of its norm, the Hankel SVD.  Start values
 and refined eigenvalues come out the same under one and two OpenBLAS
-threads at 274, 596 and 1,094 unknowns (a test covers 274), and no call
-is large enough to wake numpy's thread pool, whose spinning workers would
-compete with a threaded ``zgbtrf`` for the cores.
+threads: the test suite checks a solve at 274 unknowns and the banded
+solves alone at 1,094, and CI checks sweeps at 72 and 74 unknowns and
+solves at 270, 274 and 596.  No call is large enough to wake numpy's
+thread pool, whose spinning workers would compete with a threaded
+``zgbtrf`` for the cores.
 
 Each start value sigma is refined by residual inverse iteration (Neumaier,
 SIAM J. Numer. Anal. 22, 1985; see ``refine_eigenpair``): T(sigma) is
@@ -246,34 +248,28 @@ def random_probe(n_dofs: int, seed: int, columns: int | None = None) -> np.ndarr
     return g / np.linalg.norm(g, axis=0 if columns is not None else None)
 
 
-def left_block(n_dofs: int, columns: int, seed: int) -> np.ndarray:
-    """W^H for the left block W of a family without conjugation symmetry:
-    the (n_dofs, columns) probe block of seed + 7919, conjugate-transposed."""
-    return random_probe(n_dofs, seed + _LEFT_SEED_OFFSET, columns=columns).conj().T
+# _POWERS[j, q] = phase_j^(q + 1), the weight of node j in A_q, with
+# phase_j = exp(2 pi i j / m0), formed as the running product phase * phase * ...
+_POWERS = np.array([np.cumprod(np.full(2 * _HANKEL_ORDER, np.exp(2j * np.pi * j / _NODES))) for j in range(_NODES)])
 
 
 def contour_nodes(region: SearchRegion, radius: float) -> list[complex]:
-    """The m0 trapezoid nodes on the circle of ``radius`` about the
-    region's centre.
+    """The m0 trapezoid nodes centre + radius * phase_j on the circle of
+    ``radius`` about the region's centre, with the phases phase_j of the
+    moment weights ``_POWERS``.
 
     On the circumscribed circle the nodes j = m0/8 mod m0/4 are the square's
     corners; they are formed as centre + (+-side/2) + i(+-side/2).
     """
-    circumscribed = radius == region.radius
-    half = region.side / 2.0
-    nodes = []
-    for j in range(_NODES):
-        phase = np.exp(2j * np.pi * j / _NODES)
-        if circumscribed and j % (_NODES // 4) == _NODES // 8:
-            nodes.append(region.center + complex(math.copysign(half, phase.real), math.copysign(half, phase.imag)))
-        else:
-            nodes.append(region.center + radius * phase)
+    nodes = [region.center + radius * phase for phase in _POWERS[:, 0]]
+    if radius == region.radius:
+        half = region.side / 2.0
+        for j in range(_NODES // 8, _NODES, _NODES // 4):
+            phase = _POWERS[j, 0]
+            nodes[j] = region.center + complex(math.copysign(half, phase.real), math.copysign(half, phase.imag))
     return nodes
 
 
-# _POWERS[j, q] = phase_j^(q + 1), the weight of node j in A_q, with
-# phase_j = exp(2 pi i j / m0), formed as the running product phase * phase * ...
-_POWERS = np.array([np.cumprod(np.full(2 * _HANKEL_ORDER, np.exp(2j * np.pi * j / _NODES))) for j in range(_NODES)])
 # block (i, j) of H0 is A_{i + j}, and of H1 A_{i + j + 1}
 _HANKEL_INDEX = np.add.outer(np.arange(_HANKEL_ORDER), np.arange(_HANKEL_ORDER))
 
@@ -284,15 +280,17 @@ class SolveMemo:
     the module docstring for what is shared and why).  V is the probe
     block, and the memo picks W from the family: V itself for a
     conjugation-symmetric family, whose entry at conj(z) is then the
-    conjugate transpose of the entry at z, and otherwise the seeded
-    ``left_block`` of ``seed`` (see Mirror in the module docstring).
+    conjugate transpose of the entry at z, and otherwise the probe block
+    of seed + 7919 (see Mirror in the module docstring); ``left_h`` holds
+    W^H.
     ``node`` is the one place the search factorizes T."""
 
     def __init__(self, fam, probe: np.ndarray, seed: int):
         self.fam = fam
         self.probe = probe
         self.mirror = bool(getattr(fam, "conjugate_symmetric", False))
-        self.left_h = probe.conj().T if self.mirror else left_block(fam.n_dofs, probe.shape[1], seed)
+        left = probe if self.mirror else random_probe(fam.n_dofs, seed + _LEFT_SEED_OFFSET, columns=probe.shape[1])
+        self.left_h = left.conj().T
         self._solved: dict[tuple[int, int], np.ndarray] = {}
 
     def _key(self, z: complex) -> tuple[int, int]:

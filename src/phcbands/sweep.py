@@ -206,6 +206,15 @@ def _require_dense_size(n_dofs: int, cap: int, what: str) -> None:
         raise ValueError(f"{what} limited to {cap} DOFs, got {n_dofs}")
 
 
+def _window_roots(values, window: Window, artificial=()) -> list[complex]:
+    """The finite ``values`` with Re nu >= 0 inside the window and farther
+    than 1e-6 from every ``artificial`` root, sorted by real part, then
+    imaginary part: the selection both oracles return."""
+    keep = [z for z in map(complex, values) if np.isfinite(z) and z.real >= 0.0 and window.contains(z)]
+    keep = [z for z in keep if all(abs(z - a) > 1e-6 for a in artificial)]
+    return sorted(keep, key=lambda z: (z.real, z.imag))
+
+
 def dense_linear_oracle(fam: OperatorFamily, window: Window) -> list[complex]:
     """All window eigenvalues of a frequency-independent problem by dense
     generalized eigensolve, for cross-checking the indicator path.
@@ -219,16 +228,12 @@ def dense_linear_oracle(fam: OperatorFamily, window: Window) -> list[complex]:
             raise ValueError("dense_linear_oracle needs frequency-independent permittivities")
     if fam.polarization == "TE":
         lhs = fam.momentum_form_total.toarray()
-        rhs_mats = [complex(fam.models[region].eps) * fam.mass[region].toarray() for region in fam.regions]
-        rhs = sum(rhs_mats)
+        rhs = sum(complex(fam.models[region].eps) * fam.mass[region].toarray() for region in fam.regions)
     else:
         lhs = sum((1.0 / complex(fam.models[region].eps)) * fam.momentum_form[region].toarray() for region in fam.regions)
         rhs = fam.mass_total.toarray()
     lam = scipy.linalg.eigvals(lhs, rhs)
-    nus = np.sqrt(lam.astype(np.complex128)) / (2.0 * math.pi)
-    keep = [complex(nu) for nu in nus if np.isfinite(nu) and nu.real >= 0.0 and window.contains(nu)]
-    keep.sort(key=lambda z: (z.real, z.imag))
-    return keep
+    return _window_roots(np.sqrt(lam.astype(np.complex128)) / (2.0 * math.pi), window)
 
 
 def drude_polynomial_oracle(fam: OperatorFamily, window: Window) -> list[complex]:
@@ -280,6 +285,4 @@ def drude_polynomial_oracle(fam: OperatorFamily, window: Window) -> list[complex
     lhs[3 * size :] = -np.hstack(coeffs)
     rhs = np.eye(4 * size, dtype=np.complex128)
     rhs[3 * size :, 3 * size :] = -four_pi_sq * mass
-    roots = [complex(z) for z in scipy.linalg.eigvals(lhs, rhs) if np.isfinite(z) and z.real >= 0.0]
-    keep = [z for z in roots if window.contains(z) and min(abs(z - a) for a in artificial) > 1e-6]
-    return sorted(keep, key=lambda z: (z.real, z.imag))
+    return _window_roots(scipy.linalg.eigvals(lhs, rhs), window, artificial)

@@ -3,8 +3,7 @@ oracles.
 
 Each test prints a single "ACCEPTANCE criterion N: PASS/FAIL" line (shown
 with pytest -s, or in the captured output otherwise); the pytest verdict per
-test carries the same information.  The whole file takes on the order of ten
-minutes; everything else in the test suite runs in well under a minute.
+test carries the same information.
 """
 
 import dataclasses

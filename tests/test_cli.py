@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.linalg
+from numpy.linalg import LinAlgError
 
 import phcbands.sim
 from phcbands import cli
@@ -16,6 +18,7 @@ from phcbands.io import CSV_HEADER
 from phcbands.materials import Constant, Drude, LossyDrude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh
 from phcbands.sim import SimConfig
+from phcbands.sparse import SingularMatrixError
 from phcbands.sweep import Window, drude_polynomial_oracle, solve_at_k
 
 X_ARG = "3.141592653589793,0"
@@ -100,9 +103,9 @@ def test_solve_prints_plane_wave_band(tmp_path, capsys):
 
 
 def test_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
-    # an error that is not the configuration's is a solver error, exit 2
+    # a failure of the solver, not of the configuration, is exit 2
     def fail(*args):
-        raise RuntimeError("no convergence")
+        raise SingularMatrixError("no convergence")
 
     monkeypatch.setattr(cli, "solve_at_k", fail)
     config = write_config(tmp_path, "cfg.json", empty_lattice_raw(4))
@@ -110,6 +113,32 @@ def test_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "solver error: no convergence\n"
     assert captured.out == ""
+
+
+def test_oracle_eigensolve_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, but a dense eigensolve that fails to
+    # converge is the solver's failure, not an inapplicable oracle
+    def fail(*args, **kwargs):
+        raise LinAlgError("eigenvalue computation did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", fail)
+    config = write_config(tmp_path, "cfg.json", empty_lattice_raw(4))
+    assert run(["oracle", "--config", config, "--k", X_ARG]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "solver error: eigenvalue computation did not converge\n"
+    assert captured.out == ""
+
+
+def test_program_fault_propagates(tmp_path, monkeypatch):
+    # an exception that is neither a configuration error nor a solver
+    # failure is a fault of the program: run lets it out with its traceback
+    def fault(*args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "solve_at_k", fault)
+    config = write_config(tmp_path, "cfg.json", empty_lattice_raw(4))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run(["solve", "--config", config, "--k", X_ARG])
 
 
 def test_solve_rejects_bad_k(tmp_path, capsys):

@@ -26,7 +26,6 @@ from phcbands.sim import (
     dedup,
     hankel_rank_and_values,
     indicator,
-    left_block,
     random_probe,
     refine_eigenpair,
     sim_h,
@@ -249,8 +248,8 @@ def test_memo_matches_fresh_solves(name, family_factory, monkeypatch):
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     cfg = SimConfig()
     probe = random_probe(fam.n_dofs, 0, columns=12)
-    w_h = probe.conj().T if name == "TE-lossless" else left_block(fam.n_dofs, 12, cfg.seed)
     memo = SolveMemo(fam, probe, cfg.seed)
+    w_h = memo.left_h
     counter = SimCounter(monkeypatch)
     level, calls, made, worst, worst_entry = MEMO_TILES, 0, 0, 0.0, 0.0
     for _ in range(2):
@@ -454,6 +453,33 @@ def test_subdivide_quadrants():
     expected = [0.4 + 0.4j, 0.6 + 0.4j, 0.4 + 0.6j, 0.6 + 0.6j]
     for part, centre in zip(parts, expected):
         assert abs(part.center - centre) <= 1e-15
+
+
+def test_sim_h_visits_squares_breadth_first(monkeypatch):
+    # the order of the squares decides which square first solves a shared
+    # contour point, and so the rounding of memo hits: every square of one
+    # side is visited before any smaller one, and each level lists the
+    # quarters of the previous level's split squares, in subdivide's order,
+    # parent by parent in the order the parents were visited.  One degree of
+    # freedom caps the block at one column, so every square that sees the
+    # pole splits, down to side 0.0125: four levels of 3, 12, 28, 48 squares
+    tiles = tile_window(Window(0.2, 0.5, -0.05, 0.05))
+    real_indicator, visited = phcbands.sim.indicator, []
+
+    def recorded(region, *args, **kwargs):
+        visited.append(region)
+        return real_indicator(region, *args, **kwargs)
+
+    monkeypatch.setattr(phcbands.sim, "indicator", recorded)
+    assert not sim_h(tiles, DiagonalFamily([0.33 + 0.01j]), SimConfig()).failures
+    sides = [region.side for region in visited]
+    assert sides == sorted(sides, reverse=True)
+    levels = [[region for region in visited if region.side == side] for side in sorted(set(sides), reverse=True)]
+    assert [len(level) for level in levels] == [3, 12, 28, 48]
+    assert levels[0] == tiles
+    for parents, children in zip(levels, levels[1:]):
+        split = [region for region in parents if subdivide(region)[0] in children]
+        assert children == [child for region in split for child in subdivide(region)]
 
 
 def test_sim_h_locates_scalar_poles():

@@ -2,6 +2,7 @@
 dense reference oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import phcbands.sim
 import phcbands.sweep
 from phcbands.assembly import assemble_family
 from phcbands.cli import diagram_from_config
-from phcbands.config import config_from_dict, resolved_dict
+from phcbands.config import config_from_dict, load_config, resolved_dict
 from phcbands.materials import Constant, Drude, LossyDrude, PermittivityPoleError, normalize_physical_drude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
 from phcbands.sim import SearchRegion, SimConfig, StartValue
@@ -468,6 +469,27 @@ def test_poly_oracle_drops_tm_roots_at_eps_zero():
     assert fam.n_dofs - np.linalg.matrix_rank(fam.momentum_form[1].toarray()) == 56
     vals = drude_polynomial_oracle(fam, Window(0.05, 1.2, -0.05, 0.05))
     assert len(vals) == 15 and min(abs(v - eps_zero) for v in vals) > 1e-3
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+@pytest.mark.parametrize(
+    "oracle, config, k, count",
+    [(dense_linear_oracle, "dielectric-m-n16", M, 6), (drude_polynomial_oracle, "drude-sweep-n8", X, 3)],
+    ids=["dense", "quartic"],
+)
+def test_oracles_share_one_root_selection(oracle, config, k, count, family_factory):
+    # both oracles return the finite roots with Re nu >= 0 inside the
+    # window, sorted by real part, then imaginary part; the dense oracle's
+    # real roots carry imaginary parts of order 1e-15 of either sign
+    cfg = load_config(BENCH_CONFIGS / f"{config}.json")
+    _, _, fam = family_factory(cfg.geometry.n, cfg.geometry.r, k, cfg.polarization, cfg.models)
+    roots = oracle(fam, cfg.window)
+    assert len(roots) == count
+    for z in roots:
+        assert isinstance(z, complex) and np.isfinite(z) and z.real >= 0.0 and cfg.window.contains(z)
+    assert roots == sorted(roots, key=lambda z: (z.real, z.imag))
 
 
 def test_poly_oracle_validation(family_factory):
