@@ -23,7 +23,6 @@ from .config import ConfigError, RunConfig, config_sha256, load_config, resolved
 from .io import emit_svg, write_bands_csv, write_metadata
 from .materials import Constant, PermittivityPoleError
 from .mesh import GeometryError, build_periodic_dof_map, build_unit_cell_mesh, write_mesh_dump
-from .sim import IndicatorError
 from .sparse import SingularMatrixError
 from .sweep import BandDiagram, dense_linear_oracle, drude_polynomial_oracle, solve_at_k, sweep
 from .assembly import assemble_family, check_quasimomentum
@@ -127,7 +126,7 @@ def _cmd_oracle(args) -> int:
     pmap = build_periodic_dof_map(mesh)
     fam = assemble_family(mesh, pmap, k, cfg.polarization, cfg.models)
     # the dense oracle when every permittivity is frequency-independent,
-    # else the quartic one for the Drude or lossy-Drude rod
+    # else the linearized one for the Drude or lossy-Drude rod
     dense = all(isinstance(m, Constant) for m in cfg.models.values())
     oracle = dense_linear_oracle if dense else drude_polynomial_oracle
     try:
@@ -146,8 +145,8 @@ def run(argv: list[str]) -> int:
 
     A configuration, geometry or file error prints "configuration error: ..."
     and returns 1.  A solver failure (a singular factorization, a
-    permittivity at its pole, an indicator that failed its retries, or a
-    LAPACK eigensolve that failed) prints "solver error: ..." and returns 2.
+    permittivity at its pole, or a LAPACK eigensolve that failed) prints
+    "solver error: ..." and returns 2.
     Any other exception is a fault of the program and propagates with its
     traceback.
     """
@@ -186,7 +185,7 @@ def run(argv: list[str]) -> int:
         # an OSError is an output file that cannot be written; it names the path
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (SingularMatrixError, PermittivityPoleError, IndicatorError, LinAlgError) as exc:
+    except (SingularMatrixError, PermittivityPoleError, LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,11 @@ handed to the contour search, and each start value is refined; the
 collected eigenpairs form the band diagram.
 
 Two brute-force oracles cross-check the search on small meshes: a
-dense generalized eigensolve for frequency-independent permittivities, and a
-quartic polynomial eigensolve (via companion linearization) for a Drude or
-lossy-Drude rod in vacuum, TE or TM.
+dense generalized eigensolve for frequency-independent permittivities, and,
+for a Drude or lossy-Drude rod in vacuum, TE or TM, a dense eigensolve of a
+linearization of the rational problem that adds no roots.  Each solves one
+dense pencil, of order at most ``ORACLE_MAX_PENCIL``, and returns the
+finite roots with Re nu >= 0 inside the window, sorted.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ M = (math.pi, math.pi)
 PATH_NODES = (GAMMA, X, M, GAMMA)
 PATH_LABELS = ("Γ", "X", "M", "Γ")
 
-DENSE_ORACLE_MAX_DOFS = 2500
-POLY_ORACLE_MAX_DOFS = 400
+ORACLE_MAX_PENCIL = 2500  # largest order of the dense pencil an oracle solves
 
 
 @dataclass(frozen=True)
@@ -201,17 +202,15 @@ def sweep(
     return BandDiagram(points, window)
 
 
-def _require_dense_size(n_dofs: int, cap: int, what: str) -> None:
-    if n_dofs > cap:
-        raise ValueError(f"{what} limited to {cap} DOFs, got {n_dofs}")
+def _require_dense_size(order: int, what: str) -> None:
+    if order > ORACLE_MAX_PENCIL:
+        raise ValueError(f"{what} limited to a pencil of order {ORACLE_MAX_PENCIL}, got {order}")
 
 
-def _window_roots(values, window: Window, artificial=()) -> list[complex]:
-    """The finite ``values`` with Re nu >= 0 inside the window and farther
-    than 1e-6 from every ``artificial`` root, sorted by real part, then
-    imaginary part: the selection both oracles return."""
+def _window_roots(values, window: Window) -> list[complex]:
+    """The finite ``values`` with Re nu >= 0 inside the window, sorted by
+    real part, then imaginary part: the selection both oracles return."""
     keep = [z for z in map(complex, values) if np.isfinite(z) and z.real >= 0.0 and window.contains(z)]
-    keep = [z for z in keep if all(abs(z - a) > 1e-6 for a in artificial)]
     return sorted(keep, key=lambda z: (z.real, z.imag))
 
 
@@ -222,7 +221,7 @@ def dense_linear_oracle(fam: OperatorFamily, window: Window) -> list[complex]:
     Requires every region model to be Constant.  Returns the principal
     branch nu = sqrt(lambda) / (2 pi) with Re nu >= 0, sorted by real part.
     """
-    _require_dense_size(fam.n_dofs, DENSE_ORACLE_MAX_DOFS, "dense oracle")
+    _require_dense_size(fam.n_dofs, "dense oracle")
     for region in fam.regions:
         if not isinstance(fam.models[region], Constant):
             raise ValueError("dense_linear_oracle needs frequency-independent permittivities")
@@ -238,27 +237,29 @@ def dense_linear_oracle(fam: OperatorFamily, window: Window) -> list[complex]:
 
 def drude_polynomial_oracle(fam: OperatorFamily, window: Window) -> list[complex]:
     """Window eigenvalues of a Drude or lossy-Drude rod (``REGION_DISC``) in
-    vacuum (``REGION_BACKGROUND``), TE or TM, via a quartic polynomial
-    eigenproblem.
+    vacuum (``REGION_BACKGROUND``), TE or TM, via a linearization of the
+    rational eigenproblem that adds no roots (Su and Bai, SIAM J. Matrix
+    Anal. Appl. 32, 2011).
 
-    Both rod models read eps = 1 - nu_p^2 / d with d = nu^2 - i nu_tau nu;
-    a LossyDrude(nu_p, gamma) enters as nu_tau = -gamma.  Multiplying T(nu)
-    by d (TE), or by d eps = d - nu_p^2, the denominator of 1 / eps (TM),
-    clears the rational term and leaves
+    Both rod models read eps = 1 - nu_p^2 / (nu^2 - i nu_tau nu); a
+    LossyDrude(nu_p, gamma) enters as nu_tau = -gamma.  With K and M the
+    total momentum form and mass, T(nu) is a quadratic P(nu) plus one
+    rational term s R / q(nu) on the rod:
 
-        P(nu) = A4 nu^4 + A3 nu^3 + A2 nu^2 + A1 nu + A0,
-        A4 = -4 pi^2 M,  A3 = 4 i pi^2 nu_tau M,  A1 = -i nu_tau K,
-        TE: A2 = K + 4 pi^2 nu_p^2 M_rod,  A0 = 0,
-        TM: A2 = K + 4 pi^2 nu_p^2 M,      A0 = -nu_p^2 K_bg,
+        TE: P = K + 4 pi^2 nu_p^2 M_rod - 4 pi^2 nu^2 M,  R = M_rod,
+            s = 4 pi^2 i nu_p^2 nu_tau,  q = nu - i nu_tau;
+        TM: P = K - 4 pi^2 nu^2 M,  R = K_rod,
+            s = nu_p^2,  q = nu^2 - i nu_tau nu - nu_p^2.
 
-    with K and M the total momentum form and mass, K_bg the background's
-    momentum form and M_rod the rod's mass.  The companion linearization is
-    solved densely.  The multiplication adds roots where the multiplier
-    vanishes (nu = 0 and i nu_tau for TE; the zeros of eps(nu) for TM, where
-    P = nu_p^2 K_rod is singular); roots within 1e-6 of those points are
-    dropped, as are roots with Re nu < 0.
+    R = W W^H comes from ``eigh`` of its block on the rod's DOFs (those
+    with a nonzero diagonal entry of R), keeping the eigenvalues above
+    1e-12 of the largest (which drops the constant at Gamma), and W is
+    empty when s = 0 (else a lossless TE rod would gain r roots at nu = 0).
+    With y = W^H x / q, T(nu) x = 0 becomes the quadratic problem
+    [[P, s W], [W^H, -q I]] (x, y) = 0 of order n + r; its companion pencil,
+    of order 2 (n + r), is solved densely.  Nothing multiplies T, so no root
+    is added and none is filtered.
     """
-    _require_dense_size(fam.n_dofs, POLY_ORACLE_MAX_DOFS, "polynomial oracle")
     background = fam.models.get(REGION_BACKGROUND)
     rod = fam.models.get(REGION_DISC)
     if not (isinstance(background, Constant) and complex(background.eps) == 1.0 + 0.0j):
@@ -266,23 +267,30 @@ def drude_polynomial_oracle(fam: OperatorFamily, window: Window) -> list[complex
     if not isinstance(rod, (Drude, LossyDrude)):
         raise ValueError("drude_polynomial_oracle needs a Drude or LossyDrude rod model")
     nu_p, nu_tau = rod.nu_p, (rod.nu_tau if isinstance(rod, Drude) else -rod.gamma)
-
-    kmat = fam.momentum_form_total.toarray()
-    mass = fam.mass_total.toarray()
     four_pi_sq = 4.0 * math.pi**2
     if fam.polarization == "TE":
-        a2 = kmat + four_pi_sq * nu_p**2 * fam.mass[REGION_DISC].toarray()
-        a0 = np.zeros_like(kmat)
-        artificial = [0.0, 1j * nu_tau]
+        rod_form, shift = fam.mass[REGION_DISC], four_pi_sq * nu_p**2
+        s, q = four_pi_sq * 1j * nu_p**2 * nu_tau, (-1j * nu_tau, 1.0, 0.0)  # q's coefficients of 1, nu, nu^2
     else:
-        a2 = kmat + four_pi_sq * nu_p**2 * mass
-        a0 = -(nu_p**2) * fam.momentum_form[REGION_BACKGROUND].toarray()
-        artificial = np.roots([1.0, -1j * nu_tau, -(nu_p**2)])
-    coeffs = [a0, -1j * nu_tau * kmat, a2, 4j * math.pi**2 * nu_tau * mass]
+        rod_form, shift = fam.momentum_form[REGION_DISC], 0.0
+        s, q = nu_p**2, (-(nu_p**2), -1j * nu_tau, 1.0)
+    dofs = np.flatnonzero(rod_form.diagonal())
+    lam, vec = scipy.linalg.eigh(rod_form[dofs][:, dofs].toarray())
+    keep = (lam > 1e-12 * lam.max(initial=0.0)) & (s != 0)
+    w = vec[:, keep] * np.sqrt(lam[keep])  # W's rows on the rod's DOFs; its other rows are zero
+    n, size = fam.n_dofs, fam.n_dofs + w.shape[1]
+    _require_dense_size(2 * size, "polynomial oracle")
 
-    size = fam.n_dofs
-    lhs = np.eye(4 * size, k=size, dtype=np.complex128)  # identity blocks above the diagonal
-    lhs[3 * size :] = -np.hstack(coeffs)
-    rhs = np.eye(4 * size, dtype=np.complex128)
-    rhs[3 * size :, 3 * size :] = -four_pi_sq * mass
-    return _window_roots(scipy.linalg.eigvals(lhs, rhs), window, artificial)
+    # first companion form [[0, I], [-C0, -C1]] z = nu [[I, 0], [0, C2]] z,
+    # z = (x, y, nu x, nu y), of the quadratic C0 + C1 nu + C2 nu^2 with
+    # C0 = [[P(0), s W], [W^H, -q0 I]], C1 = -q1 I on y, C2 = -4 pi^2 M on x, -q2 I on y
+    lhs = np.eye(2 * size, k=size, dtype=np.complex128)  # identity blocks above the diagonal
+    lhs[size : size + n, :n] = -(fam.momentum_form_total + shift * rod_form).toarray()
+    lhs[size + dofs, n:size] = -s * w
+    lhs[size + n :, dofs] = -w.conj().T
+    np.fill_diagonal(lhs[size + n :, n:size], q[0])
+    np.fill_diagonal(lhs[size + n :, size + n :], q[1])
+    rhs = np.eye(2 * size, dtype=np.complex128)
+    rhs[size : size + n, size : size + n] = -four_pi_sq * fam.mass_total.toarray()
+    np.fill_diagonal(rhs[size + n :, size + n :], -q[2])
+    return _window_roots(scipy.linalg.eigvals(lhs, rhs), window)

@@ -1,7 +1,7 @@
 """Shared fixtures: cached operator families, scalar test families, the
 paper's unprojected indicator, the analytic empty-lattice reference
-spectrum, and an independent element-by-element assembly of the operator
-and of its region matrices."""
+spectrum, a quartic reference for the Drude rod, and an independent
+element-by-element assembly of the operator and of its region matrices."""
 
 import math
 import os
@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import phcbands
 from phcbands.assembly import assemble_family
-from phcbands.materials import Constant, PermittivityModel, eval_eps
-from phcbands.mesh import Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
+from phcbands.materials import Constant, Drude, PermittivityModel, eval_eps
+from phcbands.mesh import REGION_BACKGROUND, REGION_DISC, Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
 from phcbands.sim import SimConfig, SolveMemo, indicator
 from phcbands.sparse import band_layout, csc_on
 
@@ -89,6 +90,50 @@ def stdout_under_blas_threads(script: str) -> list[str]:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         outputs.append(proc.stdout.strip())
     return outputs
+
+
+def quartic_drude_roots(fam, window) -> list[complex]:
+    """Window roots of a Drude or lossy-Drude rod in vacuum by the quartic
+    that clearing T(nu)'s rational term gives, for cross-checking
+    ``drude_polynomial_oracle`` on small meshes.
+
+    Both rod models read eps = 1 - nu_p^2 / d with d = nu^2 - i nu_tau nu.
+    Multiplying T(nu) by d (TE), or by d eps = d - nu_p^2 (TM), leaves
+
+        P(nu) = A4 nu^4 + A3 nu^3 + A2 nu^2 + A1 nu + A0,
+        A4 = -4 pi^2 M,  A3 = 4 i pi^2 nu_tau M,  A1 = -i nu_tau K,
+        TE: A2 = K + 4 pi^2 nu_p^2 M_rod,  A0 = 0,
+        TM: A2 = K + 4 pi^2 nu_p^2 M,      A0 = -nu_p^2 K_bg,
+
+    whose companion pencil, of order 4n, is solved densely.  The
+    multiplication adds roots where the multiplier vanishes (nu = 0 and
+    i nu_tau for TE, the zeros of eps(nu) for TM), so roots within 1e-6 of
+    those points are dropped, real eigenvalues there included.  Returns the
+    finite roots with Re nu >= 0 in the window, sorted by (Re, Im).
+    """
+    rod = fam.models[REGION_DISC]
+    nu_p, nu_tau = rod.nu_p, (rod.nu_tau if isinstance(rod, Drude) else -rod.gamma)
+    kmat = fam.momentum_form_total.toarray()
+    mass = fam.mass_total.toarray()
+    four_pi_sq = 4.0 * math.pi**2
+    if fam.polarization == "TE":
+        a2 = kmat + four_pi_sq * nu_p**2 * fam.mass[REGION_DISC].toarray()
+        a0 = np.zeros_like(kmat)
+        artificial = [0.0, 1j * nu_tau]
+    else:
+        a2 = kmat + four_pi_sq * nu_p**2 * mass
+        a0 = -(nu_p**2) * fam.momentum_form[REGION_BACKGROUND].toarray()
+        artificial = np.roots([1.0, -1j * nu_tau, -(nu_p**2)])
+    coeffs = [a0, -1j * nu_tau * kmat, a2, 4j * math.pi**2 * nu_tau * mass]
+
+    size = fam.n_dofs
+    lhs = np.eye(4 * size, k=size, dtype=np.complex128)  # identity blocks above the diagonal
+    lhs[3 * size :] = -np.hstack(coeffs)
+    rhs = np.eye(4 * size, dtype=np.complex128)
+    rhs[3 * size :, 3 * size :] = -four_pi_sq * mass
+    keep = [z for z in map(complex, scipy.linalg.eigvals(lhs, rhs)) if np.isfinite(z) and z.real >= 0.0]
+    keep = [z for z in keep if window.contains(z) and all(abs(z - a) > 1e-6 for a in artificial)]
+    return sorted(keep, key=lambda z: (z.real, z.imag))
 
 
 def plane_wave_values(k, lo, hi, mmax=3):

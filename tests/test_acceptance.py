@@ -387,7 +387,7 @@ def test_criterion_7_metal_rod_cli_sweeps(tmp_path):
         )
         ok = ok and pol_ok
         details.append(
-            f"{pol}: exit {code}, {len(rows)} rows for {n_roots} quartic roots, {missed} missed, "
+            f"{pol}: exit {code}, {len(rows)} rows for {n_roots} oracle roots, {missed} missed, "
             f"{spurious} spurious, max residual {max_residual:.1e}"
         )
     _report(7, ok, "; ".join(details))

@@ -334,7 +334,7 @@ def test_oracle_dense(tmp_path, capsys):
 
 
 def test_oracle_poly(tmp_path, capsys):
-    # a TE Drude and a TM lossy-Drude rod get the quartic oracle
+    # a TE Drude and a TM lossy-Drude rod get the linearized Drude oracle
     te = drude_raw()
     tm = {**te, "polarization": "TM", "material": {"variant": "lossy_drude", "nu_p": 1.0, "gamma": 0.01}}
     mesh = build_unit_cell_mesh(te["geometry"]["n"], te["geometry"]["r"])

@@ -13,7 +13,7 @@ import phcbands.sweep
 from phcbands.assembly import assemble_family
 from phcbands.cli import diagram_from_config
 from phcbands.config import config_from_dict, load_config, resolved_dict
-from phcbands.materials import Constant, Drude, LossyDrude, PermittivityPoleError, normalize_physical_drude
+from phcbands.materials import Constant, Drude, LossyDrude, PermittivityPoleError, eval_eps, normalize_physical_drude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
 from phcbands.sim import SearchRegion, SimConfig, StartValue
 from phcbands.sparse import SingularMatrixError
@@ -27,7 +27,7 @@ from phcbands.sweep import (
     tile_window,
 )
 
-from conftest import GAMMA, M, X, plane_wave_values, stdout_under_blas_threads, t_matrix
+from conftest import GAMMA, M, X, plane_wave_values, quartic_drude_roots, stdout_under_blas_threads, t_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -222,7 +222,7 @@ def test_solve_at_k_finds_zero_at_gamma(family_factory):
 
 
 def test_solve_at_k_paper_scale_interface_cluster(monkeypatch):
-    # the n=24 TM lossy disc at X over the default window, most of whose
+    # the n=24 TM lossy disc at X over [0.05, 1.2] x [-0.05, 0.05], most of whose
     # eigenvalues crowd the eps = -1 interface cluster (Re nu 0.65-0.75),
     # many closer than dedup's 2e-4: counted with a 1e-9 merge, refinement
     # keeps at least the 49 distinct eigenvalues that inverse iteration with
@@ -397,9 +397,10 @@ def test_dense_oracle_validation(family_factory):
 
 
 def test_poly_oracle_vanishing_plasma_matches_dense(family_factory):
-    # nu_p = 0 turns the Drude rod into vacuum, so the quartic roots must
-    # collapse onto the linear spectrum
-    win = Window(0.1, 1.2, -0.05, 0.05)
+    # nu_p = 0 turns the Drude rod into vacuum (s = 0, so W is empty), and
+    # the roots must collapse onto the linear spectrum, with none at nu = 0,
+    # where a W of r columns would put r of them
+    win = Window(0.0, 1.2, -0.05, 0.05)
     _, _, fam0 = family_factory(4, 0.3, X, "TE", {0: Constant(1.0), 1: Drude(0.0, 0.0)})
     _, _, famc = family_factory(4, 0.3, X, "TE", {0: Constant(1.0), 1: Constant(1.0)})
     poly = drude_polynomial_oracle(fam0, win)
@@ -427,7 +428,7 @@ def test_poly_oracle_lossless_roots_are_real(family_factory):
     assert [v.real for v in vals] == pytest.approx(linear, abs=1e-10)
     # and TM times nu^2 - nu_p^2 is a quadratic pencil in lam = nu^2,
     # -4 pi^2 lam^2 M + lam (K_bg + K_rod + 4 pi^2 nu_p^2 M) - nu_p^2 K_bg,
-    # whose root lam = nu_p^2 is artificial
+    # whose root lam = nu_p^2 the multiplication adds
     for n, expected in ((4, 10), (8, 21)):
         _, _, fam = family_factory(n, 0.3, X, "TM", {0: Constant(1.0), 1: Drude(0.7, 0.0)})
         mass = fam.mass_total.toarray()
@@ -450,17 +451,45 @@ def test_poly_oracle_lossless_roots_are_real(family_factory):
 @pytest.mark.parametrize("rod", [Drude(1.0, 0.01), LossyDrude(1.0, 0.01)])
 def test_poly_oracle_roots_are_singular_points(family_factory, n, polarization, rod):
     # every returned root makes the rational operator T(nu) itself singular,
-    # for both rod models (LossyDrude enters as nu_tau = -gamma)
+    # for both rod models (LossyDrude enters as nu_tau = -gamma), and the
+    # roots match the quartic reference's one to one: no eps zero lies
+    # close enough to a root here for its 1e-6 filter to drop one
     win = Window(0.1, 1.2, -0.05, 0.05)
     _, _, fam = family_factory(n, 0.3, X, polarization, {0: Constant(1.0), 1: rod})
-    sigmas = [scipy.linalg.svdvals(t_matrix(fam, nu).toarray()) for nu in drude_polynomial_oracle(fam, win)]
+    roots = drude_polynomial_oracle(fam, win)
+    sigmas = [scipy.linalg.svdvals(t_matrix(fam, nu).toarray()) for nu in roots]
     assert sigmas and max(s[-1] / s[0] for s in sigmas) <= 1e-12
+    quartic = quartic_drude_roots(fam, win)
+    assert len(roots) == len(quartic)
+    assert max(abs(a - b) for a, b in zip(roots, quartic)) <= 1e-12
+
+
+def test_poly_oracle_keeps_real_root_at_eps_zero():
+    # the n=8 TM lossy disc at k = (pi/16, 0) has an eigenvalue 1.7e-8 from
+    # the zero of eps, where |eps| = 3.3e-8 and T(nu) is singular to 6e-17;
+    # the linearization adds no root, so it has nothing to filter and keeps
+    # it, where the quartic's 1e-6 filter drops it with the copies the
+    # multiplication adds
+    mesh = build_unit_cell_mesh(8, filling_fraction_to_radius(0.2827))
+    rod = LossyDrude(1.0, 0.01)
+    fam = assemble_family(mesh, build_periodic_dof_map(mesh), (math.pi / 16, 0.0), "TM", {0: Constant(1.0), 1: rod})
+    win = Window(0.05, 1.2, -0.05, 0.05)
+    roots = drude_polynomial_oracle(fam, win)
+    assert len(roots) == 20
+    (near,) = [z for z in roots if abs(z - 1.0) < 1e-2]
+    assert near == pytest.approx(0.999987483 - 0.004999999j, abs=1e-9)
+    assert abs(eval_eps(rod, near)) <= 1e-7
+    sigmas = [scipy.linalg.svdvals(t_matrix(fam, nu).toarray()) for nu in roots]
+    assert max(s[-1] / s[0] for s in sigmas) <= 1e-12
+    assert len(quartic_drude_roots(fam, win)) == 19
 
 
 def test_poly_oracle_drops_tm_roots_at_eps_zero():
-    # criterion 7's TM rod at Gamma: multiplying T by d eps adds the zero
-    # of eps once per null vector of the rod's momentum form (56 of the 72
-    # DOFs), inside the window; none of those copies may be returned
+    # criterion 7's TM rod at Gamma: the rod's momentum form has 56 null
+    # vectors among the 72 DOFs (the 55 DOFs off the rod, and the constant
+    # on its 17), and the quartic gained one copy of the zero of eps, inside
+    # the window, per null vector; W spans only the form's range, so the
+    # linearization adds none, and no root lies at that zero
     rod = normalize_physical_drude(2.0 * math.pi * 1914e12, 2.0 * math.pi * 8.34e12, 1e-7)
     mesh = build_unit_cell_mesh(8, filling_fraction_to_radius(0.1256))
     fam = assemble_family(mesh, build_periodic_dof_map(mesh), GAMMA, "TM", {0: Constant(1.0), 1: rod})
@@ -477,7 +506,7 @@ BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 @pytest.mark.parametrize(
     "oracle, config, k, count",
     [(dense_linear_oracle, "dielectric-m-n16", M, 6), (drude_polynomial_oracle, "drude-sweep-n8", X, 3)],
-    ids=["dense", "quartic"],
+    ids=["dense", "drude"],
 )
 def test_oracles_share_one_root_selection(oracle, config, k, count, family_factory):
     # both oracles return the finite roots with Re nu >= 0 inside the
@@ -500,8 +529,8 @@ def test_poly_oracle_validation(family_factory):
     _, _, bad_rod = family_factory(4, 0.3, X, "TE", {0: Constant(1.0), 1: Constant(8.9)})
     with pytest.raises(ValueError):
         drude_polynomial_oracle(bad_rod, win)
-    mesh = build_unit_cell_mesh(21, 0.3)
+    mesh = build_unit_cell_mesh(36, 0.3)
     pmap = build_periodic_dof_map(mesh)
     big = assemble_family(mesh, pmap, X, "TE", {0: Constant(1.0), 1: Drude(1.0, 0.01)})
-    with pytest.raises(ValueError):
-        drude_polynomial_oracle(big, win)  # 441 DOFs > cap
+    with pytest.raises(ValueError, match="limited to"):
+        drude_polynomial_oracle(big, win)  # pencil of order 2 (1296 + r) > cap
