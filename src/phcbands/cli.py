@@ -125,8 +125,9 @@ def _cmd_oracle(args) -> int:
     mesh = build_unit_cell_mesh(cfg.geometry.n, cfg.geometry.r)
     pmap = build_periodic_dof_map(mesh)
     fam = assemble_family(mesh, pmap, k, cfg.polarization, cfg.models)
-    # the dense oracle when every permittivity is frequency-independent,
-    # else the linearized one for the Drude or lossy-Drude rod
+    # the dense oracle when every permittivity is frequency-independent (it
+    # refuses a lossy one, or under TE one that is not positive), else the
+    # linearized one for the Drude or lossy-Drude rod
     dense = all(isinstance(m, Constant) for m in cfg.models.values())
     oracle = dense_linear_oracle if dense else drude_polynomial_oracle
     try:

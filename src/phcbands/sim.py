@@ -119,11 +119,12 @@ refined eigenvalues) remain as class constants, not settings, only because
 the benchmark reads them; nothing in the package does.
 
 Any object with ``n_dofs``, ``layout`` (the ``sparse.BandLayout`` of its
-pattern, which holds the pattern) and ``t_data(nu)`` (T(nu)'s CSC entries
-on that pattern, which the search factorizes and refinement also
-multiplies by) works as the operator family, so the machinery is testable
-on scalar problems.  A family may also set ``conjugate_symmetric``;
-without it, the search projects with a seeded W and uses no mirror points.
+pattern, which holds the pattern), ``t_data(nu)`` (T(nu)'s CSC entries on
+that pattern, which the search factorizes and refinement also multiplies
+by) and ``conjugate_symmetric`` (True when T(conj(nu)) = T(nu)^H; the
+search then projects with W = V and takes mirror points, and otherwise
+with a seeded W and none) works as the operator family, so the machinery
+is testable on scalar problems.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ class SolveMemo:
     def __init__(self, fam, probe: np.ndarray, seed: int):
         self.fam = fam
         self.probe = probe
-        self.mirror = bool(getattr(fam, "conjugate_symmetric", False))
+        self.mirror = fam.conjugate_symmetric
         left = probe if self.mirror else random_probe(fam.n_dofs, seed + _LEFT_SEED_OFFSET, columns=probe.shape[1])
         self.left_h = left.conj().T
         self._solved: dict[tuple[int, int], np.ndarray] = {}

@@ -7,12 +7,12 @@ lines.  At every k-point the complex search window is tiled with squares,
 handed to the contour search, and each start value is refined; the
 collected eigenpairs form the band diagram.
 
-Two brute-force oracles cross-check the search on small meshes: a
-dense generalized eigensolve for frequency-independent permittivities, and,
-for a Drude or lossy-Drude rod in vacuum, TE or TM, a dense eigensolve of a
-linearization of the rational problem that adds no roots.  Each solves one
-dense pencil, of order at most ``ORACLE_MAX_PENCIL``, and returns the
-finite roots with Re nu >= 0 inside the window, sorted.
+Two brute-force oracles cross-check the search on small meshes: a dense
+Hermitian-definite eigensolve for real constant permittivities (positive
+under TE), and, for a Drude or lossy-Drude rod in vacuum, TE or TM, a dense
+eigensolve of a linearization of the rational problem that adds no roots.
+Each solves one dense pencil, of order at most ``ORACLE_MAX_PENCIL``, and
+returns the finite roots with Re nu >= 0 inside the window, sorted.
 """
 
 from __future__ import annotations
@@ -216,22 +216,28 @@ def _window_roots(values, window: Window) -> list[complex]:
 
 def dense_linear_oracle(fam: OperatorFamily, window: Window) -> list[complex]:
     """All window eigenvalues of a frequency-independent problem by dense
-    generalized eigensolve, for cross-checking the indicator path.
+    Hermitian-definite eigensolve, for cross-checking the indicator path.
 
-    Requires every region model to be Constant.  Returns the principal
-    branch nu = sqrt(lambda) / (2 pi) with Re nu >= 0, sorted by real part.
+    Requires every region model to be a real Constant, positive under TE:
+    then K x = lambda (sum_rho eps_rho M_rho) x (TE) and
+    (sum_rho K_rho / eps_rho) x = lambda M x (TM) have a Hermitian left
+    side and a positive definite right side at real k, and one ``eigh``
+    call solves them with real lambda.  Any other model raises ValueError
+    before the pencil is formed.  Returns the principal branch
+    nu = sqrt(lambda) / (2 pi) with Re nu >= 0, sorted by real part; a
+    positive lambda gives a nu whose imaginary part is exactly 0.
     """
     _require_dense_size(fam.n_dofs, "dense oracle")
-    for region in fam.regions:
-        if not isinstance(fam.models[region], Constant):
-            raise ValueError("dense_linear_oracle needs frequency-independent permittivities")
+    for m in fam.models.values():
+        if not (isinstance(m, Constant) and fam.conjugate_symmetric) or (fam.polarization == "TE" and m.eps.real <= 0):
+            raise ValueError("dense_linear_oracle needs real constant permittivities, positive under TE")
     if fam.polarization == "TE":
         lhs = fam.momentum_form_total.toarray()
-        rhs = sum(complex(fam.models[region].eps) * fam.mass[region].toarray() for region in fam.regions)
+        rhs = sum(fam.models[region].eps.real * fam.mass[region].toarray() for region in fam.regions)
     else:
-        lhs = sum((1.0 / complex(fam.models[region].eps)) * fam.momentum_form[region].toarray() for region in fam.regions)
+        lhs = sum((1.0 / fam.models[region].eps.real) * fam.momentum_form[region].toarray() for region in fam.regions)
         rhs = fam.mass_total.toarray()
-    lam = scipy.linalg.eigvals(lhs, rhs)
+    lam = scipy.linalg.eigh(lhs, rhs, eigvals_only=True)
     return _window_roots(np.sqrt(lam.astype(np.complex128)) / (2.0 * math.pi), window)
 
 

@@ -46,7 +46,10 @@ class PatternFamily:
     """Operator family on a fixed CSC pattern, as the search and refinement
     read one: a subclass gives ``t_data(nu)``, the entries of T(nu) on the
     pattern, and the band layout, which holds the pattern, is built once,
-    as ``assemble_family`` builds it."""
+    as ``assemble_family`` builds it.  It is not conjugation-symmetric, so
+    the search projects with a seeded W and takes no mirror points."""
+
+    conjugate_symmetric = False
 
     def __init__(self, pattern):
         self.n_dofs = pattern.shape[0]

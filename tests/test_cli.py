@@ -115,14 +115,18 @@ def test_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
-def test_oracle_eigensolve_failure_exits_2(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "raw, eigensolve", [(empty_lattice_raw(4), "eigh"), (drude_raw(), "eigvals")], ids=["dense", "drude"]
+)
+def test_oracle_eigensolve_failure_exits_2(tmp_path, capsys, monkeypatch, raw, eigensolve):
     # LinAlgError is a ValueError, but a dense eigensolve that fails to
-    # converge is the solver's failure, not an inapplicable oracle
+    # converge is the solver's failure, not an inapplicable oracle: the
+    # dense oracle's eigh and the Drude oracle's eigvals alike
     def fail(*args, **kwargs):
         raise LinAlgError("eigenvalue computation did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "eigvals", fail)
-    config = write_config(tmp_path, "cfg.json", empty_lattice_raw(4))
+    monkeypatch.setattr(scipy.linalg, eigensolve, fail)
+    config = write_config(tmp_path, "cfg.json", raw)
     assert run(["oracle", "--config", config, "--k", X_ARG]) == 2
     captured = capsys.readouterr()
     assert captured.err == "solver error: eigenvalue computation did not converge\n"
@@ -331,6 +335,18 @@ def test_oracle_dense(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert float(lines[0].split()[0]) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_oracle_lossy_constant_not_applicable(tmp_path, capsys):
+    # the search solves a lossy constant rod, but the dense oracle's
+    # Hermitian-definite pencil needs real permittivities
+    raw = {**drude_raw(), "material": {"variant": "constant", "eps_re": 8.9, "eps_im": 0.1}}
+    config = write_config(tmp_path, "lossy.json", raw)
+    assert run(["oracle", "--config", config, "--k", X_ARG]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: oracle not applicable: ")
+    assert captured.out == ""
+    assert run(["solve", "--config", config, "--k", X_ARG]) == 0
 
 
 def test_oracle_poly(tmp_path, capsys):

@@ -699,14 +699,15 @@ def test_refine_iteration_budget(monkeypatch):
 
 
 def test_minimal_family_runs_the_search_and_refinement():
-    # the operator family protocol is n_dofs, layout and t_data: an object
-    # with these three alone is searched and refined, T(nu) read only as
-    # its entries on the layout's pattern
+    # the operator family protocol is n_dofs, layout, t_data and
+    # conjugate_symmetric: an object with these four alone is searched and
+    # refined, T(nu) read only as its entries on the layout's pattern
     poles = np.array([0.33, 0.72 + 0.01j])
     fam = types.SimpleNamespace(
         n_dofs=2,
         layout=band_layout(sp.identity(2, format="csc"), [0]),
         t_data=lambda nu: complex(nu) - poles,
+        conjugate_symmetric=False,
     )
     regions = [SearchRegion(center=0.3 + 0j, side=0.2), SearchRegion(center=0.7 + 0j, side=0.2)]
     result = sim_h(regions, fam, SimConfig())

@@ -385,6 +385,46 @@ def test_dense_oracle_tm_matches_search(family_factory):
     assert counts == [3, 4, 4]
 
 
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+def test_dense_oracle_matches_qz(family_factory, polarization):
+    # eigh of the Hermitian-definite pencil gives QZ's roots of the same
+    # pencil one to one on the eps 8.9 rod at Gamma, X and M, and a real
+    # root is exactly real
+    r = filling_fraction_to_radius(0.2827)
+    models = {0: Constant(1.0), 1: Constant(8.9)}
+    win = Window(0.05, 1.2, -0.05, 0.05)
+    for k in (GAMMA, X, M):
+        _, _, fam = family_factory(8, r, k, polarization, models)
+        if polarization == "TE":
+            lhs, rhs = fam.momentum_form_total, fam.mass[0] + 8.9 * fam.mass[1]
+        else:
+            lhs, rhs = fam.momentum_form[0] + fam.momentum_form[1] / 8.9, fam.mass_total
+        nus = np.sqrt(scipy.linalg.eigvals(lhs.toarray(), rhs.toarray()).astype(np.complex128)) / (2.0 * math.pi)
+        qz = sorted((complex(nu) for nu in nus if win.contains(nu)), key=lambda z: (z.real, z.imag))
+        roots = dense_linear_oracle(fam, win)
+        assert len(roots) == len(qz) >= 3
+        assert max(abs(a - b) for a, b in zip(roots, qz)) <= 1e-11
+        assert all(z.imag == 0.0 for z in roots)
+
+
+@pytest.mark.parametrize(
+    "polarization, eps",
+    [("TE", 8.9 + 0.1j), ("TM", 8.9 + 0.1j), ("TE", -2.0)],
+    ids=["TE-lossy", "TM-lossy", "TE-negative"],
+)
+def test_dense_oracle_needs_a_hermitian_definite_pencil(family_factory, monkeypatch, polarization, eps):
+    # a lossy constant makes the pencil non-Hermitian, and a negative one
+    # under TE makes its right side indefinite: both are refused before
+    # any eigensolve
+    def fail(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    _, _, fam = family_factory(4, 0.3, X, polarization, {0: Constant(1.0), 1: Constant(eps)})
+    with pytest.raises(ValueError, match="real constant permittivities, positive under TE"):
+        dense_linear_oracle(fam, Window(0.05, 1.2, -0.05, 0.05))
+
+
 def test_dense_oracle_validation(family_factory):
     _, _, drude_fam = family_factory(4, 0.3, X, "TE", {0: Constant(1.0), 1: Drude(1.0, 0.01)})
     with pytest.raises(ValueError):
@@ -511,7 +551,7 @@ BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 def test_oracles_share_one_root_selection(oracle, config, k, count, family_factory):
     # both oracles return the finite roots with Re nu >= 0 inside the
     # window, sorted by real part, then imaginary part; the dense oracle's
-    # real roots carry imaginary parts of order 1e-15 of either sign
+    # roots, from eigh's real eigenvalues, are exactly real
     cfg = load_config(BENCH_CONFIGS / f"{config}.json")
     _, _, fam = family_factory(cfg.geometry.n, cfg.geometry.r, k, cfg.polarization, cfg.models)
     roots = oracle(fam, cfg.window)
@@ -519,6 +559,8 @@ def test_oracles_share_one_root_selection(oracle, config, k, count, family_facto
     for z in roots:
         assert isinstance(z, complex) and np.isfinite(z) and z.real >= 0.0 and cfg.window.contains(z)
     assert roots == sorted(roots, key=lambda z: (z.real, z.imag))
+    if oracle is dense_linear_oracle:
+        assert all(z.imag == 0.0 for z in roots)
 
 
 def test_poly_oracle_validation(family_factory):
