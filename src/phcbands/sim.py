@@ -1,69 +1,89 @@
 """Block contour-moment eigenvalue search in the complex frequency plane.
 
 The solver never forms eigenvectors of a linearization.  The window is tiled
-with squares; for each square Omega, with circumscribing circle of radius R
-about its centre c, the trapezoid rule on m0 = 16 nodes
-z_j = c + R exp(i theta_j), theta_j = 2 pi j / m0, gives the scaled moments
-of the resolvent between a seeded probe block V and a left block W, each
-with p columns (W = V for a conjugation-symmetric family, and otherwise a
-second seeded block; see Mirror below),
+with squares, and each square's own boundary is the contour.  A square of
+centre c and half-side rho is traced counter-clockwise, and each of its four
+edges gets the 4 Gauss-Legendre nodes of that edge, m0 = 16 nodes z_j with
+weights dz_j (the Gauss-Legendre weight times the edge's half-length and
+direction).  They give the scaled moments of the resolvent between a seeded
+probe block V and a left block W, each with p columns (W = V for a
+conjugation-symmetric family, and otherwise a second seeded block; see
+Mirror below),
 
-    A_q = (R / m0) * sum_j exp(i theta_j) ((z_j - c) / R)^q W^H T(z_j)^-1 V,
+    A_q = (1 / 2 pi i) * sum_j dz_j ((z_j - c) / rho)^q W^H T(z_j)^-1 V,
 
 for q = 0 .. 3, each p x p (Sakurai and Sugiura, J. Comput. Appl. Math.
 159, 2003).  The norm of A_0's first column, ||W^H A_0 g|| for the first
-probe column g, is ``indicator``'s value; with W = I it is the paper's
-spectral indicator ||A_0 g||.  Every eigenvalue lambda inside the circle
-contributes ((lambda - c) / R)^q times a fixed rank-one term to A_q, so the
-2p x 2p block Hankel matrices
+probe column g, is ``indicator``'s value.  The paper takes its spectral
+indicator ||A_0 g|| on the circle about the square; Beyn's method allows any
+closed contour (Beyn, Linear Algebra Appl. 436, 2012), and the square is
+taken because the circle covers 1.57 times its area: what the circle sees
+in its neighbours split squares that hold nothing and gave start values
+that refined outside their square.  The rule integrates polynomials of
+degree up to 7 exactly on each edge, so a simple eigenvalue lambda
+contributes ((lambda - c) / rho)^q f(lambda) times a fixed rank-one term
+to A_q, where f(lambda), the rule's value for 1 / (z - lambda), is 1 up to
+quadrature error inside the square and small outside it.  The 2p x 2p
+block Hankel matrices
 
     H0 = [[A0, A1], [A1, A2]],   H1 = [[A1, A2], [A2, A3]]
 
 factor as X Y and X L Y with L the diagonal (or Jordan) matrix of scaled
-eigenvalues (Beyn, Linear Algebra Appl. 436, 2012).  The rank of H0 counts
-the eigenvalues the circle sees: its singular values above 1e-6 times
-max_j ||R W^H T(z_j)^-1 V||_2, a threshold relative to the quadrature
-summands and so free of any scale of T (the normalized indicator of Huang,
-Struthers, Sun and Zhang, J. Comput. Phys. 327, 2016).  A square of rank 0
-holds nothing.  One whose rank comes within one of the block's capacity 2p
-is split into quarters, down to side 0.0125; otherwise the eigenvalues of
-the projected pencil U^H H1 Q S^-1 (from the truncated SVD H0 = U S Q^H)
-that lie inside the circle are its start values.  Hankel order 2 rather than the
-plain A0/A1 pencil is what finds a double root whose 1/(z - lambda) residue
-vanishes, such as nu = 0 at Gamma, where T(nu) = K - 4 pi^2 nu^2 M.
+eigenvalues (Beyn 2012).  The rank of H0 counts the eigenvalues the square
+sees: its singular values above 1e-6 times max_j ||rho W^H T(z_j)^-1 V||_2,
+a threshold relative to the quadrature summands and so free of any scale of
+T (the normalized indicator of Huang, Struthers, Sun and Zhang, J. Comput.
+Phys. 327, 2016).  A square of rank 0 holds nothing.  One whose rank comes
+within one of the block's capacity 2p is split into 3 x 3 ninths while the
+ninths are at least 0.01 wide, that is two levels below the 0.1 tiles, down
+to side 0.0111; otherwise the eigenvalues of the projected pencil
+U^H H1 Q S^-1 (from the truncated SVD H0 = U S Q^H) that lie in the square,
+max(|Re|, |Im|) <= 1 in the scaled variable, are its start values.  With
+ninths the middle row of a tile straddling Im nu = 0 straddles it again, so
+the real axis, where every eigenvalue of a lossless family lies, is never
+an edge; with quarters it was, and such an eigenvalue sat on a node's line
+and got no start value.  Hankel order 2 rather than the plain A0/A1 pencil
+is what finds a double root whose 1/(z - lambda) residue vanishes, such as
+nu = 0 at Gamma, where T(nu) = K - 4 pi^2 nu^2 M.
 
-An eigenvalue near but outside the circle leaks into the moments through
-the quadrature, at (R / d)^(m0 - q) for distance d, and so shows up in the
-rank and in the pencil.  ``sweep.solve_at_k`` therefore keeps a start value
-only if it refines to a point inside its own square; the square that holds
-the others is assumed, not checked, to find them.  W mixes such a leak into
-the kept pencil at first order, so a start value can sit ~1e-8 from its
-eigenvalue; refinement removes that.
+An eigenvalue near but outside the square leaks into the moments through
+the quadrature, at the rate of the Bernstein ellipse of the nearest edge
+through it (Trefethen, Approximation Theory and Approximation Practice,
+SIAM 2013), and so shows up in the rank and in the pencil.
+``sweep.solve_at_k`` therefore keeps a start value only if it refines to a
+point inside its own square; the square that holds the others is assumed,
+not checked, to find them.  W mixes such a leak into the kept pencil at
+first order, so a start value can sit ~1e-8 from its eigenvalue;
+refinement removes that.
 
 Every quadrature node costs a banded LU factorization of T(z) on the
 family's band layout, a block solve for u(z) = T(z)^-1 V and p x p work:
 W^H u and its share of the moment sums, one broadcast multiply-add; the
-norms ||W^H u||_2 of a circle's 16 nodes come from one stacked eigenvalue
+norms ||W^H u||_2 of a square's 16 nodes come from one stacked eigenvalue
 call.  Nothing of size n is kept.  Many nodes recur, so each ``sim_h`` run
 keeps a ``SolveMemo`` of W^H u (p^2 numbers, not the n p of u) by contour
 point, and its one method ``node`` is where the search factorizes: every
-node of every circle is taken from the memo, which factorizes a point
+node of every square is taken from the memo, which factorizes a point
 once:
 
-- Corners.  On the first attempt the circle circumscribes the square, so
-  the nodes j = m0/8 mod m0/4 (m0 a multiple of 8; j = 2, 6, 10, 14 for
-  m0 = 16) are the square's corners; they are placed exactly there.  A
-  square shares them with its neighbours, and its four children's corners
-  include its own.
+- Edges.  Squares of equal side that share an edge share its 4 nodes: the
+  Gauss-Legendre nodes are symmetric about the edge's midpoint, so the two
+  squares place them at the same points up to the rounding of their
+  centres, which the memo's key absorbs.  A row of t such squares makes
+  12t + 4 factorizations instead of 16t.  A child shares no node with its
+  parent.
 - Mirror.  When the family is conjugation-symmetric, T(conj z) = T(z)^H,
   and the search projects with W = V, so the entry at conj z is
   V^H T(z)^-H V, the conjugate transpose of the entry at z: the LU and the
-  block solve at z serve both points.  A row of t squares straddling
-  Im nu = 0 then needs 8t + 1 factorizations and block solves instead of
-  the 14t + 2 of lossy media.  A lossy family has no mirror points and
-  keeps its seeded W: on the n=24 TM lossy disc at X over
+  block solve at z serve both points.  The node set of a square centred on
+  Im nu = 0 is its own mirror image (the top and bottom edges are
+  conjugates, and each upright edge is its own), and the rows of ninths
+  above and below such a square mirror each other, so a row of t squares
+  centred on Im nu = 0 then needs 6t + 2 factorizations and block solves
+  instead of the 12t + 4 of lossy media.  A lossy family has no mirror
+  points and keeps its seeded W: on the n=24 TM lossy disc at X over
   [0.05, 1.2] x [-0.05, 0.05], W = V left 46 distinct eigenvalues after
-  refinement instead of 49 or more.
+  refinement instead of 49 or more (measured on the circle contours).
 
 A hit equals a fresh solve up to rounding.  Points are matched after
 rounding their coordinates to a quantum of 2^-24 * 1e-4, far below the node
@@ -75,10 +95,10 @@ T(z)^H = T(conj z), as a fresh factorization at conj z would give.  The
 memo lives for one ``sim_h`` call and keeps every entry it makes, mirror
 entries and the nodes of retried contours (which move off the square, so
 miss) included: an entry is p^2 numbers, so on the n=24 TM lossy disc at
-X, whose search splits squares down four levels, it peaks at 588 entries,
-1.4 MB.  An ``indicator`` call given no memo makes a fresh one for itself,
-which is the fresh-solve reference; it shares mirror points only within
-its own circle.
+X, whose search splits squares down two levels, it peaks at 424 entries,
+0.98 MB.  An
+``indicator`` call given no memo makes a fresh one for itself, which is the
+fresh-solve reference; it shares mirror points only within its own square.
 
 Every BLAS call of the search is the banded LU, whose bits do not depend
 on the thread count (see ``sparse``), or a product with at most 2p x 2p
@@ -102,8 +122,7 @@ the residual and is the next sweep's Newton numerator.
 The error falls per sweep by a factor of order |sigma - lambda| over the
 distance to the next eigenvalue, so a start value ~1e-8 from an isolated
 eigenvalue needs its one factorization and nothing more: the benchmark
-workloads make one per start value, plus one nudge off a start value that
-sits 1e-16 from its eigenvalue.  In the TM interface cluster start values
+workloads make one per start value.  In the TM interface cluster start values
 sit up to 1e-4 off, among eigenvalues 1e-5 apart; there a sweep that fails
 to cut the residual tenfold refactorizes at the current nu (a re-shift).
 Once the stop test passes, the loop makes one last sweep with the LU in
@@ -138,9 +157,8 @@ import numpy as np
 from .materials import PermittivityPoleError
 from .sparse import SingularMatrixError, csc_on, factorize, solve
 
-_SQRT2 = math.sqrt(2.0)
-_NODES = 16  # m0, trapezoid nodes per circle
-_MAX_RETRIES = 3  # 5 % larger circles tried after a failed factorization
+_EDGE_NODES = 4  # Gauss-Legendre nodes per edge of a square, m0 / 4
+_MAX_RETRIES = 3  # 5 % larger squares tried after a failed factorization
 _RETRY_SCALE = 1.05
 _REFINE_SEED = 160923  # fixed start vector seed so refinement is reproducible
 _KEY_QUANTUM = 2.0**-24 * 1e-4  # memo key resolution
@@ -148,7 +166,7 @@ _PROBE_COLUMNS = 12  # p, the probe block's width (at most n_dofs)
 _HANKEL_ORDER = 2  # H0 is order x order blocks of A_0 .. A_{2 order - 2}
 _LEFT_SEED_OFFSET = 7919  # the left block W is drawn from seed + this
 _RANK_FACTOR = 1e-6  # rank threshold, relative to the largest quadrature summand
-_MIN_SIDE = 0.0125  # squares are split no finer than this
+_MIN_SIDE = 0.01  # squares are split while their ninths are at least this wide
 _TILE_SLACK = 1e-9  # a refined value may leave its closed square by this much
 _REFINE_TOL = 1e-9  # relative residual at which refinement counts as converged
 _REFINE_MAX_ITER = 40  # Newton steps before refinement gives up
@@ -169,11 +187,6 @@ class SearchRegion:
     def __post_init__(self):
         if not (self.side > 0):
             raise ValueError(f"region side must be positive, got {self.side!r}")
-
-    @property
-    def radius(self) -> float:
-        """Radius of the circumscribing circle (half the diagonal)."""
-        return self.side / _SQRT2
 
     def contains(self, nu: complex) -> bool:
         """Whether nu lies in the closed square grown by 1e-9."""
@@ -223,11 +236,11 @@ class StartValue:
 class ContourMoments:
     """Filled in by ``indicator``: the left-projected scaled moments
     W^H A_0 .. W^H A_{2 order - 1}, p x p each, stacked on the first axis,
-    the radius of the circle they were taken on, and the rank scale
-    max_j ||radius W^H T(z_j)^-1 V||_2."""
+    the half-side rho of the square contour they were taken on, and the
+    rank scale max_j ||rho W^H T(z_j)^-1 V||_2."""
 
     blocks: np.ndarray | None = None
-    radius: float = 0.0
+    half_side: float = 0.0
     scale: float = 0.0
 
 
@@ -249,26 +262,31 @@ def random_probe(n_dofs: int, seed: int, columns: int | None = None) -> np.ndarr
     return g / np.linalg.norm(g, axis=0 if columns is not None else None)
 
 
-# _POWERS[j, q] = phase_j^(q + 1), the weight of node j in A_q, with
-# phase_j = exp(2 pi i j / m0), formed as the running product phase * phase * ...
-_POWERS = np.array([np.cumprod(np.full(2 * _HANKEL_ORDER, np.exp(2j * np.pi * j / _NODES))) for j in range(_NODES)])
+def _square_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes zeta_j of the square [-1, 1]^2, counter-clockwise from the
+    bottom edge, 4 Gauss-Legendre nodes per edge, and the weights
+    _WEIGHTS[j, q] = dzeta_j zeta_j^q / (2 pi i) of node j in A_q.
+
+    Edge e runs through zeta = m (1 + i t), t in [-1, 1], for the midpoint
+    m = -i, 1, i, -1, so dzeta = i m dt.  The Gauss-Legendre nodes t are
+    symmetric about 0, so every component of zeta is +-1 or +-t exactly, and
+    the node set is its own mirror image under conjugation."""
+    t, w = np.polynomial.legendre.leggauss(_EDGE_NODES)
+    mids = np.array([-1j, 1.0, 1j, -1.0])
+    zeta = (mids[:, None] * (1.0 + 1j * t[None, :])).ravel()
+    dzeta = (1j * mids[:, None] * w[None, :]).ravel()
+    weights = (dzeta / (2j * np.pi))[:, None] * zeta[:, None] ** np.arange(2 * _HANKEL_ORDER)
+    return zeta, weights
 
 
-def contour_nodes(region: SearchRegion, radius: float) -> list[complex]:
-    """The m0 trapezoid nodes centre + radius * phase_j on the circle of
-    ``radius`` about the region's centre, with the phases phase_j of the
-    moment weights ``_POWERS``.
+_SQUARE_NODES, _WEIGHTS = _square_rule()
 
-    On the circumscribed circle the nodes j = m0/8 mod m0/4 are the square's
-    corners; they are formed as centre + (+-side/2) + i(+-side/2).
-    """
-    nodes = [region.center + radius * phase for phase in _POWERS[:, 0]]
-    if radius == region.radius:
-        half = region.side / 2.0
-        for j in range(_NODES // 8, _NODES, _NODES // 4):
-            phase = _POWERS[j, 0]
-            nodes[j] = region.center + complex(math.copysign(half, phase.real), math.copysign(half, phase.imag))
-    return nodes
+
+def contour_nodes(region: SearchRegion, half_side: float) -> list[complex]:
+    """The m0 = 16 nodes centre + half_side * zeta_j of the square of
+    ``half_side`` about the region's centre (see ``_square_rule``); with
+    half_side = side / 2 they lie on the region's own boundary."""
+    return (region.center + half_side * _SQUARE_NODES).tolist()
 
 
 # block (i, j) of H0 is A_{i + j}, and of H1 A_{i + j + 1}
@@ -325,41 +343,41 @@ def indicator(
     the moment W^H A_0.  With a memo whose W^H is the identity it is the
     paper's spectral indicator ||A_0 g||.
 
-    Every call forms the left-projected block moments W^H A_0 .. W^H A_3;
-    given ``moments``, it is filled with them, the radius of the circle
-    used and the rank scale (see ``ContourMoments``).  A factorization
-    failure at a quadrature point (an eigenvalue or a permittivity pole
-    sitting on the circle) grows the contour radius by 5 % and retries, up
-    to 3 times; after that IndicatorError.  Every node of every attempt is
+    The contour is the region's boundary (see the module docstring).  Every
+    call forms the left-projected block moments W^H A_0 .. W^H A_3; given
+    ``moments``, it is filled with them, the half-side of the square used
+    and the rank scale (see ``ContourMoments``).  A factorization failure
+    at a quadrature point (an eigenvalue or a permittivity pole sitting on
+    the contour) grows the square's half-side by 5 % about the same centre
+    and retries, up to 3 times; after that IndicatorError.  Every node of every attempt is
     taken from ``memo``, built for the same family and probe; without one, a
     fresh memo of cfg.seed serves this call alone, so only the mirror points
     of this call's own nodes are shared.
     """
     if memo is None:
         memo = SolveMemo(fam, probe, cfg.seed)
-    base_radius = region.radius
     # only the message is kept: a kept exception's traceback holds this frame
     # (a reference cycle) and factorize's rejected LU until a full garbage
     # collection, so the memory of each failure would pile up
     last_error = ""
     for attempt in range(_MAX_RETRIES + 1):
-        radius = base_radius * _RETRY_SCALE**attempt
+        half_side = region.side / 2.0 * _RETRY_SCALE**attempt
         try:
-            projected = [memo.node(point) for point in contour_nodes(region, radius)]
+            projected = [memo.node(point) for point in contour_nodes(region, half_side)]
         except (SingularMatrixError, PermittivityPoleError) as exc:
             last_error = str(exc)
             continue
         sums = np.zeros((2 * _HANKEL_ORDER,) + projected[0].shape, dtype=np.complex128)
-        for node, powers in zip(projected, _POWERS):
-            sums += powers[:, None, None] * node
+        for node, weights in zip(projected, _WEIGHTS):
+            sums += weights[:, None, None] * node
         if moments is not None:
             stack = np.array(projected)
             # the largest eigenvalue of each node's p x p Gram matrix
             largest = float(np.linalg.eigvalsh(stack.conj().transpose(0, 2, 1) @ stack)[:, -1].max())
-            moments.blocks = sums * (radius / _NODES)
-            moments.radius = radius
-            moments.scale = radius * math.sqrt(largest)
-        return float(np.linalg.norm(sums[0, :, 0]) * radius / _NODES)
+            moments.blocks = sums * half_side
+            moments.half_side = half_side
+            moments.scale = half_side * math.sqrt(largest)
+        return float(np.linalg.norm(sums[0, :, 0]) * half_side)
     raise IndicatorError(
         f"indicator failed for region centred at {region.center!r} "
         f"after {_MAX_RETRIES} retries: {last_error}"
@@ -368,7 +386,8 @@ def indicator(
 
 def hankel_rank_and_values(moments: ContourMoments, center: complex) -> tuple[int, list[complex]]:
     """Rank of the block Hankel matrix H0 and the eigenvalues of the
-    projected pencil that lie inside the circle (see the module docstring)."""
+    projected pencil that lie in the closed square of the moments' contour
+    (see the module docstring)."""
     a = moments.blocks
     shape = (_HANKEL_ORDER * a.shape[1], _HANKEL_ORDER * a.shape[2])
     h0 = a[_HANKEL_INDEX].transpose(0, 2, 1, 3).reshape(shape)
@@ -377,25 +396,27 @@ def hankel_rank_and_values(moments: ContourMoments, center: complex) -> tuple[in
     rank = int(np.count_nonzero(sing > _RANK_FACTOR * moments.scale))
     projected = (left[:, :rank].conj().T @ h1 @ right_h[:rank].conj().T) / sing[:rank]
     scaled = np.linalg.eigvals(projected)
-    return rank, [center + moments.radius * complex(lam) for lam in scaled if abs(lam) < 1.0]
+    inside = (complex(lam) for lam in scaled if max(abs(lam.real), abs(lam.imag)) <= 1.0)
+    return rank, [center + moments.half_side * lam for lam in inside]
 
 
 def subdivide(region: SearchRegion) -> list[SearchRegion]:
-    """Split a square into its four half-side quadrants."""
-    q = region.side / 4.0
-    half = region.side / 2.0
+    """Split a square into its 3 x 3 ninths, row by row from the lower left.
+    The middle ninth keeps the square's centre, and the offsets +-side/3 are
+    exact negatives, so the rows above and below a square centred on
+    Im nu = 0 are each other's mirror images."""
+    third = region.side / 3.0
     return [
-        SearchRegion(region.center + complex(-q, -q), half),
-        SearchRegion(region.center + complex(q, -q), half),
-        SearchRegion(region.center + complex(-q, q), half),
-        SearchRegion(region.center + complex(q, q), half),
+        SearchRegion(region.center + complex(col * third, row * third), third)
+        for row in (-1, 0, 1)
+        for col in (-1, 0, 1)
     ]
 
 
 def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimResult:
     """Breadth-first block-moment search over a set of disjoint squares:
     one pass over a list of squares, to which a split square appends its
-    quarters.
+    ninths.
 
     One probe block of min(12, n_dofs) columns, drawn from cfg.seed, is
     used for the entire run, with one ``SolveMemo`` that factorizes each
@@ -419,7 +440,7 @@ def sim_h(initial_regions: Sequence[SearchRegion], fam, cfg: SimConfig) -> SimRe
             failures.append(f"region at {region.center!r} (side {region.side:g}): {exc}")
             continue
         rank, values = hankel_rank_and_values(moments, region.center)
-        if rank >= capacity - 1 and region.side / 2.0 >= _MIN_SIDE:
+        if rank >= capacity - 1 and region.side / 3.0 >= _MIN_SIDE:
             squares.extend(subdivide(region))
         else:
             starts.extend(StartValue(nu, region) for nu in values)

@@ -1,8 +1,10 @@
 """Shared fixtures: cached operator families, scalar test families, the
-paper's unprojected indicator, the analytic empty-lattice reference
-spectrum, a quartic reference for the Drude rod, and an independent
-element-by-element assembly of the operator and of its region matrices."""
+paper's circle indicator, the analytic empty-lattice reference spectrum, a
+quartic reference for the Drude rod, stored oracle roots and a one-to-one
+root match, and an independent element-by-element assembly of the operator
+and of its region matrices."""
 
+import json
 import math
 import os
 import subprocess
@@ -12,14 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse as sp
 
 import phcbands
 from phcbands.assembly import assemble_family
 from phcbands.materials import Constant, Drude, PermittivityModel, eval_eps
 from phcbands.mesh import REGION_BACKGROUND, REGION_DISC, Mesh, PeriodicMap, build_periodic_dof_map, build_unit_cell_mesh
-from phcbands.sim import SimConfig, SolveMemo, indicator
-from phcbands.sparse import band_layout, csc_on
+from phcbands.sparse import band_layout, csc_on, factorize, solve
 
 GAMMA = (0.0, 0.0)
 X = (math.pi, 0.0)
@@ -34,12 +36,48 @@ def t_matrix(fam, nu):
 
 def paper_indicator(region, fam, g):
     """The paper's spectral indicator ||A_0 g|| of ``region`` for the first
-    column g of the probe block: ``indicator`` with an identity left block,
-    so the moments are unprojected, and no mirror points, whose entries
-    are conjugate transposes only when W = V."""
-    memo = SolveMemo(fam, g, SimConfig().seed)
-    memo.left_h, memo.mirror = np.eye(fam.n_dofs), False
-    return indicator(region, fam, g, SimConfig(), memo=memo)
+    column g of the probe block, on the circle of radius R = side / sqrt(2)
+    that circumscribes the square: the trapezoid rule on the 16 nodes
+    z_j = c + R phase_j, phase_j = exp(2 pi i j / 16), gives
+    A_0 g = (R / 16) sum_j phase_j T(z_j)^-1 g.  The search integrates over
+    the square itself (see ``phcbands.sim``); this is the paper's contour,
+    unprojected, for the calibration tests."""
+    radius = region.side / math.sqrt(2.0)
+    column = np.asarray(g).reshape(fam.n_dofs, -1)[:, 0]
+    phases = np.exp(2j * np.pi * np.arange(16) / 16)
+    total = sum(
+        phase * solve(factorize(fam.layout, fam.t_data(region.center + radius * phase)), column) for phase in phases
+    )
+    return float(np.linalg.norm(total) * radius / 16)
+
+
+# Window roots of TM rods in vacuum over [0.05, 1.2] x [-0.05, 0.05], by
+# case name, as [re, im] pairs.  Recorded once with
+# ``drude_polynomial_oracle`` on ``build_unit_cell_mesh(n, r)``, r from the
+# filling fraction f, the family from ``assemble_family`` (about 4 s a point
+# at n = 16 and a minute at n = 24, on one thread):
+#   lossy-n16-{X,G,M}: n = 16, f = 0.2827, LossyDrude(1, 0.01), at X, Gamma, M
+#   drude-n16-X:       n = 16, f = 0.1256, Drude(1, 0), at X
+#   lossy-n24-X:       n = 24, f = 0.2827, LossyDrude(1, 0.01), at X
+_ORACLE_ROOTS = Path(__file__).with_name("oracle_roots.json")
+
+
+def oracle_roots(case: str) -> list[complex]:
+    """The stored oracle roots of ``case`` (see ``_ORACLE_ROOTS``)."""
+    pairs = json.loads(_ORACLE_ROOTS.read_text(encoding="utf-8"))[case]
+    return [complex(re, im) for re, im in pairs]
+
+
+def matched_roots(found, reference, tol=1e-7) -> int:
+    """How many of ``found`` match ``reference`` one to one within ``tol``:
+    the size of the largest matching that pairs each value with at most one
+    reference root closer than tol (an assignment that prices every farther
+    pair above any set of nearer ones)."""
+    if not len(found) or not len(reference):
+        return 0
+    dist = np.abs(np.subtract.outer(np.asarray(found, dtype=complex), np.asarray(reference, dtype=complex)))
+    rows, cols = scipy.optimize.linear_sum_assignment(np.where(dist <= tol, dist, 1.0 + dist.size * tol))
+    return int(np.count_nonzero(dist[rows, cols] <= tol))
 
 
 class PatternFamily:

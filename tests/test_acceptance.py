@@ -218,13 +218,16 @@ def test_criterion_4_three_lowest_mesh_agreement(lossy_disc_x):
 
 
 def test_criterion_5_indicator_calibration(family_factory):
-    # scalar calibration: centred pole gives exactly 1, external pole at
+    # the paper's indicator on the circle of radius R = side / sqrt(2) about
+    # each square (the search itself integrates over the square; see sim).
+    # Scalar calibration: centred pole gives exactly 1, external pole at
     # twice the contour radius decays to the geometric tail 1/65535
     region = SearchRegion(center=0.3 + 0j, side=0.05)
     inside = paper_indicator(region, DiagonalFamily([0.3]), random_probe(1, seed=0, columns=1))
     outer_region = SearchRegion(center=0.2 + 0j, side=0.1)
+    outer_radius = outer_region.side / math.sqrt(2.0)
     outside = paper_indicator(
-        outer_region, DiagonalFamily([0.2 + 2.0 * outer_region.radius]), random_probe(1, seed=0, columns=1)
+        outer_region, DiagonalFamily([0.2 + 2.0 * outer_radius]), random_probe(1, seed=0, columns=1)
     )
     scalar_ok = abs(inside - 1.0) <= 1e-12 and outside <= 1e-4
 
@@ -234,7 +237,7 @@ def test_criterion_5_indicator_calibration(family_factory):
     oracle = dense_linear_oracle(fam, Window(0.05, 1.2, -0.05, 0.05))
     free_region = SearchRegion(center=0.25 + 0j, side=0.02)
     full_region = SearchRegion(center=0.5 + 0j, side=0.02)
-    assert not any(abs(v - free_region.center) <= free_region.radius for v in oracle)
+    assert not any(abs(v - free_region.center) <= free_region.side / math.sqrt(2.0) for v in oracle)
     assert any(abs(v - full_region.center) <= 1e-6 for v in oracle)
 
     free_vals, full_vals = [], []

@@ -3,7 +3,6 @@ failure paths, block moments and their start values, the solve memo, dedup,
 and eigenpair refinement."""
 
 import gc
-import math
 import types
 
 import numpy as np
@@ -33,7 +32,7 @@ from phcbands.sim import (
 )
 from phcbands.sweep import Window, solve_at_k, sweep, tile_window
 
-from conftest import M, X, DiagonalFamily, PatternFamily, SingularFamily, paper_indicator
+from conftest import M, X, DiagonalFamily, PatternFamily, SingularFamily
 
 # n=4 disc families at X: lossless (conjugation-symmetric) and two lossy ones
 MEMO_FAMILIES = {
@@ -54,8 +53,8 @@ _UNCOUNTED = (phcbands.sim.factorize, phcbands.sim.solve, phcbands.sim.indicator
 class SimCounter:
     """Counts the factorizations, block solves and indicator calls the
     search makes; with ``use_memo=False`` every indicator call
-    gets a fresh memo of its own without mirror points, as
-    ``paper_indicator`` builds one, which gives the fresh-solve reference.
+    gets a fresh memo of its own without mirror points, which gives the
+    fresh-solve reference.
     A new counter replaces the previous one rather than wrapping it."""
 
     def __init__(self, monkeypatch, use_memo=True):
@@ -97,8 +96,10 @@ class FlakyFamily(PatternFamily):
 
 
 def test_region_properties_and_validation():
+    # the closed square, grown by the 1e-9 slack a refined value may take
     region = SearchRegion(center=0.5 + 0.25j, side=0.2)
-    assert region.radius == pytest.approx(0.2 / math.sqrt(2.0), rel=1e-15)
+    assert region.contains(0.6 + 0.35j) and region.contains(0.4 + 0.15j - 5e-10 * (1 + 1j))
+    assert not region.contains(0.6 + 2e-9 + 0.25j)
     for side in (0.0, -0.1):
         with pytest.raises(ValueError):
             SearchRegion(center=0j, side=side)
@@ -126,68 +127,120 @@ def test_random_probe():
     assert not np.array_equal(g, random_probe(40, seed=8))
 
 
+# the 4-point Gauss-Legendre rule on [-1, 1], formed apart from the search
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
+
+def _square_value(pole, region, half_side=None):
+    """|(1 / 2 pi i) sum_j dz_j / (z_j - pole)| over the square of
+    ``half_side`` about the region's centre, 4 Gauss-Legendre nodes on each
+    edge, formed edge by edge: the indicator of T(nu) = nu - pole."""
+    rho = region.side / 2.0 if half_side is None else half_side
+    total = 0j
+    for mid in (-1j, 1.0, 1j, -1.0):  # edge midpoints, counter-clockwise from the bottom
+        z = region.center + rho * mid * (1.0 + 1j * GL_NODES)
+        total += np.sum(1j * mid * rho * GL_WEIGHTS / (z - pole))
+    return abs(total / (2j * np.pi))
+
+
 def test_indicator_exact_for_centred_pole():
-    # with the pole at the centre every quadrature term equals g / 16, so
-    # the indicator collapses to ||g|| = 1 with no quadrature error at all
+    # with the pole at the centre, each edge contributes the same
+    # i sum_k w_k / (1 + t_k^2) (the odd part cancels on the symmetric
+    # nodes), so the indicator is (2 / pi) sum_k w_k / (1 + t_k^2): the
+    # 4-point rule of arctan's integral, 1.4e-3 short of 1.  One unknown
+    # makes W a unit scalar, so ||W^H A_0 g|| = |A_0|
     fam = DiagonalFamily([0.3 + 0.1j])
     region = SearchRegion(center=0.3 + 0.1j, side=0.05)
-    value = paper_indicator(region, fam, random_probe(1, seed=0, columns=1))
-    assert value == pytest.approx(1.0, abs=1e-12)
+    value = indicator(region, fam, random_probe(1, seed=0, columns=1), SimConfig())
+    expected = 2.0 / np.pi * np.sum(GL_WEIGHTS / (1.0 + GL_NODES**2))
+    assert value == pytest.approx(expected, rel=1e-13)
+    assert abs(value - 1.0) < 2e-3
 
 
 def test_indicator_geometric_decay_for_external_pole():
-    # scalar pole at twice the contour radius: the trapezoid sum of the
-    # resolvent is the tail of a geometric series, |sum| = 1 / (2^16 - 1)
+    # a pole outside the square leaks in at the rate of the Bernstein
+    # ellipse of the nearest edge through it, of order (1 + sqrt 2)^-8 ~ 9e-4
+    # for a pole one half-side beyond the right edge: the value is 3.5e-4
+    # there and 6.4e-8 three half-sides beyond, and equals the quadrature sum
+    # formed edge by edge
     region = SearchRegion(center=0.2 + 0j, side=0.1)
-    fam = DiagonalFamily([0.2 + 2.0 * region.radius])
-    value = paper_indicator(region, fam, random_probe(1, seed=0, columns=1))
-    assert value == pytest.approx(1.0 / 65535.0, rel=1e-10)
+    values = []
+    for beyond in (1.0, 3.0):
+        pole = 0.2 + (1.0 + beyond) * 0.05
+        value = indicator(region, DiagonalFamily([pole]), random_probe(1, seed=0, columns=1), SimConfig())
+        assert value == pytest.approx(_square_value(pole, region), rel=1e-10)
+        values.append(value)
+    assert 1e-4 < values[0] < 1e-3 and values[1] < 1e-7
 
 
 def test_indicator_separates_occupied_from_free(family_factory):
+    # the n=8 empty lattice at X: a square 0.25 from every band has moments
+    # of rank 0 and an indicator at rounding level; one centred on the band
+    # at 0.5 (the next is 0.552) has rank 1 and its start value there
     _, _, fam = family_factory(8, 0.0, X)
-    g = random_probe(fam.n_dofs, seed=0, columns=1)
-    free = paper_indicator(SearchRegion(center=0.25 + 0j, side=0.02), fam, g)
-    full = paper_indicator(SearchRegion(center=0.5 + 0j, side=0.02), fam, g)
-    assert free < 1e-8
-    assert full > DELTA0
+    probe = random_probe(fam.n_dofs, seed=0, columns=12)
+    free, full = ContourMoments(), ContourMoments()
+    free_value = indicator(SearchRegion(center=0.25 + 0j, side=0.02), fam, probe, SimConfig(), moments=free)
+    full_value = indicator(SearchRegion(center=0.5 + 0j, side=0.02), fam, probe, SimConfig(), moments=full)
+    assert free_value < 1e-8 * free.scale
+    assert full_value > DELTA0
+    assert hankel_rank_and_values(free, 0.25 + 0j) == (0, [])
+    rank, values = hankel_rank_and_values(full, 0.5 + 0j)
+    assert rank == 1 and len(values) == 1 and abs(values[0] - 0.5) <= 1e-9
 
 
 def test_indicator_retries_off_a_contour_pole():
     # eigenvalue placed exactly on the first quadrature node: the first
-    # attempt hits a singular factorization, the retry grows the radius by
-    # 5 % and encloses the pole, giving 1 / (1 - 1.05^-16)
+    # attempt hits a singular factorization, the retry grows the square by
+    # 5 % about its centre, and the value is that of the larger square,
+    # whose contour holds the pole inside
     region = SearchRegion(center=0.5 + 0j, side=0.1)
-    fam = DiagonalFamily([0.5 + region.radius])
-    value = paper_indicator(region, fam, random_probe(1, seed=0, columns=1))
-    assert value == pytest.approx(1.0 / (1.0 - 1.05**-16), rel=1e-10)
-    assert 1.0 < value < 2.5
+    pole = contour_nodes(region, 0.05)[0]
+    moments = ContourMoments()
+    value = indicator(region, DiagonalFamily([pole]), random_probe(1, seed=0, columns=1), SimConfig(), moments=moments)
+    assert moments.half_side == 0.05 * 1.05
+    assert value == pytest.approx(_square_value(pole, region, 0.05 * 1.05), rel=1e-10)
+    assert 0.5 < value < 2.0
 
 
 def test_indicator_retries_past_material_failure():
     # same geometry as above, but the first attempt dies on a permittivity
     # failure at the quadrature node rather than a singular factorization
     region = SearchRegion(center=0.5 + 0j, side=0.1)
-    fam = FlakyFamily(pole=0.5 + region.radius, trigger=0.5 + region.radius)
-    value = paper_indicator(region, fam, random_probe(1, seed=0, columns=1))
-    assert value == pytest.approx(1.0 / (1.0 - 1.05**-16), rel=1e-10)
+    pole = contour_nodes(region, 0.05)[0]
+    moments = ContourMoments()
+    fam = FlakyFamily(pole=pole, trigger=pole)
+    value = indicator(region, fam, random_probe(1, seed=0, columns=1), SimConfig(), moments=moments)
+    assert moments.half_side == 0.05 * 1.05
+    assert value == pytest.approx(_square_value(pole, region, 0.05 * 1.05), rel=1e-10)
 
 
-def test_contour_nodes_place_corners_exactly():
+def test_contour_nodes_trace_the_square():
+    # 4 Gauss-Legendre nodes on each edge, counter-clockwise from the bottom
+    # edge; a retried (larger) square keeps the centre
     region = SearchRegion(center=0.45 + 0.025j, side=0.05)
-    nodes = contour_nodes(region, region.radius)
-    phases = [np.exp(2j * np.pi * j / 16) for j in range(16)]
-    assert nodes[2::4] == [
-        region.center + complex(0.025, 0.025),
-        region.center + complex(-0.025, 0.025),
-        region.center + complex(-0.025, -0.025),
-        region.center + complex(0.025, -0.025),
-    ]
-    for phase, point in zip(phases, nodes):
-        assert abs(point - (region.center + region.radius * phase)) <= 1e-16
-    # retried (larger) circles place every node on the circle
-    radius = 1.05 * region.radius
-    assert contour_nodes(region, radius) == [region.center + radius * phase for phase in phases]
+    c = region.center
+    for half_side in (0.025, 0.025 * 1.05):
+        nodes = np.array(contour_nodes(region, half_side))
+        edges = [
+            c + half_side * (GL_NODES - 1j),
+            c + half_side * (1.0 + 1j * GL_NODES),
+            c + half_side * (-GL_NODES + 1j),
+            c + half_side * (-1.0 - 1j * GL_NODES),
+        ]
+        assert np.abs(nodes - np.concatenate(edges)).max() <= 1e-16
+    # neighbours share the nodes of their common edge, and a square centred
+    # on the real axis has a node set closed under conjugation: both are
+    # memo hits, whose keys are rounded to _KEY_QUANTUM
+    memo = SolveMemo(DiagonalFamily([0.0]), random_probe(1, 0, columns=1), 0)
+
+    def keys(points):
+        return {memo._key(z) for z in points}
+
+    left, right = SearchRegion(0.45 + 0j, 0.1), SearchRegion(0.55 + 0j, 0.1)
+    assert len(keys(contour_nodes(left, 0.05)) & keys(contour_nodes(right, 0.05))) == 4
+    nodes = contour_nodes(left, 0.05)
+    assert keys(nodes) == keys(z.conjugate() for z in nodes)
 
 
 def _moments(region, fam, probe, cfg, memo=None):
@@ -204,11 +257,11 @@ LEFT_PROJECTION_SQUARES = {"TE-lossless": ((0.6, 0.9), 3), "TM-lossy-drude": ((0
 @pytest.mark.parametrize("name", sorted(LEFT_PROJECTION_SQUARES))
 def test_moments_are_left_projections(name, family_factory):
     # the search's moments are W^H times the unprojected moments
-    # A_q = (R / 16) sum_j phase_j^(q+1) T(z_j)^-1 V, formed here from the
+    # A_q = (1 / 2 pi i) sum_j dz_j ((z_j - c) / rho)^q T(z_j)^-1 V over the
+    # square's 16 Gauss-Legendre nodes, formed here edge by edge from the
     # full n x p solves: W is V itself for the lossless family and the
     # block of seed + 7919 for the lossy one.  The rank scale is the
-    # largest projected summand, the indicator is ||W^H A_0 g|| and with
-    # an identity left block it is the paper's unprojected ||A_0 g||.
+    # largest projected summand and the indicator is ||W^H A_0 g||
     pol, models = MEMO_FAMILIES[name]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     centers, least_rank = LEFT_PROJECTION_SQUARES[name]
@@ -217,28 +270,30 @@ def test_moments_are_left_projections(name, family_factory):
     assert fam.conjugate_symmetric is (name == "TE-lossless")
     left_seed = cfg.seed + phcbands.sim._LEFT_SEED_OFFSET
     w = probe if fam.conjugate_symmetric else random_probe(fam.n_dofs, left_seed, columns=12)
+    rho = 0.05
     for region in (SearchRegion(center=complex(c), side=0.1) for c in centers):
         moments = ContourMoments()
         value = indicator(region, fam, probe, cfg, moments=moments)
-        solves = [
-            (np.exp(2j * np.pi * j / 16), solve(factorize(fam.layout, fam.t_data(point)), probe))
-            for j, point in enumerate(contour_nodes(region, region.radius))
-        ]
-        full = [region.radius / 16 * sum(phase ** (q + 1) * u for phase, u in solves) for q in range(4)]
-        assert moments.blocks.shape == (4, 12, 12)
+        solves = []  # (scaled node (z - c) / rho, dz, T(z)^-1 V)
+        for mid in (-1j, 1.0, 1j, -1.0):
+            for t, weight in zip(GL_NODES, GL_WEIGHTS):
+                zeta = mid * (1.0 + 1j * t)
+                u = solve(factorize(fam.layout, fam.t_data(region.center + rho * zeta)), probe)
+                solves.append((zeta, 1j * mid * rho * weight, u))
+        full = [sum(dz * zeta**q * u for zeta, dz, u in solves) / (2j * np.pi) for q in range(4)]
+        assert moments.blocks.shape == (4, 12, 12) and moments.half_side == rho
         for q in range(4):
             expected = w.conj().T @ full[q]
             assert np.linalg.norm(moments.blocks[q] - expected) <= 1e-12 * np.linalg.norm(expected)
-        scale = region.radius * max(np.linalg.norm(w.conj().T @ u, 2) for _, u in solves)
+        scale = rho * max(np.linalg.norm(w.conj().T @ u, 2) for _, _, u in solves)
         assert moments.scale == pytest.approx(scale, rel=1e-12)
         assert value == pytest.approx(np.linalg.norm((w.conj().T @ full[0])[:, 0]), rel=1e-12)
-        assert paper_indicator(region, fam, probe) == pytest.approx(np.linalg.norm(full[0][:, 0]), rel=1e-12)
         assert hankel_rank_and_values(moments, region.center)[0] >= least_rank
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_FAMILIES))
 def test_memo_matches_fresh_solves(name, family_factory, monkeypatch):
-    # the row of tiles and then all their quarters, as two levels of sim_h:
+    # the row of tiles and then all their ninths, as two levels of sim_h:
     # every moment block taken with the memo equals the one from a fresh
     # solve at every node, relative to the rank scale, and a memo hit is the
     # same point formed by another route.  Every entry the squares ask for,
@@ -259,12 +314,12 @@ def test_memo_matches_fresh_solves(name, family_factory, monkeypatch):
         calls += len(level)
         fresh = [_moments(region, fam, probe, cfg) for region in level]
         for region, a, b in zip(level, shared, fresh):
-            assert (a.radius, a.blocks.shape) == (b.radius, (4, 12, 12))
+            assert (a.half_side, a.blocks.shape) == (b.half_side, (4, 12, 12))
             worst = max(worst, np.abs(a.blocks - b.blocks).max() / b.scale, abs(a.scale - b.scale) / b.scale)
-            for point in contour_nodes(region, region.radius):
+            for point in contour_nodes(region, region.side / 2.0):
                 expected = w_h @ solve(factorize(fam.layout, fam.t_data(point)), probe)
                 entry = memo._solved[memo._key(point)]
-                worst_entry = max(worst_entry, np.abs(entry - expected).max() * b.radius / b.scale)
+                worst_entry = max(worst_entry, np.abs(entry - expected).max() * b.half_side / b.scale)
         level = [child for region in level for child in subdivide(region)]
     assert worst <= 1e-12 and worst_entry <= 1e-12
     # the memo was used: fewer than m0 factorizations per shared call
@@ -277,9 +332,9 @@ def test_memo_shares_exactly_across_splits(name, family_factory, monkeypatch):
     # run factorizes each distinct node of its squares once, a point and its
     # conjugate once together for the lossless family, whose mirror entries
     # serve later levels too, and makes one block solve per factorization.
-    # For lossy families, which have no mirror points, that is each level's
-    # nodes that the level before did not have (a child shares its corners
-    # with its parent and its siblings)
+    # For lossy families, which have no mirror points, that is the nodes of
+    # each level together: a child shares the nodes of its edges with its
+    # siblings and its equal neighbours, and none with its parent
     pol, models = MEMO_FAMILIES[name]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     monkeypatch.setattr(phcbands.sim, "_PROBE_COLUMNS", 1)
@@ -295,14 +350,13 @@ def test_memo_shares_exactly_across_splits(name, family_factory, monkeypatch):
 
     def keys(level):
         quantum = phcbands.sim._KEY_QUANTUM
-        points = (point for region in level for point in contour_nodes(region, region.radius))
+        points = (point for region in level for point in contour_nodes(region, region.side / 2.0))
         return {(round(z.real / quantum), round(z.imag / quantum)) for z in points}
 
-    previous, by_level, every = set(), 0, set()
+    by_level, every = 0, set()
     for side in sorted(levels, reverse=True):
         current = keys(levels[side])
-        by_level += len(current - previous)
-        previous = current
+        by_level += len(current)
         every |= current
     if fam.conjugate_symmetric:
         # conj z has the key (re, -im) of z's
@@ -314,11 +368,11 @@ def test_memo_shares_exactly_across_splits(name, family_factory, monkeypatch):
 
 
 def test_memo_mirror_halves_lossless_search(family_factory, monkeypatch):
-    # an unsplit row of t tiles straddling the real axis: the upper half of
-    # each circle (7 nodes, corners shared along the row) plus its 2 nodes on
-    # the axis are factorized and solved once, and the lower half is the
-    # conjugate transpose of the upper, so 8t + 1 factorizations and block
-    # solves against 16t fresh
+    # an unsplit row of t tiles centred on the real axis: the top edge of
+    # each square (4 nodes) and the upper half of each of the t + 1 upright
+    # edges (2 nodes, shared along the row) are factorized and solved once,
+    # and the lower half is the conjugate transpose of the upper, so 6t + 2
+    # factorizations and block solves against 16t fresh
     pol, models = MEMO_FAMILIES["TE-lossless"]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     assert fam.conjugate_symmetric
@@ -329,16 +383,17 @@ def test_memo_mirror_halves_lossless_search(family_factory, monkeypatch):
     t = len(MEMO_TILES)
     assert counter.indicator_calls == reference.indicator_calls == t
     assert reference.factorizations == reference.block_solves == 16 * t
-    assert counter.factorizations == counter.block_solves == 8 * t + 1
+    assert counter.factorizations == counter.block_solves == 6 * t + 2
     assert len(shared.candidates) == len(fresh.candidates) > 0
     for a, b in zip(shared.candidates, fresh.candidates):
         assert a.tile == b.tile and abs(a.nu - b.nu) <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["TE-drude", "TM-lossy-drude"])
-def test_memo_lossy_family_shares_corners_only(name, family_factory, monkeypatch):
-    # 12 nodes of each circle are its own, the corners are shared along the
-    # row: 14t + 2 factorizations against 16t fresh
+def test_memo_lossy_family_shares_edges_only(name, family_factory, monkeypatch):
+    # the top and bottom edges of each square (8 nodes) are its own, the 4
+    # nodes of each upright edge are shared along the row: 12t + 4
+    # factorizations against 16t fresh
     pol, models = MEMO_FAMILIES[name]
     _, _, fam = family_factory(4, 0.3, X, pol, models)
     assert not fam.conjugate_symmetric
@@ -348,42 +403,46 @@ def test_memo_lossy_family_shares_corners_only(name, family_factory, monkeypatch
     shared = sim_h(MEMO_TILES, fam, SimConfig())
     t = len(MEMO_TILES)
     assert counter.indicator_calls == t
-    assert counter.factorizations == counter.block_solves == 14 * t + 2
-    # a shared corner is the same point formed from the other tile's centre
+    assert counter.factorizations == counter.block_solves == 12 * t + 4
+    # a shared node is the same point formed from the other tile's centre
     assert len(shared.candidates) == len(fresh.candidates) > 0
     for a, b in zip(shared.candidates, fresh.candidates):
         assert a.tile == b.tile and abs(a.nu - b.nu) <= 1e-10
 
 
-def test_sim_h_retries_a_shared_corner_through_the_memo(monkeypatch):
-    # 0.2 + 0.05i is the corner the two tiles share, and the first-attempt
-    # corner of every square of theirs that touches it: each such square
-    # retries on a 5 % larger circle, whose nodes go through the run's memo
-    # too, and the search gives the start values of fresh solves
+def test_sim_h_retries_a_shared_edge_node_through_the_memo(monkeypatch):
+    # the two tiles share the edge Re nu = 0.2, and the family fails at its
+    # first node: each tile retries on a 5 % larger square, whose nodes go
+    # through the run's memo too, and the search gives the start values of
+    # fresh solves.  The ninths of the tile that holds the pole (one unknown
+    # caps the block at one column, so it splits) have no node there
     tiles = tile_window(Window(0.1, 0.3, -0.05, 0.05))
-    fam = FlakyFamily(pole=0.23 + 0.01j, trigger=0.2 + 0.05j)
+    shared = contour_nodes(tiles[1], 0.05)[12]  # the first node of the left edge
+    fam = FlakyFamily(pole=0.23 + 0.01j, trigger=shared)
+    assert min(abs(z - shared) for z in contour_nodes(tiles[0], 0.05)) <= 1e-15
     runs = []
     for use_memo in (False, True):
         counter = SimCounter(monkeypatch, use_memo=use_memo)
-        counted, radii = phcbands.sim.indicator, {}
+        counted, half_sides = phcbands.sim.indicator, {}
 
         def recorded(region, *args, moments=None, **kwargs):
             value = counted(region, *args, moments=moments, **kwargs)
-            radii[region] = moments.radius
+            half_sides[region] = moments.half_side
             return value
 
         monkeypatch.setattr(phcbands.sim, "indicator", recorded)
-        runs.append((sim_h(tiles, fam, SimConfig()), radii, counter.factorizations))
-    (fresh, fresh_radii, fresh_count), (shared, shared_radii, shared_count) = runs
+        runs.append((sim_h(tiles, fam, SimConfig()), half_sides, counter.factorizations))
+    (fresh, fresh_sides, fresh_count), (shared_run, shared_sides, shared_count) = runs
     assert len(tiles) == 2
-    assert shared_radii == fresh_radii
-    for tile in tiles:
-        assert shared_radii[tile] == tile.radius * 1.05
-    assert shared.failures == fresh.failures == []
-    assert len(shared.candidates) == len(fresh.candidates) > 0
-    for a, b in zip(shared.candidates, fresh.candidates):
+    assert shared_sides == fresh_sides
+    assert {region: half for region, half in shared_sides.items() if half != region.side / 2.0} == {
+        tile: 0.05 * 1.05 for tile in tiles
+    }
+    assert shared_run.failures == fresh.failures == []
+    assert len(shared_run.candidates) == len(fresh.candidates) > 0
+    for a, b in zip(shared_run.candidates, fresh.candidates):
         assert a.tile == b.tile and abs(a.nu - b.nu) <= 1e-10
-    assert any(abs(a.nu - fam.pole) <= 1e-10 for a in shared.candidates)
+    assert any(abs(a.nu - fam.pole) <= 1e-10 for a in shared_run.candidates)
     assert shared_count < fresh_count
 
 
@@ -432,13 +491,13 @@ def test_singular_retries_leave_no_reference_cycle():
     # a kept exception's traceback would tie the failed frame, and with it
     # factorize's rejected LU, into a cycle that only a full collection frees
     region = SearchRegion(center=0.5 + 0j, side=0.1)
-    on_node = DiagonalFamily([0.5 + region.radius])
+    on_node = DiagonalFamily([contour_nodes(region, 0.05)[0]])
     gc.collect()
     gc.disable()
     try:
         assert refine_eigenpair(0.5, DiagonalFamily([0.5])).converged  # first solve is singular
         # the first contour is singular
-        assert paper_indicator(region, on_node, random_probe(1, seed=0, columns=1)) > 1.0
+        assert indicator(region, on_node, random_probe(1, seed=0, columns=1), SimConfig()) > 0.5
         with pytest.raises(IndicatorError):
             indicator(region, SingularFamily(), random_probe(2, seed=0, columns=1), SimConfig())
         unreachable = gc.collect()
@@ -447,22 +506,30 @@ def test_singular_retries_leave_no_reference_cycle():
     assert unreachable == 0
 
 
-def test_subdivide_quadrants():
-    parts = subdivide(SearchRegion(center=0.5 + 0.5j, side=0.4))
-    assert [p.side for p in parts] == [0.2, 0.2, 0.2, 0.2]
-    expected = [0.4 + 0.4j, 0.6 + 0.4j, 0.4 + 0.6j, 0.6 + 0.6j]
+def test_subdivide_ninths():
+    # row by row from the lower left; the middle ninth keeps the centre, and
+    # the rows of a square centred on the real axis mirror each other
+    parts = subdivide(SearchRegion(center=0.5 + 0.5j, side=0.3))
+    assert [p.side for p in parts] == [0.3 / 3.0] * 9
+    expected = [0.5 + 0.5j + complex(0.1 * col, 0.1 * row) for row in (-1, 0, 1) for col in (-1, 0, 1)]
     for part, centre in zip(parts, expected):
         assert abs(part.center - centre) <= 1e-15
+    assert parts[4].center == 0.5 + 0.5j
+    rows = subdivide(SearchRegion(center=0.55 + 0j, side=0.1))
+    assert [p.center.conjugate() for p in rows[:3]] == [p.center for p in rows[6:]]
+    assert all(p.center.imag == 0.0 for p in rows[3:6])
 
 
 def test_sim_h_visits_squares_breadth_first(monkeypatch):
     # the order of the squares decides which square first solves a shared
     # contour point, and so the rounding of memo hits: every square of one
     # side is visited before any smaller one, and each level lists the
-    # quarters of the previous level's split squares, in subdivide's order,
+    # ninths of the previous level's split squares, in subdivide's order,
     # parent by parent in the order the parents were visited.  One degree of
     # freedom caps the block at one column, so every square that sees the
-    # pole splits, down to side 0.0125: four levels of 3, 12, 28, 48 squares
+    # pole, or its leak above the rank threshold, splits while its ninths are
+    # at least 0.01 wide: three levels of 3, 27 and 108 squares, the last of
+    # side 0.1 / 9
     tiles = tile_window(Window(0.2, 0.5, -0.05, 0.05))
     real_indicator, visited = phcbands.sim.indicator, []
 
@@ -475,7 +542,7 @@ def test_sim_h_visits_squares_breadth_first(monkeypatch):
     sides = [region.side for region in visited]
     assert sides == sorted(sides, reverse=True)
     levels = [[region for region in visited if region.side == side] for side in sorted(set(sides), reverse=True)]
-    assert [len(level) for level in levels] == [3, 12, 28, 48]
+    assert [len(level) for level in levels] == [3, 27, 108]
     assert levels[0] == tiles
     for parents, children in zip(levels, levels[1:]):
         split = [region for region in parents if subdivide(region)[0] in children]
@@ -511,6 +578,8 @@ def test_sim_h_small_families_cap_the_probe_block(poles):
     # p = n_dofs: one column (capacity 2, so the square is split to the
     # minimum side) and three columns; every pole in the square, including
     # a pair 3.6e-4 apart, has a start value inside a square that holds it
+    # and refines to it.  The pole 0.33 lies on Im nu = 0, which the ninths
+    # of a tile centred on it straddle at every level
     fam = DiagonalFamily(poles)
     region = SearchRegion(center=0.35 + 0j, side=0.1)
     result = sim_h([region], fam, SimConfig())
@@ -520,15 +589,19 @@ def test_sim_h_small_families_cap_the_probe_block(poles):
             continue
         near = [s for s in result.candidates if abs(s.nu - pole) <= 1e-10]
         assert near and all(s.tile.contains(pole) for s in near)
+        assert all(abs(refine_eigenpair(s.nu, fam).nu - pole) <= 1e-12 for s in near)
     assert all(abs(s.nu - 0.9) > 0.1 for s in result.candidates)
-    assert min(s.tile.side for s in result.candidates) == (0.0125 if len(poles) == 1 else 0.1)
+    least = min(s.tile.side for s in result.candidates)
+    assert least == (pytest.approx(0.1 / 9.0, rel=1e-12) if len(poles) == 1 else 0.1)
 
 
 def test_hankel_order_finds_a_double_root_without_residue():
-    # T(nu) = nu^2 has a double root at 0 whose 1/nu residue vanishes, so
-    # A0 is zero up to quadrature error and has rank 0 under the search's
-    # rule: Beyn's A0/A1 pencil sees nothing.  The order-2 Hankel pencil
-    # sees rank 2 and a double eigenvalue at the root.
+    # T(nu) = nu^2 has a double root at 0 whose 1/nu residue vanishes.  The
+    # square's rule weighs a pole lambda by a filter f(lambda) that is 1 only
+    # up to quadrature error, so A0 = f'(0) is not 0, but Beyn's A0/A1
+    # pencil, one value A1 / A0, cannot hold a Jordan block: its value lies
+    # far outside the square.  The order-2 Hankel pencil sees rank 2 and a
+    # double eigenvalue at the root.
     class Square(PatternFamily):
         def t_data(self, nu):
             return np.array([complex(nu) ** 2])
@@ -536,10 +609,9 @@ def test_hankel_order_finds_a_double_root_without_residue():
     region = SearchRegion(center=0.02 + 0.01j, side=0.1)
     moments = ContourMoments()
     value = indicator(region, Square(sp.identity(1)), random_probe(1, 0, columns=1), SimConfig(), moments=moments)
-    assert value == pytest.approx(np.abs(moments.blocks[0]).max(), rel=1e-12)
-    assert value <= 1e-6 * moments.scale
-    # A1 = (1 / 2 pi i) oint ((z - c) / R) z^-2 dz g = g / R
-    assert np.abs(moments.blocks[1]).max() == pytest.approx(1.0 / region.radius, rel=1e-6)
+    a = moments.blocks[:, 0, 0]
+    assert value == pytest.approx(abs(a[0]), rel=1e-12)
+    assert not region.contains(region.center + moments.half_side * a[1] / a[0])
     rank, values = hankel_rank_and_values(moments, region.center)
     assert rank == 2
     assert len(values) == 2 and all(abs(nu) <= 1e-8 for nu in values)
@@ -644,8 +716,9 @@ def test_refine_matrix_eigenpair(family_factory):
 def test_refine_factorizes_once_per_start_value(monkeypatch):
     # residual inverse iteration corrects the eigenvector with the LU of
     # T at the start value; on the dielectric benchmark at M (TE, eps 8.9,
-    # n=16) no sweep stalls, so no re-shift is taken: 7 start values, 7
-    # factorizations (inverse iteration factorized every sweep: 27)
+    # n=16) no sweep stalls, so no re-shift is taken: 6 start values, one
+    # per eigenvalue, and 6 factorizations (the circle contours gave a 7th
+    # start value; inverse iteration factorized every sweep: 27)
     starts, factorizations, refining = [], [], [False]
     real_factorize, real_refine = phcbands.sim.factorize, phcbands.sweep.refine_eigenpair
 
@@ -668,7 +741,7 @@ def test_refine_factorizes_once_per_start_value(monkeypatch):
     window = Window(0.05, 0.8, -0.05, 0.05)
     result = solve_at_k(mesh, build_periodic_dof_map(mesh), M, "TE", models, window, SimConfig())
     assert len(result.eigenpairs) == 6 and not result.warnings
-    assert len(starts) == 7
+    assert len(starts) == 6
     assert factorizations.count(True) == len(starts)
 
 

@@ -214,7 +214,7 @@ def test_layout_built_once_per_family(monkeypatch):
 
 
 # Factors T(nu) of the n=32 TM lossy disc at X (1,094 unknowns) at four
-# nodes of a search circle and prints the SHA-256 of the 12-column solves.
+# nodes of a search square and prints the SHA-256 of the 12-column solves.
 _HASH_SOLVES = """
 import hashlib, math
 from phcbands.assembly import assemble_family
@@ -228,7 +228,7 @@ fam = assemble_family(mesh, pmap, (math.pi, 0.0), "TM", {0: Constant(1.0), 1: Lo
 region = SearchRegion(center=0.45 - 0.01j, side=0.1)
 probe = random_probe(fam.n_dofs, seed=0, columns=12)
 digest = hashlib.sha256()
-for point in contour_nodes(region, region.radius)[::4]:
+for point in contour_nodes(region, region.side / 2.0)[::4]:
     digest.update(solve(factorize(fam.layout, fam.t_data(point)), probe).tobytes())
 print(digest.hexdigest())
 """

@@ -27,7 +27,17 @@ from phcbands.sweep import (
     tile_window,
 )
 
-from conftest import GAMMA, M, X, plane_wave_values, quartic_drude_roots, stdout_under_blas_threads, t_matrix
+from conftest import (
+    GAMMA,
+    M,
+    X,
+    matched_roots,
+    oracle_roots,
+    plane_wave_values,
+    quartic_drude_roots,
+    stdout_under_blas_threads,
+    t_matrix,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -181,9 +191,10 @@ def test_sweep_solves_each_distinct_kpoint_once(monkeypatch):
 
 def test_solve_at_k_drops_a_candidate_whose_refinement_fails(family_factory, monkeypatch):
     # the empty lattice at X has two bands in the window; a refinement that
-    # fails for the lower start values costs that eigenvalue only.  0.5 lies
-    # on the edge the squares [0.4, 0.5] and [0.5, 0.6] share, so each of the
-    # two gives a start value there and each failure warns.
+    # fails for the lower start value costs that eigenvalue only.  0.5 lies
+    # on the edge the squares [0.4, 0.5] and [0.5, 0.6] share: the pencil of
+    # the right one places its start value 8.6e-13 inside it, that of the
+    # left one 2.8e-13 outside it, so one start value fails and warns.
     mesh, pmap, _ = family_factory(8, 0.0, X)
     win = Window(0.3, 0.7, -0.05, 0.05)
     real_refine = phcbands.sweep.refine_eigenpair
@@ -197,7 +208,7 @@ def test_solve_at_k_drops_a_candidate_whose_refinement_fails(family_factory, mon
         monkeypatch.setattr(phcbands.sweep, "refine_eigenpair", refine)
         res = solve_at_k(mesh, pmap, X, "TE", {0: Constant(1.0)}, win, SimConfig())
         assert [c.nu.real for c in res.eigenpairs] == [pytest.approx(0.551961550756, abs=1e-9)]
-        assert len(res.warnings) == 2
+        assert len(res.warnings) == 1
         for warning in res.warnings:
             assert warning.startswith("refinement from nu = (0.") and warning.endswith("failed: bad start")
 
@@ -221,21 +232,73 @@ def test_solve_at_k_finds_zero_at_gamma(family_factory):
     assert dense_linear_oracle(fam, Window(-0.01, 0.3, -0.05, 0.05)) == [pytest.approx(0.0, abs=1e-6)]
 
 
+# the window of the TM rod cases with stored oracle roots (see conftest)
+ROD_WINDOW = Window(0.05, 1.2, -0.05, 0.05)
+
+
 def test_solve_at_k_paper_scale_interface_cluster(monkeypatch):
-    # the n=24 TM lossy disc at X over [0.05, 1.2] x [-0.05, 0.05], most of whose
-    # eigenvalues crowd the eps = -1 interface cluster (Re nu 0.65-0.75),
-    # many closer than dedup's 2e-4: counted with a 1e-9 merge, refinement
-    # keeps at least the 49 distinct eigenvalues that inverse iteration with
-    # one LU per sweep found, and no refinement stalls
+    # the n=24 TM lossy disc at X, most of whose 54 eigenvalues crowd the
+    # eps = -1 interface cluster (Re nu 0.65-0.75), many closer than dedup's
+    # 2e-4: counted with a 1e-9 merge, refinement keeps one value within
+    # 1e-7 of each oracle root and no other (the circle contours kept 50),
+    # and no refinement stalls
     monkeypatch.setattr(phcbands.sim, "_DEDUP_TOL", 1e-9)
     mesh = build_unit_cell_mesh(24, filling_fraction_to_radius(0.2827))
     models = {0: Constant(1.0), 1: LossyDrude(1.0, 0.01)}
-    window = Window(0.05, 1.2, -0.05, 0.05)
-    res = solve_at_k(mesh, build_periodic_dof_map(mesh), X, "TM", models, window, SimConfig())
+    res = solve_at_k(mesh, build_periodic_dof_map(mesh), X, "TM", models, ROD_WINDOW, SimConfig())
     assert res.warnings == []
-    assert len(res.eigenpairs) >= 49
-    cluster = [pair.nu for pair in res.eigenpairs if 0.65 <= pair.nu.real <= 0.75]
-    assert len(cluster) > len(res.eigenpairs) // 2
+    reference = oracle_roots("lossy-n24-X")
+    found = [pair.nu for pair in res.eigenpairs]
+    assert matched_roots(found, reference) == len(found) == len(reference) == 54
+    cluster = [nu for nu in found if 0.65 <= nu.real <= 0.75]
+    assert len(cluster) > len(found) // 2
+
+
+@pytest.mark.parametrize("point", ["X", "G", "M"])
+def test_solve_at_k_lossy_disc_finds_every_root_for_each_seed(point, monkeypatch):
+    # the n=16 TM lossy disc (f = 0.2827, LossyDrude(1, 0.01)) at X, Gamma
+    # and M: with a 1e-9 merge, seeds 0-2 each keep one value within 1e-7 of
+    # each of the 40, 41 and 42 oracle roots.  Whether a root is found must
+    # not depend on the probe's seed; on the circle contours seed 1 at X
+    # found 36 and seed 2 at Gamma 38
+    monkeypatch.setattr(phcbands.sim, "_DEDUP_TOL", 1e-9)
+    k = {"X": X, "G": GAMMA, "M": M}[point]
+    mesh = build_unit_cell_mesh(16, filling_fraction_to_radius(0.2827))
+    pmap = build_periodic_dof_map(mesh)
+    models = {0: Constant(1.0), 1: LossyDrude(1.0, 0.01)}
+    reference = oracle_roots(f"lossy-n16-{point}")
+    assert len(reference) == {"X": 40, "G": 41, "M": 42}[point]
+    counts = []
+    for seed in range(3):
+        res = solve_at_k(mesh, pmap, k, "TM", models, ROD_WINDOW, SimConfig(seed=seed))
+        found = [pair.nu for pair in res.eigenpairs]
+        counts.append((matched_roots(found, reference), len(found), len(res.warnings)))
+    assert counts == [(len(reference), len(reference), 0)] * 3
+
+
+def test_solve_at_k_lossless_rod_keeps_every_row_across_splits(monkeypatch):
+    # the n=16 TM lossless Drude rod at X (f = 0.1256, Drude(1, 0)), whose
+    # search splits squares: every eigenvalue is real, and the ninths of a
+    # tile centred on Im nu = 0 straddle that line at every level, so none
+    # lies on a contour edge.  The 30 oracle roots include 6 pairs closer
+    # than dedup's 2e-4, which each print one row: 24 rows, each within 1e-7
+    # of its own oracle root (quarter squares printed 15 of them)
+    real_sim_h, sides = phcbands.sweep.sim_h, []
+
+    def recorded(regions, fam, cfg):
+        result = real_sim_h(regions, fam, cfg)
+        sides.extend(start.tile.side for start in result.candidates)
+        return result
+
+    monkeypatch.setattr(phcbands.sweep, "sim_h", recorded)
+    mesh = build_unit_cell_mesh(16, filling_fraction_to_radius(0.1256))
+    models = {0: Constant(1.0), 1: Drude(1.0, 0.0)}
+    res = solve_at_k(mesh, build_periodic_dof_map(mesh), X, "TM", models, ROD_WINDOW, SimConfig())
+    reference = oracle_roots("drude-n16-X")
+    found = [pair.nu for pair in res.eigenpairs]
+    assert len(reference) == 30 and min(sides) < 0.1
+    assert matched_roots(found, reference) == len(found) == 24
+    assert res.warnings == []
 
 
 def test_solve_at_k_drops_a_start_value_that_leaves_its_square(family_factory, monkeypatch):
