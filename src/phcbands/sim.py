@@ -38,7 +38,10 @@ within one of the block's capacity 2p is split into 3 x 3 ninths while the
 ninths are at least 0.01 wide, that is two levels below the 0.1 tiles, down
 to side 0.0111; otherwise the eigenvalues of the projected pencil
 U^H H1 Q S^-1 (from the truncated SVD H0 = U S Q^H) that lie in the square,
-max(|Re|, |Im|) <= 1 in the scaled variable, are its start values.  With
+max(|Re|, |Im|) <= 1 + 1e-6 in the scaled variable, are its start values.
+The slack is far above the pencil's error at an eigenvalue on a shared
+edge (~1e-11 there), so both squares propose it, and ``dedup`` merges the
+two refined values.  With
 ninths the middle row of a tile straddling Im nu = 0 straddles it again, so
 the real axis, where every eigenvalue of a lossless family lies, is never
 an edge; with quarters it was, and such an eigenvalue sat on a node's line
@@ -157,7 +160,6 @@ import numpy as np
 from .materials import PermittivityPoleError
 from .sparse import SingularMatrixError, csc_on, factorize, solve
 
-_EDGE_NODES = 4  # Gauss-Legendre nodes per edge of a square, m0 / 4
 _MAX_RETRIES = 3  # 5 % larger squares tried after a failed factorization
 _RETRY_SCALE = 1.05
 _REFINE_SEED = 160923  # fixed start vector seed so refinement is reproducible
@@ -168,6 +170,7 @@ _LEFT_SEED_OFFSET = 7919  # the left block W is drawn from seed + this
 _RANK_FACTOR = 1e-6  # rank threshold, relative to the largest quadrature summand
 _MIN_SIDE = 0.01  # squares are split while their ninths are at least this wide
 _TILE_SLACK = 1e-9  # a refined value may leave its closed square by this much
+_PENCIL_SLACK = 1e-6  # a scaled pencil value may leave [-1, 1]^2 by this much
 _REFINE_TOL = 1e-9  # relative residual at which refinement counts as converged
 _REFINE_MAX_ITER = 40  # Newton steps before refinement gives up
 _DEDUP_TOL = 2e-4  # refined eigenvalues this close are merged
@@ -268,10 +271,15 @@ def _square_rule() -> tuple[np.ndarray, np.ndarray]:
     _WEIGHTS[j, q] = dzeta_j zeta_j^q / (2 pi i) of node j in A_q.
 
     Edge e runs through zeta = m (1 + i t), t in [-1, 1], for the midpoint
-    m = -i, 1, i, -1, so dzeta = i m dt.  The Gauss-Legendre nodes t are
-    symmetric about 0, so every component of zeta is +-1 or +-t exactly, and
-    the node set is its own mirror image under conjugation."""
-    t, w = np.polynomial.legendre.leggauss(_EDGE_NODES)
+    m = -i, 1, i, -1, so dzeta = i m dt.  The 4-point Gauss-Legendre nodes
+    are t = +-sqrt(3/7 -+ (2/7) sqrt(6/5)) with weights (18 +- sqrt(30)) / 36,
+    each pair formed once and negated, so every component of zeta is +-1 or
+    +-t exactly, and the node set is its own mirror image under conjugation."""
+    inner = math.sqrt(3.0 / 7.0 - 2.0 / 7.0 * math.sqrt(6.0 / 5.0))
+    outer = math.sqrt(3.0 / 7.0 + 2.0 / 7.0 * math.sqrt(6.0 / 5.0))
+    t = np.array([-outer, -inner, inner, outer])
+    w_inner, w_outer = (18.0 + math.sqrt(30.0)) / 36.0, (18.0 - math.sqrt(30.0)) / 36.0
+    w = np.array([w_outer, w_inner, w_inner, w_outer])
     mids = np.array([-1j, 1.0, 1j, -1.0])
     zeta = (mids[:, None] * (1.0 + 1j * t[None, :])).ravel()
     dzeta = (1j * mids[:, None] * w[None, :]).ravel()
@@ -386,8 +394,8 @@ def indicator(
 
 def hankel_rank_and_values(moments: ContourMoments, center: complex) -> tuple[int, list[complex]]:
     """Rank of the block Hankel matrix H0 and the eigenvalues of the
-    projected pencil that lie in the closed square of the moments' contour
-    (see the module docstring)."""
+    projected pencil that lie in the closed square of the moments' contour,
+    grown by 1e-6 of its half-side (see the module docstring)."""
     a = moments.blocks
     shape = (_HANKEL_ORDER * a.shape[1], _HANKEL_ORDER * a.shape[2])
     h0 = a[_HANKEL_INDEX].transpose(0, 2, 1, 3).reshape(shape)
@@ -396,7 +404,7 @@ def hankel_rank_and_values(moments: ContourMoments, center: complex) -> tuple[in
     rank = int(np.count_nonzero(sing > _RANK_FACTOR * moments.scale))
     projected = (left[:, :rank].conj().T @ h1 @ right_h[:rank].conj().T) / sing[:rank]
     scaled = np.linalg.eigvals(projected)
-    inside = (complex(lam) for lam in scaled if max(abs(lam.real), abs(lam.imag)) <= 1.0)
+    inside = (complex(lam) for lam in scaled if max(abs(lam.real), abs(lam.imag)) <= 1.0 + _PENCIL_SLACK)
     return rank, [center + moments.half_side * lam for lam in inside]
 
 

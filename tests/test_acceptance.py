@@ -20,7 +20,7 @@ from phcbands.config import load_config
 from phcbands.io import write_bands_csv, emit_svg
 from phcbands.materials import Constant, Drude, LossyDrude
 from phcbands.mesh import build_periodic_dof_map, build_unit_cell_mesh, filling_fraction_to_radius
-from phcbands.sim import SearchRegion, SimConfig, random_probe
+from phcbands.sim import ContourMoments, SearchRegion, SimConfig, hankel_rank_and_values, indicator, random_probe
 from phcbands.sweep import Window, dense_linear_oracle, drude_polynomial_oracle, make_kpath, solve_at_k, sweep
 
 from conftest import (
@@ -219,9 +219,9 @@ def test_criterion_4_three_lowest_mesh_agreement(lossy_disc_x):
 
 def test_criterion_5_indicator_calibration(family_factory):
     # the paper's indicator on the circle of radius R = side / sqrt(2) about
-    # each square (the search itself integrates over the square; see sim).
-    # Scalar calibration: centred pole gives exactly 1, external pole at
-    # twice the contour radius decays to the geometric tail 1/65535
+    # each square, and the program's on the square itself (see sim).
+    # Scalar calibration: centred pole gives exactly 1 on the circle, external
+    # pole at twice the contour radius decays to the geometric tail 1/65535
     region = SearchRegion(center=0.3 + 0j, side=0.05)
     inside = paper_indicator(region, DiagonalFamily([0.3]), random_probe(1, seed=0, columns=1))
     outer_region = SearchRegion(center=0.2 + 0j, side=0.1)
@@ -230,6 +230,10 @@ def test_criterion_5_indicator_calibration(family_factory):
         outer_region, DiagonalFamily([0.2 + 2.0 * outer_radius]), random_probe(1, seed=0, columns=1)
     )
     scalar_ok = abs(inside - 1.0) <= 1e-12 and outside <= 1e-4
+    # the program's indicator on the square contour: its Gauss-Legendre
+    # filter gives a centred pole 1.4e-3 less than 1
+    square_inside = indicator(region, DiagonalFamily([0.3]), random_probe(1, seed=0, columns=1), SimConfig())
+    scalar_ok = scalar_ok and abs(square_inside - 1.0) <= 2e-3
 
     # matrix calibration on the n=8 empty lattice at X, with the dense
     # oracle certifying which region holds spectrum
@@ -241,18 +245,29 @@ def test_criterion_5_indicator_calibration(family_factory):
     assert any(abs(v - full_region.center) <= 1e-6 for v in oracle)
 
     free_vals, full_vals = [], []
+    # the program's indicator ||W^H A_0 g|| (W = g for this lossless family)
+    # on the squares themselves, and the rank the search decides by
+    square_free, square_full, ranks = [], [], set()
     for seed in range(20):
         g = random_probe(fam.n_dofs, seed, columns=1)
         free_vals.append(paper_indicator(free_region, fam, g))
         full_vals.append(paper_indicator(full_region, fam, g))
+        for region, values in ((free_region, square_free), (full_region, square_full)):
+            moments = ContourMoments()
+            values.append(indicator(region, fam, g, SimConfig(seed=seed), moments=moments))
+            rank, starts = hankel_rank_and_values(moments, region.center)
+            ranks.add((region is full_region, rank, len(starts)))
     seeds_ok = max(free_vals) < DELTA0 < min(full_vals)
+    square_ok = max(square_free) < 1e-6 * min(square_full) and ranks == {(False, 0, 0), (True, 1, 1)}
 
-    ok = scalar_ok and seeds_ok
+    ok = scalar_ok and seeds_ok and square_ok
     _report(
         5,
         ok,
         f"pole-in {inside:.2e} (vs 1), pole-out {outside:.2e}; 20 seeds: "
-        f"free max {max(free_vals):.2e} < {DELTA0} < full min {min(full_vals):.2e}",
+        f"free max {max(free_vals):.2e} < {DELTA0} < full min {min(full_vals):.2e}; "
+        f"square contour: pole-in {square_inside:.4f}, free max {max(square_free):.2e} "
+        f"< 1e-6 x full min {min(square_full):.2e}, (occupied, rank, start values) {sorted(ranks)}",
     )
     assert ok
 

@@ -551,11 +551,11 @@ def test_sim_h_visits_squares_breadth_first(monkeypatch):
 
 def test_sim_h_locates_scalar_poles():
     # each square's moments give its own pole as the one start value inside
-    # its circle; the other pole leaks in from outside and is left out.  The
-    # leak, (R / d)^13 ~ 1e-6 of the moments, lies under the rank threshold,
-    # and the left block W mixes it into the kept pencil at first order: the
-    # start values sit 6.5e-9 and 9.7e-10 from their poles.  Start values are
-    # refined before use; refinement lands on each pole to 1e-12.
+    # it; the other pole leaks in from outside and is left out.  The leak,
+    # ~5e-8 of the rank scale in the left square's A_0, lies under the rank
+    # threshold, and the left block W mixes it into the kept pencil at first
+    # order: the start values sit 1e-19 and 3.5e-10 from their poles.  Start
+    # values are refined before use; refinement lands on each pole to 1e-12.
     fam = DiagonalFamily([0.33, 0.72 + 0.01j])
     regions = [
         SearchRegion(center=0.3 + 0j, side=0.2),
@@ -567,6 +567,24 @@ def test_sim_h_locates_scalar_poles():
     for start, pole in zip(result.candidates, (0.33, 0.72 + 0.01j)):
         assert abs(start.nu - pole) <= 1e-8
         assert abs(refine_eigenpair(start.nu, fam).nu - pole) <= 1e-12
+
+
+@pytest.mark.parametrize("pole", [0.4, 0.4 + 0.02j, 0.45 + 0.05j, 0.4 + 0.05j], ids=["real", "upright", "top", "corner"])
+def test_sim_h_every_square_sharing_an_edge_proposes_its_pole(pole):
+    # a pole on an edge (or corner) that squares share lies on the boundary
+    # of each of them, where the pencil places it up to rounding on either
+    # side of +-1 in the scaled variable.  Every square whose closed boundary
+    # holds it must propose it, so that rounding cannot lose it; each start
+    # value refines into its own square, and dedup keeps one eigenvalue
+    fam = DiagonalFamily([pole, 2.0, 3.0])
+    tiles = [SearchRegion(center=complex(x, y), side=0.1) for y in (0.0, 0.1) for x in (0.35, 0.45)]
+    result = sim_h(tiles, fam, SimConfig())
+    assert not result.failures
+    holding = [tile for tile in tiles if tile.contains(pole)]
+    assert [start.tile for start in result.candidates] == holding
+    refined = [refine_eigenpair(start.nu, fam) for start in result.candidates]
+    assert all(start.tile.contains(cand.nu) for start, cand in zip(result.candidates, refined))
+    assert [cand.nu for cand in dedup(refined)] == [pytest.approx(pole, abs=1e-12)]
 
 
 @pytest.mark.parametrize(

@@ -191,10 +191,10 @@ def test_sweep_solves_each_distinct_kpoint_once(monkeypatch):
 
 def test_solve_at_k_drops_a_candidate_whose_refinement_fails(family_factory, monkeypatch):
     # the empty lattice at X has two bands in the window; a refinement that
-    # fails for the lower start value costs that eigenvalue only.  0.5 lies
-    # on the edge the squares [0.4, 0.5] and [0.5, 0.6] share: the pencil of
-    # the right one places its start value 8.6e-13 inside it, that of the
-    # left one 2.8e-13 outside it, so one start value fails and warns.
+    # fails for the lower start values costs that eigenvalue only.  0.5 lies
+    # on the edge the squares [0.4, 0.5] and [0.5, 0.6] share, so each of the
+    # two gives a start value there (the pencil places one up to rounding on
+    # either side of the edge) and each failure warns.
     mesh, pmap, _ = family_factory(8, 0.0, X)
     win = Window(0.3, 0.7, -0.05, 0.05)
     real_refine = phcbands.sweep.refine_eigenpair
@@ -208,7 +208,7 @@ def test_solve_at_k_drops_a_candidate_whose_refinement_fails(family_factory, mon
         monkeypatch.setattr(phcbands.sweep, "refine_eigenpair", refine)
         res = solve_at_k(mesh, pmap, X, "TE", {0: Constant(1.0)}, win, SimConfig())
         assert [c.nu.real for c in res.eigenpairs] == [pytest.approx(0.551961550756, abs=1e-9)]
-        assert len(res.warnings) == 1
+        assert len(res.warnings) == 2
         for warning in res.warnings:
             assert warning.startswith("refinement from nu = (0.") and warning.endswith("failed: bad start")
 
